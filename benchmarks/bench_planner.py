@@ -4,10 +4,9 @@ The planner/executor decomposition claims three things worth pricing:
 
 * ``planner="auto"`` never loses (much) to the best pinned strategy —
   per ``(n, m, d)`` cell the auto arm is compared against
-  ``always-kernel`` (``planner="fixed"`` with ``batch_kernels=True``,
-  the historical default dispatch) and ``always-naive``
-  (``batch_kernels=False``: every surface runs the per-customer
-  index-loop operators);
+  ``always-kernel`` (the ``planner="kernel"`` pin, the default dispatch
+  without the cost model) and ``always-naive`` (the ``planner="index"``
+  pin: every surface runs the per-customer index-loop operators);
 * plans are *reused* — the plan cache should absorb every repeated
   shape in a workload (hit rate near 1 after the first query of each
   shape);
@@ -49,8 +48,8 @@ SMOKE_GRID = [(250, 250, 2)]
 
 ARMS = {
     "auto": dict(planner="auto"),
-    "always-kernel": dict(planner="fixed", batch_kernels=True),
-    "always-naive": dict(planner="fixed", batch_kernels=False),
+    "always-kernel": dict(planner="kernel"),
+    "always-naive": dict(planner="index"),
 }
 
 

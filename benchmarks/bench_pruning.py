@@ -17,7 +17,7 @@ pricing:
 * ``planner="auto"`` only prunes when it wins — the ``dense`` cell
   (everything interleaved uniform, refine rate ~1) makes classification
   pure overhead, and per cell the auto arm is compared against the best
-  fixed arm and must stay within 1.05x.
+  pinned (fixed) arm and must stay within 1.05x.
 
 Entry points::
 
@@ -46,9 +46,9 @@ FULL_GRID = [2_000, 10_000]
 SMOKE_GRID = [600]
 
 ARMS = {
-    "unpruned": dict(planner="fixed", prune="off"),
-    "pruned": dict(planner="fixed", prune="always"),
-    "auto": dict(planner="auto", prune="auto"),
+    "unpruned": dict(planner="kernel"),
+    "pruned": dict(planner="pruned"),
+    "auto": dict(planner="auto"),
 }
 
 

@@ -49,8 +49,8 @@ SMOKE_GRID = [(200, 200, 2)]
 
 ARMS = {
     "auto": dict(planner="auto"),
-    "always-kernel": dict(planner="fixed", batch_kernels=True),
-    "always-naive": dict(planner="fixed", batch_kernels=False),
+    "always-kernel": dict(planner="kernel"),
+    "always-naive": dict(planner="index"),
 }
 
 

@@ -14,7 +14,8 @@ The shard layer claims three things worth pricing:
   than hides (the ``env`` block carries ``cpu_count`` so readers can
   tell which regime a JSON artifact came from);
 * ``planner="auto"`` only fans out when it wins — per cell the auto arm
-  is compared against the best fixed arm and must stay within 1.05x.
+  is compared against the best pinned (fixed) arm and must stay within
+  1.05x.
 
 Entry points::
 
@@ -45,12 +46,12 @@ SMOKE_GRID = [500]
 
 def _arms(shards: int) -> dict[str, dict]:
     return {
-        "single": dict(planner="fixed", shards=1),
+        "single": dict(planner="kernel", shards=1),
         "sharded-serial": dict(
-            planner="fixed", shards=shards, shard_backend="serial"
+            planner="kernel", shards=shards, shard_backend="serial"
         ),
         "sharded-process": dict(
-            planner="fixed", shards=shards, shard_backend="process"
+            planner="kernel", shards=shards, shard_backend="process"
         ),
         "auto": dict(planner="auto", shards=shards),
     }

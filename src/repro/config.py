@@ -52,13 +52,6 @@ class WhyNotConfig:
     verify:
         When true, each candidate is checked against the index before it is
         returned; unverifiable candidates are flagged, never silently kept.
-    batch_kernels:
-        When true, multi-customer sweeps (BBRS verification, lost-customer
-        checks, MQP scoring, batch why-not answering) run through the
-        blocked NumPy kernels of :mod:`repro.kernels` instead of one
-        index query per customer.  Results are bit-identical by
-        construction (property-tested); the per-customer path remains the
-        oracle and is forced by setting this to false.
     kernel_block_size:
         Customer tile width of the blocked kernels; peak intermediate
         memory is ``O(kernel_block_size ** 2)`` per array.  ``None``
@@ -113,22 +106,29 @@ class WhyNotConfig:
         Ring size of the query journal; older records are evicted
         FIFO and counted in ``journal.dropped``.
     planner:
-        Operator-selection mode of the :mod:`repro.plan` layer.
-        ``"auto"`` (default) lets the cost model pick the cheapest
-        available physical operator per surface from the dataset
-        statistics; ``"fixed"`` reproduces the pre-planner dispatch
-        (kernels iff ``batch_kernels``, cached fold iff ``dsl_cache``)
-        bit-for-bit.  Answers are identical under both modes —
+        Operator-selection mode of the :mod:`repro.plan` layer, and the
+        one way to force an execution arm.  ``"auto"`` (default) lets
+        the cost model pick the cheapest available physical operator per
+        surface from the dataset statistics.  A pin forces the arm of
+        every row-mask surface (reverse skyline, membership, retained
+        mask) and of batch answering: ``"index"`` runs one index window
+        probe per customer (the oracle path) and batch questions one by
+        one; ``"kernel"`` runs the blocked NumPy kernels of
+        :mod:`repro.kernels` with a membership prefilter for batches;
+        ``"pruned"`` runs the filter-refinement kernels of
+        :mod:`repro.prune` where they apply.  With ``shards > 1`` the
+        ``"kernel"`` and ``"pruned"`` pins fan out (workers prune under
+        ``"pruned"``).  Answers are identical under every mode —
         operators are property-tested equivalent — only runtimes
         differ.
     shards:
         Number of data shards for the partitioned execution layer
         (:mod:`repro.shard`).  ``1`` (default) disables sharding
         entirely; with ``shards > 1`` the planner may (``"auto"``) or
-        will (``"fixed"``) run the membership / Λ-count / verification
-        / safe-region kernels per shard and merge — mask union, count
-        sum, region intersection — with float64 results bit-identical
-        to the single-process path (property-tested).
+        will (``"kernel"``/``"pruned"`` pins) run the membership /
+        verification / safe-region kernels per shard and merge — mask
+        union, region intersection — with results bit-identical to the
+        single-process path (property-tested).
     shard_backend:
         ``"process"`` (default) dispatches shard tasks to a
         ``ProcessPoolExecutor`` over ``multiprocessing.shared_memory``
@@ -142,22 +142,6 @@ class WhyNotConfig:
         buckets rows by uniform grid cell, ``"rows"`` splits contiguous
         row ranges.  Any choice yields identical merged results; only
         per-shard work balance differs.
-    shard_dtype:
-        Element type the sharded kernels compute in.  ``"float64"``
-        (default) is bit-identical to the single-core kernels;
-        ``"float32"`` halves shared-memory bandwidth and is opt-in —
-        results may differ near window boundaries by float32 rounding
-        (see docs/API.md for the documented tolerance) and the
-        safe-region fold always promotes back to float64.
-    prune:
-        Filter-refinement pruning mode of the batch kernels
-        (:mod:`repro.prune`).  ``"auto"`` (default) makes the pruned
-        physical operators *available* and lets the cost model decide
-        per query whether classifying (customer-tile, product-chunk)
-        AABB pairs predicts a win; ``"always"`` forces the pruned
-        kernels wherever they apply; ``"off"`` removes them entirely.
-        Results are bit-identical in every mode (property-tested) —
-        the classifier is conservative, only runtimes differ.
     prune_tile_size:
         Tile width of the pruning classifier (customer tiles and
         product chunks of the summaries).  ``None`` (default) follows
@@ -195,7 +179,6 @@ class WhyNotConfig:
     sort_dim: int = 0
     margin: float = 0.0
     verify: bool = True
-    batch_kernels: bool = True
     kernel_block_size: int | None = None
     n_jobs: int = 1
     dsl_cache: bool = True
@@ -208,8 +191,6 @@ class WhyNotConfig:
     shards: int = 1
     shard_backend: str = "process"
     shard_partition: str = "str"
-    shard_dtype: str = "float64"
-    prune: str = "auto"
     prune_tile_size: int | None = None
     scoped_invalidation: bool = True
     prefs_weights: tuple[float, ...] | None = None
@@ -231,10 +212,10 @@ class WhyNotConfig:
             raise ValueError("sr_chunk_size must be a positive integer")
         if self.journal_capacity < 1:
             raise ValueError("journal_capacity must be a positive integer")
-        if self.planner not in ("auto", "fixed"):
+        if self.planner not in ("auto", "index", "kernel", "pruned"):
             raise ValueError(
                 f"unknown planner mode {self.planner!r}; "
-                "use 'auto' or 'fixed'"
+                "use 'auto', 'index', 'kernel' or 'pruned'"
             )
         if self.shards < 1:
             raise ValueError("shards must be a positive integer")
@@ -247,16 +228,6 @@ class WhyNotConfig:
             raise ValueError(
                 f"unknown shard_partition {self.shard_partition!r}; "
                 "use 'str', 'grid' or 'rows'"
-            )
-        if self.shard_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"unknown shard_dtype {self.shard_dtype!r}; "
-                "use 'float64' or 'float32'"
-            )
-        if self.prune not in ("off", "auto", "always"):
-            raise ValueError(
-                f"unknown prune mode {self.prune!r}; "
-                "use 'off', 'auto' or 'always'"
             )
         if self.prune_tile_size is not None and self.prune_tile_size < 1:
             raise ValueError(

@@ -18,9 +18,10 @@ self-exclusion) or by raw coordinates.
 Since the planner/executor decomposition the engine is a *facade*: each
 surface method builds a coordinate-free logical plan, the
 :class:`~repro.plan.planner.Planner` selects physical operators (cost-
-based under ``config.planner="auto"``, the historical dispatch under
-``"fixed"``), and the executor runs the tree.  All kernel / safe-region
-/ staircase dispatch lives in :mod:`repro.plan.operators`; the engine
+based under ``config.planner="auto"``, one forced arm under the
+``"index"`` / ``"kernel"`` / ``"pruned"`` pins), and the executor runs
+the tree.  All kernel / safe-region / staircase dispatch lives in
+:mod:`repro.plan.operators`, one operator per surface; the engine
 keeps only the state those operators share (stores, index, result
 caches, observability).  ``engine.explain_plan(surface, ...)`` returns
 the executed plan tree with estimated vs. actual costs.
@@ -128,17 +129,13 @@ class WhyNotEngine(EngineMutationMixin):
         self.alpha, self.beta = self._weights.resolved(prods.shape[1])
         self.index = make_index(backend, prods)
         # Filter-refinement summaries (repro.prune): epoch-versioned
-        # per-tile AABBs kept coherent by store subscribers.  Built
-        # whenever pruning is not disabled — the classifier tiles and
-        # the cost model's selectivity probe both read them.
-        self.prune_summaries: PruneSummaries | None = (
-            PruneSummaries(
-                self._product_store,
-                self._customer_store,
-                tile_size=self.prune_tile_size,
-            )
-            if self.config.prune != "off"
-            else None
+        # per-tile AABBs kept coherent by store subscribers.  The
+        # classifier tiles and the cost model's selectivity probe both
+        # read them.
+        self.prune_summaries = PruneSummaries(
+            self._product_store,
+            self._customer_store,
+            tile_size=self.prune_tile_size,
         )
         if bounds is None:
             stacked = np.vstack([prods, custs])

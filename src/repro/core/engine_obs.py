@@ -55,24 +55,24 @@ def install_observability(engine: "WhyNotEngine") -> None:
     # shared by every ShardExecutor the engine builds across epochs.
     engine.shard_stats = ShardStats()
     engine.obs.attach_stats("shard", engine.shard_stats)
-    # Kernel counters are only threaded through the hot loops when
-    # tracing: the disabled path must stay counter-free.
+    # Kernel and pruning counters (kernels.*, prune.*) are only threaded
+    # through the hot loops when tracing: the disabled path must stay
+    # counter-free.  The pair-balance invariant (pairs_skipped +
+    # pairs_blocked + pairs_refined == pairs_total) is asserted over the
+    # prune counters by the tests and the `prune` CLI experiment.
     engine._kernel_counters = None
+    engine._prune_counters = None
     if engine.config.trace:
         engine._kernel_counters = KernelCounters()
-        for name, counter in engine._kernel_counters.counters().items():
-            engine.obs.metrics.attach(f"kernels.{name}", counter)
-    # Pruning counters (prune.*): same discipline, and additionally
-    # gated on pruning being enabled at all.  The pair-balance invariant
-    # (pairs_skipped + pairs_blocked + pairs_refined == pairs_total) is
-    # asserted over these by the tests and the `prune` CLI experiment.
-    engine._prune_counters = None
-    if engine.config.trace and engine.config.prune != "off":
         engine._prune_counters = PruneCounters()
-        for name, counter in engine._prune_counters.counters().items():
-            engine.obs.metrics.attach(f"prune.{name}", counter)
+        for family, bundle in (
+            ("kernels", engine._kernel_counters),
+            ("prune", engine._prune_counters),
+        ):
+            for name, counter in bundle.counters().items():
+                engine.obs.metrics.attach(f"{family}.{name}", counter)
     # Path-independent work counter: one increment per membership
-    # predicate evaluated, identical under batch_kernels True/False.
+    # predicate evaluated, identical under every planner arm.
     engine._membership_tests = engine.obs.counter(
         "engine.membership_tests",
         "membership predicates evaluated (path-independent)",

@@ -42,8 +42,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.core._verify import verify_membership
-from repro.kernels.membership import batch_window_membership
+from repro.plan.operators import row_mask
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import WhyNotEngine
@@ -295,31 +294,10 @@ class MutationInvalidator:
             else np.full(positions.size, -1, dtype=np.int64)
         )
         eng._membership_tests.inc(int(positions.size))
-        if eng.config.batch_kernels:
-            return batch_window_membership(
-                eng.products,
-                points,
-                query,
-                eng.config.policy,
-                self_positions=self_positions,
-                block_size=eng.kernel_block_size,
-                counters=eng._kernel_counters,
-            )
-        return np.fromiter(
-            (
-                verify_membership(
-                    eng.index,
-                    points[i],
-                    query,
-                    eng.config.policy,
-                    (int(self_positions[i]),) if self_positions[i] >= 0 else (),
-                    rtol=0.0,
-                )
-                for i in range(positions.size)
-            ),
-            dtype=bool,
-            count=positions.size,
-        )
+        variant = "index" if eng.config.planner == "index" else "kernel"
+        # The scoped pass only runs under a full-support default
+        # preference, where the engine default equals the unweighted test.
+        return row_mask(eng, variant, points, query, eng.prefs, self_positions)
 
     def _repair_one_product(
         self, mutation: "Mutation", members: np.ndarray, query: np.ndarray

@@ -607,8 +607,8 @@ def _shard(args: argparse.Namespace) -> str:
     Builds a uniform synthetic dataset (first ``--sizes`` entry, default
     2000 rows) and answers the same probe set through three arms — the
     single-process engine (``shards=1``), the sharded serial backend and
-    the sharded process-pool backend (both ``shards=2``, forced via
-    ``planner="fixed"``).  Reverse skylines, membership masks and
+    the sharded process-pool backend (both ``shards=2``, forced via the
+    ``planner="kernel"`` pin).  Reverse skylines, membership masks and
     safe regions (canonical maximal box set + exact area) are compared
     bit-for-bit across the arms; any divergence prints a FAIL line and
     the process exits non-zero.  Also reports the shard fan-out counters
@@ -656,12 +656,12 @@ def _shard(args: argparse.Namespace) -> str:
         return lo[order], hi[order]
 
     arms = {
-        "single": WhyNotConfig(planner="fixed"),
+        "single": WhyNotConfig(planner="kernel"),
         "sharded-serial": WhyNotConfig(
-            planner="fixed", shards=2, shard_backend="serial"
+            planner="kernel", shards=2, shard_backend="serial"
         ),
         "sharded-process": WhyNotConfig(
-            planner="fixed", shards=2, shard_backend="process"
+            planner="kernel", shards=2, shard_backend="process"
         ),
     }
     engines = {
@@ -739,12 +739,12 @@ def _prune(args: argparse.Namespace) -> str:
 
     Builds a uniform synthetic dataset (first ``--sizes`` entry, default
     2000 rows) and answers the same probe set through three arms — the
-    plain kernels (``prune="off"``), the always-pruned kernels
-    (``prune="always"``, forced via ``planner="fixed"``) and the
-    cost-based ``prune="auto"`` planner.  Reverse skylines, membership
-    masks and ``Λ`` culprit sets are compared bit-for-bit against the
-    unpruned arm, then a round of inserts/deletes/updates exercises the
-    incremental tile-summary maintenance and the comparison is repeated.
+    plain kernels (``planner="kernel"``), the always-pruned kernels
+    (``planner="pruned"``) and the cost-based ``planner="auto"``.
+    Reverse skylines, membership masks and ``Λ`` culprit sets are
+    compared bit-for-bit against the unpruned arm, then a round of
+    inserts/deletes/updates exercises the incremental tile-summary
+    maintenance and the comparison is repeated.
     The pruning counter balance invariant (skipped + blocked + refined
     == total pairs) is asserted on the traced arm.  Any divergence
     prints a FAIL line and the process exits non-zero.
@@ -768,9 +768,9 @@ def _prune(args: argparse.Namespace) -> str:
             failures += 1
 
     arms = {
-        "off": WhyNotConfig(planner="fixed", prune="off"),
-        "always": WhyNotConfig(planner="fixed", prune="always", trace=True),
-        "auto": WhyNotConfig(planner="auto", prune="auto"),
+        "off": WhyNotConfig(planner="kernel"),
+        "always": WhyNotConfig(planner="pruned", trace=True),
+        "auto": WhyNotConfig(planner="auto"),
     }
     engines = {
         name: WhyNotEngine(
@@ -921,7 +921,7 @@ def _obs(args: argparse.Namespace) -> str:
     engine = WhyNotEngine(
         dataset.points,
         backend=args.backend,
-        config=WhyNotConfig(trace=True, journal=True, prune="always"),
+        config=WhyNotConfig(trace=True, journal=True),
         bounds=dataset.bounds,
     )
     workload(engine)
@@ -976,8 +976,7 @@ def _obs(args: argparse.Namespace) -> str:
             config=WhyNotConfig(
                 trace=True,
                 journal=True,
-                prune="always",
-                planner="fixed",
+                planner="pruned",
                 shards=2,
                 shard_backend=backend_name,
             ),

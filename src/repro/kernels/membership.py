@@ -133,49 +133,19 @@ class KernelCounters:
         return {name: int(getattr(self, name).value) for name in self.__slots__}
 
 
-def _as_matrix(values: np.ndarray, dim: int, dtype: np.dtype) -> np.ndarray:
-    """The non-float64 twin of :func:`repro.geometry.point.as_points`:
-    same shape/finiteness validation, but coerces to ``dtype`` directly
-    (no intermediate float64 copy) so float32 inputs stay zero-copy."""
-    arr = np.asarray(values)
-    if arr.size == 0:
-        return np.empty((0, dim), dtype=dtype)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InvalidParameterError(
-            f"points must form an (n, {dim}) matrix, got shape {arr.shape}"
-        )
-    out = np.ascontiguousarray(arr, dtype=dtype)
-    if not np.all(np.isfinite(out)):
-        raise InvalidParameterError("points contain non-finite values")
-    return out
-
-
 def _prepare(
     products: np.ndarray,
     customers: np.ndarray,
     query: Sequence[float],
     self_positions: np.ndarray | None,
     block_size: int,
-    dtype: str | np.dtype = np.float64,
     dims: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     if block_size < 1:
         raise InvalidParameterError("block_size must be a positive integer")
     q = as_point(query)
-    dt = np.dtype(dtype)
-    if dt == np.float64:
-        prods = as_points(products, dim=q.size)
-        custs = as_points(customers, dim=q.size)
-    else:
-        if dt != np.float32:
-            raise InvalidParameterError(
-                f"kernel dtype must be float64 or float32, got {dt}"
-            )
-        prods = _as_matrix(products, q.size, dt)
-        custs = _as_matrix(customers, q.size, dt)
-        q = q.astype(dt)
+    prods = as_points(products, dim=q.size)
+    custs = as_points(customers, dim=q.size)
     if dims is not None:
         # Preference-support projection (see repro.prefs): the window test
         # runs over the support columns only.  Copies keep the sweep's
@@ -331,7 +301,6 @@ def batch_window_membership(
     block_size: int = DEFAULT_BLOCK_SIZE,
     rtol: float = 0.0,
     counters: KernelCounters | None = None,
-    dtype: str | np.dtype = np.float64,
     dims: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(m,)`` boolean vector: is each customer in ``RSL(query)``?
@@ -361,20 +330,13 @@ def batch_window_membership(
     counters:
         Optional :class:`KernelCounters` incremented in place (tiles,
         chunks, early exits); ``None`` skips all accounting.
-    dtype:
-        Element type of the sweep.  ``float64`` (default) is the exact
-        path; ``float32`` computes windows and distances in single
-        precision — float32 inputs stay zero-copy (the sharded layer's
-        bandwidth mode) at the cost of possible boundary flips within
-        float32 rounding of the float64 answer.
     dims:
         Optional int64 column positions restricting the test to the
         preference-support subspace (:mod:`repro.prefs`); ``None`` is the
         full-dimensional historical path.
     """
     prods, custs, q, positions = _prepare(
-        products, customers, query, self_positions, block_size, dtype,
-        dims=dims,
+        products, customers, query, self_positions, block_size, dims=dims,
     )
     m = custs.shape[0]
     members = np.empty(m, dtype=bool)
@@ -400,7 +362,6 @@ def batch_lambda_counts(
     self_positions: np.ndarray | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     counters: KernelCounters | None = None,
-    dtype: str | np.dtype = np.float64,
     dims: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(m,)`` int64 vector of ``|Λ|`` per customer.
@@ -411,8 +372,7 @@ def batch_lambda_counts(
     block?) are bulk sweeps of these counts.
     """
     prods, custs, q, positions = _prepare(
-        products, customers, query, self_positions, block_size, dtype,
-        dims=dims,
+        products, customers, query, self_positions, block_size, dims=dims,
     )
     m = custs.shape[0]
     counts = np.zeros(m, dtype=np.int64)

@@ -24,7 +24,7 @@ arbitrary subsets); product chunk AABBs can be passed in precomputed
 (``product_bounds`` — the engine's epoch-versioned
 :class:`repro.prune.summaries.PruneSummaries` or a shard worker's local
 cache) and must then describe the *same* product matrix at the same
-tile width, in the working dtype.
+tile width.
 
 Accounting happens at classification time so the early exits cannot
 unbalance the :class:`repro.prune.counters.PruneCounters` invariant
@@ -173,7 +173,6 @@ def batch_window_membership_pruned(
     prune_counters: PruneCounters | None = None,
     tile_size: int | None = None,
     product_bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    dtype: str | np.dtype = np.float64,
     dims: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pruned twin of :func:`repro.kernels.membership.
@@ -183,8 +182,7 @@ def batch_window_membership_pruned(
     (precomputed product chunk AABBs).  Bit-identical output for every
     parameter combination."""
     prods, custs, q, positions = _prepare(
-        products, customers, query, self_positions, block_size, dtype,
-        dims=dims,
+        products, customers, query, self_positions, block_size, dims=dims,
     )
     m = custs.shape[0]
     n = prods.shape[0]
@@ -250,7 +248,6 @@ def batch_lambda_counts_pruned(
     prune_counters: PruneCounters | None = None,
     tile_size: int | None = None,
     product_bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    dtype: str | np.dtype = np.float64,
     dims: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pruned twin of :func:`repro.kernels.membership.batch_lambda_counts`.
@@ -261,8 +258,7 @@ def batch_lambda_counts_pruned(
     count is ``b * rows`` but not which rows survive self-exclusion, and
     the exact chunk pass is as cheap as that proof."""
     prods, custs, q, positions = _prepare(
-        products, customers, query, self_positions, block_size, dtype,
-        dims=dims,
+        products, customers, query, self_positions, block_size, dims=dims,
     )
     m = custs.shape[0]
     counts = np.zeros(m, dtype=np.int64)

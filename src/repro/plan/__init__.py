@@ -4,12 +4,12 @@ The planner/executor decomposition of the why-not engine:
 
 * :mod:`repro.plan.logical` — coordinate-free descriptions of each
   paper surface (RSL, Λ, Algorithms 1-4, approx-MWQ, batch);
-* :mod:`repro.plan.operators` — physical operators wrapping the
-  existing execution paths behind one protocol;
+* :mod:`repro.plan.operators` — one physical operator per surface,
+  its execution paths (index / kernel / pruned / sharded) as variants;
 * :mod:`repro.plan.cost` — dataset statistics and the calibrated cost
   model;
-* :mod:`repro.plan.planner` — ``auto`` (cost-based) vs. ``fixed``
-  (historical dispatch) operator selection;
+* :mod:`repro.plan.planner` — ``auto`` (cost-based) operator selection
+  or an ``index`` / ``kernel`` / ``pruned`` pin;
 * :mod:`repro.plan.executor` — plan nodes and the span-instrumented
   tree executor;
 * :mod:`repro.plan.cache` — planned trees keyed by (shape, epoch,
@@ -22,7 +22,7 @@ The planner/executor decomposition of the why-not engine:
 Layering: this package sits between the algorithm layer
 (``repro.core``/``repro.kernels``/``repro.index``) and the engine
 facade; it must never import ``repro.experiments`` or ``repro.viz``
-(checked in CI).
+(checked by ``tests/test_layering.py``).
 """
 
 from repro.plan.cache import PlanCache, config_fingerprint

@@ -98,9 +98,6 @@ class DatasetStats:
         Warm entries in the engine's :class:`~repro.core.dsl_cache.
         DSLCache` (0 when disabled) — a warm cache collapses the
         per-member cost of safe-region assembly.
-    kernels_enabled:
-        ``WhyNotConfig.batch_kernels`` — whether blocked operators are
-        available at all.
     cpus:
         Schedulable CPUs of this process (affinity/cgroup-aware, see
         :func:`repro.kernels.parallel.available_cpus`) — caps the worker
@@ -110,19 +107,16 @@ class DatasetStats:
         The configured shard count and backend (``WhyNotConfig.shards``
         / ``shard_backend``), echoed here so estimates can price the
         per-task dispatch overhead of the active backend.
-    prune, prune_tile_size:
-        The configured pruning mode and the *resolved* classifier tile
-        width — the pruned operators are available iff
-        ``prune != "off"``.
+    prune_tile_size:
+        The *resolved* classifier tile width of the engine's summaries.
     prune_refine_rate:
         Predicted fraction of (customer-tile, product-chunk) pairs the
         pruned kernels would have to refine exactly, sampled from the
         engine's epoch-versioned tile summaries at the dataset centroid
         (:meth:`repro.prune.summaries.PruneSummaries.
-        centroid_refine_rate`).  ``1.0`` — nothing prunable — whenever
-        summaries are absent or pruning is off, which makes the pruned
-        estimate strictly worse than the plain kernel and ``auto``
-        declines.
+        centroid_refine_rate`).  ``1.0`` (the default) means nothing
+        is prunable, which makes the pruned estimate strictly worse
+        than the plain kernel and ``auto`` declines.
     """
 
     n: int
@@ -131,11 +125,9 @@ class DatasetStats:
     backend: str
     epoch: int
     dsl_warm: int = 0
-    kernels_enabled: bool = True
     cpus: int = 1
     shards: int = 1
     shard_backend: str = "process"
-    prune: str = "off"
     prune_tile_size: int = 512
     prune_refine_rate: float = 1.0
     # Dimensions dominance actually compares under the engine-default
@@ -149,13 +141,7 @@ class DatasetStats:
         """Sample the live statistics of one engine."""
         from repro.kernels.parallel import available_cpus
 
-        prune = str(engine.config.prune)
-        summaries = getattr(engine, "prune_summaries", None)
-        refine_rate = 1.0
-        tile = 512
-        if summaries is not None and prune != "off":
-            tile = int(summaries.tile_size)
-            refine_rate = float(summaries.centroid_refine_rate())
+        summaries = engine.prune_summaries
         return cls(
             n=int(engine.products.shape[0]),
             m=int(engine.customers.shape[0]),
@@ -168,13 +154,11 @@ class DatasetStats:
                 if engine.dsl_cache is not None
                 else 0
             ),
-            kernels_enabled=bool(engine.config.batch_kernels),
             cpus=available_cpus(),
             shards=int(engine.config.shards),
             shard_backend=engine.config.shard_backend,
-            prune=prune,
-            prune_tile_size=tile,
-            prune_refine_rate=refine_rate,
+            prune_tile_size=int(summaries.tile_size),
+            prune_refine_rate=float(summaries.centroid_refine_rate()),
         )
 
     @property

@@ -1,27 +1,33 @@
-"""Physical operators: the execution strategies behind each surface.
+"""Physical operators: one per surface, its variants as strategies.
 
-Every operator wraps one *existing* implementation path of the codebase
-(per-customer index probes, blocked kernels, the DSLCache-backed
-staircase fold, exact vs. approximate safe regions) behind a uniform
-protocol the planner can choose between:
+Every reverse-skyline, membership and retained-mask path evaluates the
+Definition-3 predicate — a customer is in ``RSL(q)`` exactly when its
+window over the products is empty.  :func:`row_mask` computes that row
+mask for all of them, with four strategies:
 
-* :meth:`Operator.available` — capability gating.  ``batch_kernels=
-  False`` *removes* the kernel operators from the candidate set (it is a
-  capability, not a preference), so configurations that force the
-  per-customer oracle keep exercising exactly that path.
-* :meth:`Operator.fixed_choice` — whether this operator is the one the
-  pre-planner engine dispatched to under the given config; ``planner=
-  "fixed"`` reproduces that dispatch bit-for-bit.
+* ``"index"`` — one window probe per row (the per-customer oracle);
+* ``"kernel"`` — one blocked NumPy pass (:mod:`repro.kernels`);
+* ``"pruned"`` — the filter-refinement kernel over the tile summaries;
+* ``"sharded"`` — the blocked kernel fanned out over :mod:`repro.shard`.
+
+:func:`mask_cost` prices every variant, so each surface is one operator
+class whose instances differ only in their ``variant`` and registry name
+(``rsl-kernel-verify``, ``membership-pruned``, ...).  The planner picks
+an instance per node:
+
+* :meth:`Operator.available` — capability gating (a sharded variant needs
+  ``shards > 1``; the sharded safe-region fold also needs
+  ``sr_box_budget == 0``).
 * :meth:`Operator.estimate` — predicted cost from dataset statistics,
-  used by ``planner="auto"``.
-* :meth:`Operator.run` — the actual execution, emitting the same spans,
-  counters and result-cache traffic as the pre-planner engine methods
-  (the caches themselves stay on the engine; scoped invalidation in
-  :mod:`repro.core.invalidation` reads them there).
+  used by ``planner="auto"``; a pinned planner picks by ``variant``.
+* :meth:`Operator.run` — the execution, emitting the surface's span
+  attributes, counters and result-cache traffic (the caches stay on the
+  engine, where scoped invalidation in :mod:`repro.core.invalidation`
+  reads them; it computes its masks through :func:`row_mask` too).
 
-Operator *answers* are bit-identical across alternatives by the
-property-tested kernel/oracle and cached/direct equivalences of PRs
-1-2, so a planner choice can change the runtime but never the result.
+Answers are bit-identical across variants (property-tested against the
+brute-force oracle), so a planner choice changes the runtime, never the
+result.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 import numpy as np
 
 from repro.config import WhyNotConfig
-from repro.core._verify import verify_membership
+from repro.core._verify import VERIFY_RTOL, verify_membership
 from repro.core.approx import ApproximateDSLStore
 from repro.core.explain import explain_why_not
 from repro.core.mqp import modify_query_point
@@ -48,15 +54,10 @@ from repro.geometry import region_array as _ra
 from repro.geometry.box import Box
 from repro.geometry.point import as_point
 from repro.geometry.region import BoxRegion
-from repro.kernels.membership import (
-    _VERIFY_RTOL,
-    batch_verify_membership,
-    batch_window_membership,
-)
+from repro.kernels.membership import batch_window_membership
 from repro.kernels.pruned import batch_window_membership_pruned
 from repro.plan.cost import CostEstimate, CostModel, DatasetStats
 from repro.skyline.global_skyline import global_skyline_candidates
-from repro.skyline.reverse import reverse_skyline_bbrs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.plan.executor import ExecutionContext, PlanNode
@@ -67,20 +68,9 @@ __all__ = [
     "candidate_operators",
     "ensure_approx_store",
     "ensure_shard_executor",
+    "mask_cost",
+    "row_mask",
 ]
-
-
-def _shard_fold_enabled(config: WhyNotConfig) -> bool:
-    """May the sharded safe-region fold replace the sequential one?
-
-    Requires float64 (the fold's bit-identity argument needs exact box
-    corners) and no box budget (truncating an intermediate breaks the
-    order-invariance the cross-shard merge relies on)."""
-    return (
-        config.shards > 1
-        and config.sr_box_budget == 0
-        and config.shard_dtype == "float64"
-    )
 
 
 def ensure_shard_executor(engine):
@@ -91,7 +81,8 @@ def ensure_shard_executor(engine):
     multiprocessing machinery — unless a sharded operator actually runs.
     Keyed by epoch: a mutation makes the partition and the published
     shared-memory copies stale, so stale executors are closed and
-    rebuilt on the next sharded call.
+    rebuilt on the next sharded call.  Workers prune exactly when the
+    planner is pinned to ``"pruned"``.
     """
     from repro.shard.executor import ShardExecutor
 
@@ -108,9 +99,8 @@ def ensure_shard_executor(engine):
             shards=config.shards,
             backend=config.shard_backend,
             partition=config.shard_partition,
-            dtype=config.shard_dtype,
             block_size=engine.kernel_block_size,
-            prune=config.prune == "always",
+            prune=config.planner == "pruned",
             prune_tile_size=engine.prune_tile_size,
             obs=engine.obs,
             stats=engine.shard_stats,
@@ -119,32 +109,6 @@ def ensure_shard_executor(engine):
         )
         engine._shard_executors[key] = executor
     return executor
-
-
-def _observe_regions(engine):
-    """Region-kernel counting scope — a null context when not tracing
-    (the kernels' module-level sink stays untouched)."""
-    if engine.obs.enabled:
-        return _ra.observe_region_ops(engine.obs.metrics)
-    return nullcontext()
-
-
-def _absorb_safe_region_stats(engine, stats) -> None:
-    """Fold one build's counters into the engine-lifetime totals the
-    registry exports under ``safe_region.*``."""
-    totals = engine.safe_region_totals
-    totals.members += stats.members
-    totals.intersections += stats.intersections
-    totals.boxes_before_simplify += stats.boxes_before_simplify
-    totals.boxes_after_simplify += stats.boxes_after_simplify
-    totals.peak_boxes = max(totals.peak_boxes, stats.peak_boxes)
-    totals.budget_truncations += stats.budget_truncations
-    totals.cache_hits += stats.cache_hits
-    totals.cache_misses += stats.cache_misses
-    totals.member_seconds += stats.member_seconds
-    totals.build_seconds += stats.build_seconds
-    if stats.early_exit:
-        totals.early_exit = True
 
 
 def ensure_approx_store(engine, k: int) -> ApproximateDSLStore:
@@ -166,18 +130,166 @@ def ensure_approx_store(engine, k: int) -> ApproximateDSLStore:
     return store
 
 
+# ----------------------------------------------------------------------
+# The shared row mask and its cost
+# ----------------------------------------------------------------------
+def row_mask(
+    eng,
+    variant: str,
+    points: np.ndarray,
+    query: np.ndarray,
+    prefs,
+    self_positions: np.ndarray | None = None,
+    *,
+    rows: np.ndarray | None = None,
+    rtol: float = 0.0,
+) -> np.ndarray:
+    """``(len(points),)`` mask: is each row's window over the products
+    empty, i.e. is the row in ``RSL(query)`` (Definition 3)?
+
+    ``prefs`` is the preference model (dominance policy and support);
+    ``self_positions`` holds each row's self-excluded product (``-1`` or
+    ``None`` for none); ``rows`` are the customer positions of
+    ``points`` when they are customer rows, which lets the sharded
+    variant read them from shared memory instead of shipping them;
+    ``rtol`` is the verification tolerance of
+    :func:`repro.core._verify.verify_membership`.
+    """
+    count = points.shape[0]
+    if count == 0:
+        return np.empty(0, dtype=bool)
+    policy, dims = prefs.policy, prefs.support(eng.dim)
+    if variant == "index":
+        sp, weights = self_positions, prefs.weight_array(eng.dim)
+        return np.fromiter(
+            (
+                verify_membership(
+                    eng.index,
+                    points[i],
+                    query,
+                    policy,
+                    () if sp is None or sp[i] < 0 else (int(sp[i]),),
+                    rtol=rtol,
+                    weights=weights,
+                )
+                for i in range(count)
+            ),
+            dtype=bool,
+            count=count,
+        )
+    if variant == "sharded":
+        executor = ensure_shard_executor(eng)
+        if rows is not None:
+            return executor.membership_rows(
+                rows, query, policy, self_positions=self_positions,
+                rtol=rtol, dims=dims,
+            )
+        return executor.membership_points(
+            points, query, policy, self_positions=self_positions,
+            rtol=rtol, dims=dims,
+        )
+    if variant == "pruned":
+        return batch_window_membership_pruned(
+            eng.products,
+            points,
+            query,
+            policy,
+            self_positions=self_positions,
+            block_size=eng.kernel_block_size,
+            rtol=rtol,
+            counters=eng._kernel_counters,
+            prune_counters=eng._prune_counters,
+            tile_size=eng.prune_tile_size,
+            product_bounds=eng.prune_summaries.product_bounds(),
+            dims=dims,
+        )
+    return batch_window_membership(
+        eng.products,
+        points,
+        query,
+        policy,
+        self_positions=self_positions,
+        block_size=eng.kernel_block_size,
+        rtol=rtol,
+        counters=eng._kernel_counters,
+        dims=dims,
+    )
+
+
+def mask_cost(
+    variant: str, rows: float, stats: DatasetStats, model: CostModel,
+    unit: str = "rows",
+) -> CostEstimate:
+    """Predicted cost of one :func:`row_mask` over ``rows`` rows."""
+    if variant == "index":
+        return CostEstimate(
+            ops=rows * model.window_nodes(stats),
+            seconds=rows * model.window_seconds(stats) + model.DISPATCH_S,
+            detail=f"~{rows:.0f} window probes on {stats.backend}",
+        )
+    ops = rows * stats.n * stats.d
+    note = ""
+    if variant == "kernel":
+        seconds = model.kernel_seconds(rows, stats)
+    elif variant == "pruned":
+        ops *= stats.prune_refine_rate
+        seconds = model.pruned_kernel_seconds(rows, stats)
+        note = f" (refine~{stats.prune_refine_rate:.0%})"
+    else:
+        seconds = model.sharded_kernel_seconds(rows, stats)
+        note = (
+            f" ({stats.shards} shards, {model.shard_workers(stats)} workers)"
+        )
+    return CostEstimate(
+        ops=ops,
+        seconds=seconds + model.DISPATCH_S,
+        detail=f"{variant} pass, ~{rows:.0f} {unit} x n={stats.n}{note}",
+    )
+
+
+# ----------------------------------------------------------------------
+# Shared operator plumbing
+# ----------------------------------------------------------------------
+def _observe_regions(engine):
+    """Region-kernel counting scope — a null context when not tracing
+    (the kernels' module-level sink stays untouched)."""
+    if engine.obs.enabled:
+        return _ra.observe_region_ops(engine.obs.metrics)
+    return nullcontext()
+
+
+def _absorb_safe_region_stats(engine, stats) -> None:
+    """Fold one build's counters into the engine-lifetime totals the
+    registry exports under ``safe_region.*``."""
+    totals = engine.safe_region_totals
+    for field in (
+        "members", "intersections", "boxes_before_simplify",
+        "boxes_after_simplify", "budget_truncations", "cache_hits",
+        "cache_misses", "member_seconds", "build_seconds",
+    ):
+        setattr(totals, field, getattr(totals, field) + getattr(stats, field))
+    totals.peak_boxes = max(totals.peak_boxes, stats.peak_boxes)
+    if stats.early_exit:
+        totals.early_exit = True
+
+
 def _ctx_prefs(ctx: "ExecutionContext"):
     """``(prefs, default)`` for one execution: the request's preference
-    model and whether it matches the engine default.  The engine's
-    result caches (RSL, safe regions, approx stores) hold default-prefs
-    answers only; a non-default request computes fresh and uncached,
-    counted under ``prefs.cache_bypass``."""
+    model and whether it matches the engine default."""
     eng = ctx.engine
     prefs = ctx.prefs if ctx.prefs is not None else eng.prefs
-    default = prefs.fingerprint() == eng.prefs.fingerprint()
-    if not default:
-        eng._prefs_cache_bypass.inc()
-    return prefs, default
+    return prefs, prefs.fingerprint() == eng.prefs.fingerprint()
+
+
+def _cache_get(eng, cache: dict, key, default: bool):
+    """Look ``key`` up in one of the engine's result caches (RSL, exact
+    or approximate safe region).  They hold default-prefs answers only;
+    a non-default request skips the lookup, counted under
+    ``prefs.cache_bypass``, and computes fresh and uncached."""
+    if default:
+        return cache.get(key)
+    eng._prefs_cache_bypass.inc()
+    return None
 
 
 def _resolve_batch(ctx: "ExecutionContext") -> tuple[np.ndarray, np.ndarray]:
@@ -199,16 +311,25 @@ def _resolve_batch(ctx: "ExecutionContext") -> tuple[np.ndarray, np.ndarray]:
 class Operator:
     """One physical execution strategy for one logical surface."""
 
-    name: ClassVar[str] = "abstract"
+    name: str = "abstract"
     span_name: ClassVar[str] = "engine.abstract"
+    variant: str | None = None
+
+    def __init__(self, name: str | None = None, variant: str | None = None):
+        if name is not None:
+            self.name = name
+        self.variant = variant
+
+    @property
+    def attrs(self) -> dict:
+        """Span attributes marking the non-default strategies."""
+        if self.variant in ("pruned", "sharded"):
+            return {self.variant: True}
+        return {}
 
     def available(self, config: WhyNotConfig, stats: DatasetStats) -> bool:
         """May the planner consider this operator at all?"""
-        return True
-
-    def fixed_choice(self, config: WhyNotConfig) -> bool:
-        """Is this the operator the pre-planner engine dispatched to?"""
-        return True
+        return self.variant != "sharded" or config.shards > 1
 
     def child_plans(self, logical: "LogicalPlan") -> tuple:
         """The sub-plans this operator actually executes (defaults to
@@ -229,87 +350,64 @@ class Operator:
 
 
 # ----------------------------------------------------------------------
-# Reverse skyline (BBRS candidate generation + membership verification)
+# Row-mask surfaces: reverse skyline, membership, retained mask
 # ----------------------------------------------------------------------
-class _ReverseSkylineOp(Operator):
+class ReverseSkylineOp(Operator):
+    """BBRS: global-skyline candidate generation, then one row mask
+    over the candidates."""
+
     span_name = "engine.reverse_skyline"
-    batch: ClassVar[bool] = True
+
+    def estimate(self, logical, stats, model):
+        return mask_cost(
+            self.variant, stats.expected_candidates, stats, model,
+            "candidates",
+        )
 
     def run(self, ctx, node, span):
         eng = ctx.engine
         q = ctx.query
         prefs, default = _ctx_prefs(ctx)
         key = q.tobytes()
-        cached = eng._rsl_cache.get(key) if default else None
-        if cached is None:
-            cached = reverse_skyline_bbrs(
-                eng.index,
+        cached = _cache_get(eng, eng._rsl_cache, key, default)
+        if cached is not None:
+            span.set(members=int(cached.size), result_cache="hit")
+            return cached
+        candidates = np.asarray(
+            global_skyline_candidates(
+                eng.products,
                 eng.customers,
                 q,
-                policy=prefs.policy,
                 self_exclude=eng.monochromatic,
-                batch_kernels=self.batch,
-                block_size=eng.kernel_block_size,
-                counters=eng._kernel_counters,
                 weights=prefs.weight_array(eng.dim),
+            ),
+            dtype=np.int64,
+        )
+        members = candidates[
+            row_mask(
+                eng,
+                self.variant,
+                eng.customers[candidates],
+                q,
+                prefs,
+                candidates if eng.monochromatic else None,
+                rows=candidates,
             )
-            if default:
-                eng._rsl_cache[key] = cached
-            span.set(members=int(cached.size))
-        else:
-            span.set(members=int(cached.size), result_cache="hit")
-        return cached
+        ]
+        if default:
+            eng._rsl_cache[key] = members
+        span.set(members=int(members.size), **self.attrs)
+        return members
 
 
-class RSLKernelVerify(_ReverseSkylineOp):
-    """BBRS with the blocked-kernel verification sweep (PR 1)."""
+class MembershipOp(Operator):
+    """``is_member`` for many customers at once."""
 
-    name = "rsl-kernel-verify"
-    batch = True
-
-    def available(self, config, stats):
-        return config.batch_kernels
-
-    def fixed_choice(self, config):
-        return (
-            config.batch_kernels
-            and config.shards == 1
-            and config.prune != "always"
-        )
-
-    def estimate(self, logical, stats, model):
-        rows = stats.expected_candidates
-        return CostEstimate(
-            ops=rows * stats.n * stats.d,
-            seconds=model.kernel_seconds(rows, stats) + model.DISPATCH_S,
-            detail=f"kernel verify of ~{rows:.0f} candidates x n={stats.n}",
-        )
-
-
-class RSLIndexVerify(_ReverseSkylineOp):
-    """BBRS with one window probe per candidate (the oracle path)."""
-
-    name = "rsl-index-verify"
-    batch = False
-
-    def fixed_choice(self, config):
-        return not config.batch_kernels
-
-    def estimate(self, logical, stats, model):
-        rows = stats.expected_candidates
-        return CostEstimate(
-            ops=rows * model.window_nodes(stats),
-            seconds=rows * model.window_seconds(stats) + model.DISPATCH_S,
-            detail=f"~{rows:.0f} window probes on {stats.backend}",
-        )
-
-
-# ----------------------------------------------------------------------
-# Membership mask (is_member for many customers at once)
-# ----------------------------------------------------------------------
-class _MembershipOp(Operator):
     span_name = "engine.membership_mask"
-    batch: ClassVar[bool] = True
+
+    def estimate(self, logical, stats, model):
+        rows = max(1, getattr(logical, "count", 1))
+        return mask_cost(self.variant, rows, stats, model, "probes")
 
     def run(self, ctx, node, span):
         eng = ctx.engine
@@ -319,150 +417,45 @@ class _MembershipOp(Operator):
         # One predicate per customer regardless of execution path — the
         # counter-invariance contract of the batch kernels.
         eng._membership_tests.inc(count)
-        span.set(customers=count, batch=self.batch)
-        if self.batch:
-            return batch_window_membership(
-                eng.products,
-                points,
-                ctx.query,
-                prefs.policy,
-                self_positions=self_positions,
-                block_size=eng.kernel_block_size,
-                counters=eng._kernel_counters,
-                dims=prefs.support(eng.dim),
-            )
-        q = ctx.query
-        w = prefs.weight_array(eng.dim)
-        return np.fromiter(
-            (
-                verify_membership(
-                    eng.index,
-                    points[i],
-                    q,
-                    prefs.policy,
-                    (int(self_positions[i]),) if self_positions[i] >= 0 else (),
-                    rtol=0.0,
-                    weights=w,
-                )
-                for i in range(count)
-            ),
-            dtype=bool,
-            count=count,
+        span.set(
+            customers=count, batch=self.variant != "index", **self.attrs
+        )
+        return row_mask(
+            eng, self.variant, points, ctx.query, prefs, self_positions
         )
 
 
-class MembershipKernel(_MembershipOp):
-    """One blocked kernel pass over all probes (no index queries)."""
+class RetainedOp(Operator):
+    """Which RSL members survive a refined query (tolerance-aware)."""
 
-    name = "membership-kernel"
-    batch = True
-
-    def available(self, config, stats):
-        return config.batch_kernels
-
-    def fixed_choice(self, config):
-        return (
-            config.batch_kernels
-            and config.shards == 1
-            and config.prune != "always"
-        )
-
-    def estimate(self, logical, stats, model):
-        rows = max(1, getattr(logical, "count", 1))
-        return CostEstimate(
-            ops=rows * stats.n * stats.d,
-            seconds=model.kernel_seconds(rows, stats) + model.DISPATCH_S,
-            detail=f"kernel pass, {rows} probes x n={stats.n}",
-        )
-
-
-class MembershipIndexLoop(_MembershipOp):
-    """The per-customer ``verify_membership`` oracle loop."""
-
-    name = "membership-index-loop"
-    batch = False
-
-    def fixed_choice(self, config):
-        return not config.batch_kernels
-
-    def estimate(self, logical, stats, model):
-        rows = max(1, getattr(logical, "count", 1))
-        return CostEstimate(
-            ops=rows * model.window_nodes(stats),
-            seconds=rows * model.window_seconds(stats) + model.DISPATCH_S,
-            detail=f"{rows} window probes on {stats.backend}",
-        )
-
-
-# ----------------------------------------------------------------------
-# Retained mask (which RSL members survive a refined query)
-# ----------------------------------------------------------------------
-class _RetainedOp(Operator):
     span_name = "engine.retained_mask"
-    batch: ClassVar[bool] = True
+
+    def estimate(self, logical, stats, model):
+        return mask_cost(
+            self.variant, stats.expected_rsl, stats, model, "members"
+        )
 
     def run(self, ctx, node, span):
         eng = ctx.engine
         prefs, _ = _ctx_prefs(ctx)
         members = np.asarray(ctx.members, dtype=np.int64)
-        span.set(members=int(members.size), batch=self.batch)
+        span.set(
+            members=int(members.size),
+            batch=self.variant != "index",
+            **self.attrs,
+        )
         if members.size == 0:
             return np.empty(0, dtype=bool)
         eng._membership_tests.inc(int(members.size))
-        if self.batch:
-            return batch_verify_membership(
-                eng.products,
-                eng.customers[members],
-                ctx.refined_query,
-                prefs.policy,
-                self_positions=members if eng.monochromatic else None,
-                block_size=eng.kernel_block_size,
-                counters=eng._kernel_counters,
-                dims=prefs.support(eng.dim),
-            )
-        w = prefs.weight_array(eng.dim)
-        retained = np.empty(members.size, dtype=bool)
-        for i, position in enumerate(members):
-            point, exclude = eng._resolve_customer(int(position))
-            retained[i] = verify_membership(
-                eng.index, point, ctx.refined_query, prefs.policy, exclude,
-                weights=w,
-            )
-        return retained
-
-
-class RetainedKernel(_RetainedOp):
-    name = "retained-kernel"
-    batch = True
-
-    def available(self, config, stats):
-        return config.batch_kernels
-
-    def fixed_choice(self, config):
-        return config.batch_kernels and config.shards == 1
-
-    def estimate(self, logical, stats, model):
-        rows = stats.expected_rsl
-        return CostEstimate(
-            ops=rows * stats.n * stats.d,
-            seconds=model.kernel_seconds(rows, stats) + model.DISPATCH_S,
-            detail=f"kernel verify of ~{rows:.0f} members",
-        )
-
-
-class RetainedIndexLoop(_RetainedOp):
-    name = "retained-index-loop"
-    batch = False
-
-    def fixed_choice(self, config):
-        return not config.batch_kernels
-
-    def estimate(self, logical, stats, model):
-        rows = stats.expected_rsl
-        return CostEstimate(
-            ops=rows * model.window_nodes(stats),
-            seconds=rows * model.window_seconds(stats) + model.DISPATCH_S,
-            detail=f"~{rows:.0f} tolerance probes on {stats.backend}",
+        return row_mask(
+            eng,
+            self.variant,
+            eng.customers[members],
+            ctx.refined_query,
+            prefs,
+            members if eng.monochromatic else None,
+            rows=members,
+            rtol=VERIFY_RTOL,
         )
 
 
@@ -495,7 +488,11 @@ class LambdaWindow(Operator):
 
 
 class _StaircaseOp(Operator):
-    """Common cost shape of the Algorithm 1/2 staircase scans."""
+    """Algorithms 1 and 2: a window query plus a staircase scan, priced
+    alike; ``cost_weights`` names the engine's movement weights."""
+
+    cost_weights: ClassVar[str]
+    algorithm: ClassVar[Any]
 
     def estimate(self, logical, stats, model):
         lam = stats.expected_rsl + 2.0
@@ -509,27 +506,29 @@ class _StaircaseOp(Operator):
             detail=f"window + staircase scan (~{lam:.0f} boundary points)",
         )
 
+    def run(self, ctx, node, span):
+        eng = ctx.engine
+        prefs, _ = _ctx_prefs(ctx)
+        point, exclude = eng._resolve_customer(ctx.why_not)
+        return self.algorithm(
+            eng.index,
+            point,
+            ctx.query,
+            config=eng.config,
+            weights=prefs.cost_weights(getattr(eng, self.cost_weights)),
+            normalizer=eng.normalizer,
+            exclude=exclude,
+            pref_weights=prefs.weight_array(eng.dim),
+        )
+
 
 class MWPStaircase(_StaircaseOp):
     """Algorithm 1 — move the why-not point to the cheapest boundary."""
 
     name = "mwp-staircase"
     span_name = "engine.mwp"
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        prefs, _ = _ctx_prefs(ctx)
-        point, exclude = eng._resolve_customer(ctx.why_not)
-        return modify_why_not_point(
-            eng.index,
-            point,
-            ctx.query,
-            config=eng.config,
-            weights=prefs.cost_weights(eng.beta),
-            normalizer=eng.normalizer,
-            exclude=exclude,
-            pref_weights=prefs.weight_array(eng.dim),
-        )
+    cost_weights = "beta"
+    algorithm = staticmethod(modify_why_not_point)
 
 
 class MQPStaircase(_StaircaseOp):
@@ -537,86 +536,44 @@ class MQPStaircase(_StaircaseOp):
 
     name = "mqp-staircase"
     span_name = "engine.mqp"
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        prefs, _ = _ctx_prefs(ctx)
-        point, exclude = eng._resolve_customer(ctx.why_not)
-        return modify_query_point(
-            eng.index,
-            point,
-            ctx.query,
-            config=eng.config,
-            weights=prefs.cost_weights(eng.alpha),
-            normalizer=eng.normalizer,
-            exclude=exclude,
-            pref_weights=prefs.weight_array(eng.dim),
-        )
+    cost_weights = "alpha"
+    algorithm = staticmethod(modify_query_point)
 
 
 # ----------------------------------------------------------------------
 # Safe region (Algorithm 3 exact, Section VI.B approximate)
 # ----------------------------------------------------------------------
 class _ExactSafeRegionOp(Operator):
+    """Algorithm 3: fold the anti-dominance regions of ``RSL(q)``.
+
+    The ``"local"`` variant folds in this process, reusing the engine's
+    DSL cache whenever one exists.  The ``"sharded"`` variant has each
+    shard fold a contiguous slice of ``RSL(q)`` exactly like the
+    sequential loop while the parent intersects the partial regions;
+    the final set of maximal boxes is order-invariant (box intersection
+    distributes; containment survives further intersection), so the
+    region equals the local one — asserted bit-identical on
+    canonicalised box arrays by the property tests.  It needs
+    ``sr_box_budget == 0`` (truncating an intermediate breaks that
+    order-invariance) and rebuilds staircases in the workers."""
+
     span_name = "engine.safe_region"
-    use_dsl_cache: ClassVar[bool] = True
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        q = ctx.query
-        prefs, default = _ctx_prefs(ctx)
-        key = q.tobytes()
-        cached = eng._sr_cache.get(key) if default else None
-        if cached is not None:
-            span.set(
-                members=cached.stats.members if cached.stats else 0,
-                boxes=len(cached.region),
-                early_exit=bool(cached.stats and cached.stats.early_exit),
-                result_cache="hit",
-            )
-            return cached
-        with _observe_regions(eng):
-            rsl = ctx.execute(node.children[0])
-            # compute_safe_region itself bypasses the DSL cache for
-            # partial-support weights (full-support ones leave the
-            # regions unchanged, so sharing the unweighted cache is safe).
-            cached = compute_safe_region(
-                eng.index,
-                eng.customers,
-                q,
-                rsl,
-                eng._geometry_bounds(q),
-                config=eng.config,
-                self_exclude=eng.monochromatic,
-                dsl_cache=eng.dsl_cache if self.use_dsl_cache else None,
-                weights=prefs.weight_array(eng.dim),
-            )
-            span.set(
-                members=cached.stats.members,
-                boxes=len(cached.region),
-                early_exit=cached.stats.early_exit,
-            )
-        eng.last_safe_region_stats = cached.stats
-        _absorb_safe_region_stats(eng, cached.stats)
-        if default:
-            eng._sr_cache[key] = cached
-        return cached
-
-
-class SafeRegionCachedFold(_ExactSafeRegionOp):
-    """Exact fold reusing the DSLCache's staircase regions (PR 2)."""
-
-    name = "sr-cached-fold"
-    use_dsl_cache = True
 
     def available(self, config, stats):
-        return config.dsl_cache
-
-    def fixed_choice(self, config):
-        return config.dsl_cache and not _shard_fold_enabled(config)
+        return super().available(config, stats) and (
+            self.variant != "sharded" or config.sr_box_budget == 0
+        )
 
     def estimate(self, logical, stats, model):
         members = stats.expected_rsl
+        if self.variant == "sharded":
+            return CostEstimate(
+                ops=members * stats.n * stats.d + members,
+                seconds=model.sharded_fold_seconds(members, stats)
+                + model.DISPATCH_S,
+                detail=f"sharded fold of ~{members:.0f} members "
+                f"({stats.shards} shards)",
+            )
         cold = max(0.0, members - stats.dsl_warm)
         return CostEstimate(
             ops=cold * stats.n * stats.d + members,
@@ -631,26 +588,77 @@ class SafeRegionCachedFold(_ExactSafeRegionOp):
             ),
         )
 
+    def run(self, ctx, node, span):
+        eng = ctx.engine
+        q = ctx.query
+        prefs, default = _ctx_prefs(ctx)
+        key = q.tobytes()
+        cached = _cache_get(eng, eng._sr_cache, key, default)
+        if cached is not None:
+            span.set(
+                members=cached.stats.members if cached.stats else 0,
+                boxes=len(cached.region),
+                early_exit=bool(cached.stats and cached.stats.early_exit),
+                result_cache="hit",
+            )
+            return cached
+        t_start = time.perf_counter()
+        with _observe_regions(eng):
+            rsl = ctx.execute(node.children[0])
+            if self.variant == "sharded":
+                cached = self._sharded_fold(eng, q, rsl, prefs, t_start)
+            else:
+                # compute_safe_region bypasses the DSL cache itself for
+                # partial-support weights (full support leaves the
+                # regions unchanged, so the unweighted cache is shared).
+                cached = compute_safe_region(
+                    eng.index,
+                    eng.customers,
+                    q,
+                    rsl,
+                    eng._geometry_bounds(q),
+                    config=eng.config,
+                    self_exclude=eng.monochromatic,
+                    dsl_cache=eng.dsl_cache,
+                    weights=prefs.weight_array(eng.dim),
+                )
+            span.set(
+                members=cached.stats.members,
+                boxes=len(cached.region),
+                early_exit=cached.stats.early_exit,
+                **self.attrs,
+            )
+        eng.last_safe_region_stats = cached.stats
+        _absorb_safe_region_stats(eng, cached.stats)
+        if default:
+            eng._sr_cache[key] = cached
+        return cached
 
-class SafeRegionDirectFold(_ExactSafeRegionOp):
-    """Exact fold rebuilding every member's staircase from scratch."""
-
-    name = "sr-direct-fold"
-    use_dsl_cache = False
-
-    def fixed_choice(self, config):
-        return not config.dsl_cache and not _shard_fold_enabled(config)
-
-    def estimate(self, logical, stats, model):
-        members = stats.expected_rsl
-        return CostEstimate(
-            ops=members * stats.n * stats.d + members,
-            seconds=(
-                members * model.dsl_build_seconds(stats)
-                + model.region_fold_seconds(members, stats)
-                + model.DISPATCH_S
-            ),
-            detail=f"~{members:.0f} members, all staircases rebuilt",
+    @staticmethod
+    def _sharded_fold(eng, q, rsl, prefs, t_start) -> SafeRegion:
+        bounds = eng._geometry_bounds(q)
+        lo, hi, info = ensure_shard_executor(eng).safe_region_fold(
+            rsl,
+            bounds.lo,
+            bounds.hi,
+            eng.config.sort_dim,
+            self_exclude=eng.monochromatic,
+            chunk_size=eng.config.sr_chunk_size,
+            weights=prefs.weight_array(eng.dim),
+        )
+        region = BoxRegion.from_arrays(lo, hi, dim=eng.dim)
+        point = as_point(q, dim=eng.dim)
+        if not region.contains_point(point):
+            region = region.union(BoxRegion([Box(point, point)], dim=eng.dim))
+        stats = SafeRegionStats()
+        for field, value in info.items():
+            setattr(stats, field, value)
+        stats.build_seconds += time.perf_counter() - t_start
+        return SafeRegion(
+            query=point,
+            region=region,
+            rsl_positions=np.asarray(rsl, dtype=np.int64),
+            stats=stats,
         )
 
 
@@ -680,7 +688,7 @@ class SafeRegionApproxStore(Operator):
         k = node.logical.k
         key = (q.tobytes(), k)
         span.set(approximate=True, k=k)
-        cached = eng._approx_sr_cache.get(key) if default else None
+        cached = _cache_get(eng, eng._approx_sr_cache, key, default)
         if cached is not None:
             span.set(result_cache="hit")
             return cached
@@ -761,622 +769,125 @@ class MWQCombine(Operator):
 # ----------------------------------------------------------------------
 # Batch why-not answering
 # ----------------------------------------------------------------------
-class _BatchOp(Operator):
+class BatchOp(Operator):
+    """Answer many why-not questions against one query.
+
+    The ``"kernel"`` variant (``batch-prefilter``) resolves every
+    question's membership through the planned membership child first, so
+    members skip their four per-question window queries; the child is
+    planned on its own and may itself be pruned or sharded.  The
+    ``"index"`` variant (``batch-sequential``) runs the full pipeline for
+    every question.  Both warm the shared safe region once."""
+
     span_name = "engine.answer_batch"
 
-    def _answer(self, ctx, why_not, q):
-        from repro.core.batch import answer_why_not
-
-        prefs, _ = _ctx_prefs(ctx)
-        return answer_why_not(
-            ctx.engine,
-            why_not,
-            q,
-            approximate=ctx.approximate,
-            k=ctx.k,
-            weights=prefs.weights,
-        )
-
-
-class BatchPrefilter(_BatchOp):
-    """Resolve every question's membership in one kernel pass first;
-    members skip their four per-question window queries entirely."""
-
-    name = "batch-prefilter"
-
-    def available(self, config, stats):
-        return config.batch_kernels
-
-    def fixed_choice(self, config):
-        return (
-            config.batch_kernels
-            and config.shards == 1
-            and config.prune != "always"
-        )
+    def child_plans(self, logical):
+        if self.variant == "index":
+            # No membership prefilter: only the shared safe-region warmup.
+            return logical.child_plans()[:1]
+        return logical.child_plans()
 
     def estimate(self, logical, stats, model):
         count = max(1, getattr(logical, "count", 1))
-        member_rate = min(0.5, stats.expected_rsl / max(1, stats.m))
         question = 4.0 * model.window_seconds(stats) + 4.0 * model.DISPATCH_S
+        if self.variant == "index":
+            return CostEstimate(
+                ops=count * 4.0 * model.window_nodes(stats),
+                seconds=count * question + model.DISPATCH_S,
+                detail=f"{count} full per-question pipelines",
+            )
+        # Price the prefilter with the cheapest membership mask the
+        # planner could give the child.
+        variants = ("kernel", "pruned") + (
+            ("sharded",) if stats.shards > 1 else ()
+        )
+        mask = min(
+            (mask_cost(v, count, stats, model) for v in variants),
+            key=lambda estimate: estimate.seconds,
+        )
+        member_rate = min(0.5, stats.expected_rsl / max(1, stats.m))
         return CostEstimate(
-            ops=count * stats.n * stats.d,
-            seconds=(
-                model.kernel_seconds(count, stats)
-                + count * (1.0 - member_rate) * question
-                + model.DISPATCH_S
-            ),
-            detail=f"kernel prefilter + ~{count} pipelines",
+            ops=mask.ops,
+            seconds=mask.seconds + count * (1.0 - member_rate) * question,
+            detail=f"prefilter + ~{count} pipelines; {mask.detail}",
         )
 
     def run(self, ctx, node, span):
-        from repro.core.batch import _member_answer
+        from repro.core.batch import _member_answer, answer_why_not
 
+        prefs, _ = _ctx_prefs(ctx)
         q = ctx.query
         why_nots = list(ctx.why_nots)
-        span.set(questions=len(why_nots), prefilter=True)
+        prefilter = self.variant != "index"
+        span.set(questions=len(why_nots), prefilter=prefilter)
         ctx.execute(node.children[0])  # Warm the safe-region cache once.
         if not why_nots:
             return []
-        members = ctx.execute(node.children[1])
+        members = (
+            ctx.execute(node.children[1])
+            if prefilter
+            else np.zeros(len(why_nots), dtype=bool)
+        )
         return [
             _member_answer(ctx.engine, why_not, q)
             if members[i]
-            else self._answer(ctx, why_not, q)
+            else answer_why_not(
+                ctx.engine,
+                why_not,
+                q,
+                approximate=ctx.approximate,
+                k=ctx.k,
+                weights=prefs.weights,
+            )
             for i, why_not in enumerate(why_nots)
         ]
 
 
-class BatchSequential(_BatchOp):
-    """Run the full per-question pipeline for every question."""
-
-    name = "batch-sequential"
-
-    def fixed_choice(self, config):
-        return not config.batch_kernels
-
-    def child_plans(self, logical):
-        # No membership prefilter: only the shared safe-region warmup.
-        return logical.child_plans()[:1]
-
-    def estimate(self, logical, stats, model):
-        count = max(1, getattr(logical, "count", 1))
-        question = 4.0 * model.window_seconds(stats) + 4.0 * model.DISPATCH_S
-        return CostEstimate(
-            ops=count * 4.0 * model.window_nodes(stats),
-            seconds=count * question + model.DISPATCH_S,
-            detail=f"{count} full per-question pipelines",
-        )
-
-    def run(self, ctx, node, span):
-        q = ctx.query
-        why_nots = list(ctx.why_nots)
-        span.set(questions=len(why_nots), prefilter=False)
-        ctx.execute(node.children[0])  # Warm the safe-region cache once.
-        return [self._answer(ctx, why_not, q) for why_not in why_nots]
-
-
 # ----------------------------------------------------------------------
-# Sharded operators (fan-out over repro.shard, merge in the parent)
+# Registry (registry order breaks cost ties in planner="auto")
 # ----------------------------------------------------------------------
-class RSLShardedKernel(_ReverseSkylineOp):
-    """BBRS with the verification sweep fanned out across shards.
-
-    The candidate generation stays in the parent (it is one cheap
-    vectorised pruning pass); only the expensive per-candidate
-    verification kernel is sharded.  Merged result is bit-identical to
-    :class:`RSLKernelVerify` for float64 because membership is decided
-    row-by-row."""
-
-    name = "rsl-sharded-kernel"
-    batch = True
-
-    def available(self, config, stats):
-        return config.batch_kernels and config.shards > 1
-
-    def fixed_choice(self, config):
-        return config.batch_kernels and config.shards > 1
-
-    def estimate(self, logical, stats, model):
-        rows = stats.expected_candidates
-        return CostEstimate(
-            ops=rows * stats.n * stats.d,
-            seconds=model.sharded_kernel_seconds(rows, stats)
-            + model.DISPATCH_S,
-            detail=(
-                f"sharded verify of ~{rows:.0f} candidates x n={stats.n} "
-                f"({stats.shards} shards, {model.shard_workers(stats)} "
-                f"workers)"
-            ),
-        )
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        q = ctx.query
-        prefs, default = _ctx_prefs(ctx)
-        key = q.tobytes()
-        cached = eng._rsl_cache.get(key) if default else None
-        if cached is None:
-            candidates = np.asarray(
-                global_skyline_candidates(
-                    eng.products,
-                    eng.customers,
-                    q,
-                    self_exclude=eng.monochromatic,
-                    weights=prefs.weight_array(eng.dim),
-                ),
-                dtype=np.int64,
-            )
-            if candidates.size == 0:
-                cached = candidates
-            else:
-                executor = ensure_shard_executor(eng)
-                mask = executor.membership_rows(
-                    candidates,
-                    q,
-                    prefs.policy,
-                    self_positions=(
-                        candidates if eng.monochromatic else None
-                    ),
-                    dims=prefs.support(eng.dim),
-                )
-                cached = candidates[mask]
-            if default:
-                eng._rsl_cache[key] = cached
-            span.set(members=int(cached.size))
-        else:
-            span.set(members=int(cached.size), result_cache="hit")
-        return cached
-
-
-class MembershipSharded(_MembershipOp):
-    """The blocked membership kernel fanned out across shards (probe
-    points are shipped in the payloads; the product matrix is read from
-    shared memory)."""
-
-    name = "membership-sharded"
-    batch = True
-
-    def available(self, config, stats):
-        return config.batch_kernels and config.shards > 1
-
-    def fixed_choice(self, config):
-        return config.batch_kernels and config.shards > 1
-
-    def estimate(self, logical, stats, model):
-        rows = max(1, getattr(logical, "count", 1))
-        return CostEstimate(
-            ops=rows * stats.n * stats.d,
-            seconds=model.sharded_kernel_seconds(rows, stats)
-            + model.DISPATCH_S,
-            detail=(
-                f"sharded kernel pass, {rows} probes x n={stats.n} "
-                f"({stats.shards} shards)"
-            ),
-        )
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        prefs, _ = _ctx_prefs(ctx)
-        points, self_positions = _resolve_batch(ctx)
-        count = points.shape[0]
-        eng._membership_tests.inc(count)
-        span.set(customers=count, batch=True, sharded=True)
-        if count == 0:
-            return np.empty(0, dtype=bool)
-        executor = ensure_shard_executor(eng)
-        return executor.membership_points(
-            points,
-            ctx.query,
-            prefs.policy,
-            self_positions=self_positions,
-            dims=prefs.support(eng.dim),
-        )
-
-
-class RetainedSharded(_RetainedOp):
-    """The tolerance-aware retained-mask verification kernel fanned out
-    across the customer shards."""
-
-    name = "retained-sharded"
-    batch = True
-
-    def available(self, config, stats):
-        return config.batch_kernels and config.shards > 1
-
-    def fixed_choice(self, config):
-        return config.batch_kernels and config.shards > 1
-
-    def estimate(self, logical, stats, model):
-        rows = stats.expected_rsl
-        return CostEstimate(
-            ops=rows * stats.n * stats.d,
-            seconds=model.sharded_kernel_seconds(rows, stats)
-            + model.DISPATCH_S,
-            detail=(
-                f"sharded verify of ~{rows:.0f} members "
-                f"({stats.shards} shards)"
-            ),
-        )
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        prefs, _ = _ctx_prefs(ctx)
-        members = np.asarray(ctx.members, dtype=np.int64)
-        span.set(members=int(members.size), batch=True, sharded=True)
-        if members.size == 0:
-            return np.empty(0, dtype=bool)
-        eng._membership_tests.inc(int(members.size))
-        executor = ensure_shard_executor(eng)
-        return executor.membership_rows(
-            members,
-            ctx.refined_query,
-            prefs.policy,
-            self_positions=members if eng.monochromatic else None,
-            rtol=_VERIFY_RTOL,
-            dims=prefs.support(eng.dim),
-        )
-
-
-class SafeRegionShardedFold(Operator):
-    """Algorithm 3 with the member fold fanned out across shards.
-
-    Each shard folds a contiguous slice of ``RSL(q)`` exactly like the
-    sequential loop; the parent intersects the partial regions.  The
-    final set of maximal boxes is order-invariant (box intersection
-    distributes; containment survives further intersection), so the
-    region equals the sequential one — asserted bit-identical on
-    canonicalised box arrays by the property tests.  Gated to float64
-    and ``sr_box_budget == 0``; the DSL cache is bypassed (workers
-    rebuild staircases from the shared matrices)."""
-
-    name = "sr-sharded-fold"
-    span_name = "engine.safe_region"
-
-    def available(self, config, stats):
-        return _shard_fold_enabled(config)
-
-    def fixed_choice(self, config):
-        return _shard_fold_enabled(config)
-
-    def estimate(self, logical, stats, model):
-        members = stats.expected_rsl
-        return CostEstimate(
-            ops=members * stats.n * stats.d + members,
-            seconds=model.sharded_fold_seconds(members, stats)
-            + model.DISPATCH_S,
-            detail=(
-                f"sharded fold of ~{members:.0f} members "
-                f"({stats.shards} shards, {model.shard_workers(stats)} "
-                f"workers)"
-            ),
-        )
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        q = ctx.query
-        prefs, default = _ctx_prefs(ctx)
-        key = q.tobytes()
-        cached = eng._sr_cache.get(key) if default else None
-        if cached is not None:
-            span.set(
-                members=cached.stats.members if cached.stats else 0,
-                boxes=len(cached.region),
-                early_exit=bool(cached.stats and cached.stats.early_exit),
-                result_cache="hit",
-            )
-            return cached
-        t_start = time.perf_counter()
-        with _observe_regions(eng):
-            rsl = ctx.execute(node.children[0])
-            executor = ensure_shard_executor(eng)
-            bounds = eng._geometry_bounds(q)
-            lo, hi, info = executor.safe_region_fold(
-                rsl,
-                bounds.lo,
-                bounds.hi,
-                eng.config.sort_dim,
-                self_exclude=eng.monochromatic,
-                chunk_size=eng.config.sr_chunk_size,
-                weights=prefs.weight_array(eng.dim),
-            )
-            region = BoxRegion.from_arrays(lo, hi, dim=eng.dim)
-            point = as_point(q, dim=eng.dim)
-            if not region.contains_point(point):
-                region = region.union(
-                    BoxRegion([Box(point, point)], dim=eng.dim)
-                )
-            stats = SafeRegionStats()
-            stats.members = info["members"]
-            stats.intersections = info["intersections"]
-            stats.boxes_before_simplify = info["boxes_before_simplify"]
-            stats.boxes_after_simplify = info["boxes_after_simplify"]
-            stats.peak_boxes = info["peak_boxes"]
-            if info["early_exit"]:
-                stats.early_exit = True
-            stats.build_seconds += time.perf_counter() - t_start
-            cached = SafeRegion(
-                query=point,
-                region=region,
-                rsl_positions=np.asarray(rsl, dtype=np.int64),
-                stats=stats,
-            )
-            span.set(
-                members=stats.members,
-                boxes=len(region),
-                early_exit=stats.early_exit,
-                sharded=True,
-            )
-        eng.last_safe_region_stats = stats
-        _absorb_safe_region_stats(eng, stats)
-        if default:
-            eng._sr_cache[key] = cached
-        return cached
-
-
-class BatchSharded(BatchPrefilter):
-    """Batch answering over the sharded prefilter: the membership and
-    safe-region children are planned recursively, so under a sharded
-    config they resolve to :class:`MembershipSharded` /
-    :class:`SafeRegionShardedFold`; the per-question pipelines stay in
-    the parent (they are index-probe bound, not kernel bound)."""
-
-    name = "batch-sharded"
-
-    def available(self, config, stats):
-        return config.batch_kernels and config.shards > 1
-
-    def fixed_choice(self, config):
-        return config.batch_kernels and config.shards > 1
-
-    def estimate(self, logical, stats, model):
-        count = max(1, getattr(logical, "count", 1))
-        member_rate = min(0.5, stats.expected_rsl / max(1, stats.m))
-        question = 4.0 * model.window_seconds(stats) + 4.0 * model.DISPATCH_S
-        return CostEstimate(
-            ops=count * stats.n * stats.d,
-            seconds=(
-                model.sharded_kernel_seconds(count, stats)
-                + count * (1.0 - member_rate) * question
-                + model.DISPATCH_S
-            ),
-            detail=(
-                f"sharded prefilter + ~{count} pipelines "
-                f"({stats.shards} shards)"
-            ),
-        )
-
-
-# ----------------------------------------------------------------------
-# Pruned operators (filter-refinement over repro.prune tile summaries)
-# ----------------------------------------------------------------------
-def _pruned_membership(
-    eng, points, query, self_positions, rtol=0.0, policy=None, dims=None
-):
-    """One pruned membership sweep reading the engine's epoch-versioned
-    product summaries; bit-identical to the plain kernel."""
-    summaries = eng.prune_summaries
-    return batch_window_membership_pruned(
-        eng.products,
-        points,
-        query,
-        eng.config.policy if policy is None else policy,
-        self_positions=self_positions,
-        block_size=eng.kernel_block_size,
-        rtol=rtol,
-        counters=eng._kernel_counters,
-        prune_counters=eng._prune_counters,
-        tile_size=eng.prune_tile_size,
-        product_bounds=(
-            summaries.product_bounds() if summaries is not None else None
-        ),
-        dims=dims,
-    )
-
-
-class RSLPrunedKernel(_ReverseSkylineOp):
-    """BBRS with the verification sweep through the pruned kernel: the
-    candidate generation stays identical, each candidate's membership is
-    decided by the filter-refinement sweep.  Bit-identical to
-    :class:`RSLKernelVerify` because membership is decided row-by-row
-    and the classifier is conservative."""
-
-    name = "rsl-pruned-kernel"
-    batch = True
-
-    def available(self, config, stats):
-        return config.batch_kernels and config.prune != "off"
-
-    def fixed_choice(self, config):
-        return (
-            config.batch_kernels
-            and config.shards == 1
-            and config.prune == "always"
-        )
-
-    def estimate(self, logical, stats, model):
-        rows = stats.expected_candidates
-        return CostEstimate(
-            ops=rows * stats.n * stats.d * stats.prune_refine_rate,
-            seconds=model.pruned_kernel_seconds(rows, stats)
-            + model.DISPATCH_S,
-            detail=(
-                f"pruned verify of ~{rows:.0f} candidates x n={stats.n} "
-                f"(refine~{stats.prune_refine_rate:.0%})"
-            ),
-        )
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        q = ctx.query
-        prefs, default = _ctx_prefs(ctx)
-        key = q.tobytes()
-        cached = eng._rsl_cache.get(key) if default else None
-        if cached is None:
-            candidates = np.asarray(
-                global_skyline_candidates(
-                    eng.products,
-                    eng.customers,
-                    q,
-                    self_exclude=eng.monochromatic,
-                    weights=prefs.weight_array(eng.dim),
-                ),
-                dtype=np.int64,
-            )
-            if candidates.size == 0:
-                cached = candidates
-            else:
-                mask = _pruned_membership(
-                    eng,
-                    eng.customers[candidates],
-                    q,
-                    candidates if eng.monochromatic else None,
-                    policy=prefs.policy,
-                    dims=prefs.support(eng.dim),
-                )
-                cached = candidates[mask]
-            if default:
-                eng._rsl_cache[key] = cached
-            span.set(members=int(cached.size), pruned=True)
-        else:
-            span.set(members=int(cached.size), result_cache="hit")
-        return cached
-
-
-class MembershipPruned(_MembershipOp):
-    """The blocked membership kernel behind the AABB classifier."""
-
-    name = "membership-pruned"
-    batch = True
-
-    def available(self, config, stats):
-        return config.batch_kernels and config.prune != "off"
-
-    def fixed_choice(self, config):
-        return (
-            config.batch_kernels
-            and config.shards == 1
-            and config.prune == "always"
-        )
-
-    def estimate(self, logical, stats, model):
-        rows = max(1, getattr(logical, "count", 1))
-        return CostEstimate(
-            ops=rows * stats.n * stats.d * stats.prune_refine_rate,
-            seconds=model.pruned_kernel_seconds(rows, stats)
-            + model.DISPATCH_S,
-            detail=(
-                f"pruned kernel pass, {rows} probes x n={stats.n} "
-                f"(refine~{stats.prune_refine_rate:.0%})"
-            ),
-        )
-
-    def run(self, ctx, node, span):
-        eng = ctx.engine
-        prefs, _ = _ctx_prefs(ctx)
-        points, self_positions = _resolve_batch(ctx)
-        count = points.shape[0]
-        eng._membership_tests.inc(count)
-        span.set(customers=count, batch=True, pruned=True)
-        if count == 0:
-            return np.empty(0, dtype=bool)
-        return _pruned_membership(
-            eng,
-            points,
-            ctx.query,
-            self_positions,
-            policy=prefs.policy,
-            dims=prefs.support(eng.dim),
-        )
-
-
-class BatchPruned(BatchPrefilter):
-    """Batch answering over the pruned prefilter: the membership child
-    is planned recursively, so it resolves to :class:`MembershipPruned`
-    under ``prune="always"`` (and to whatever the cost model picks
-    under ``"auto"``); the per-question pipelines stay unchanged."""
-
-    name = "batch-pruned"
-
-    def available(self, config, stats):
-        return config.batch_kernels and config.prune != "off"
-
-    def fixed_choice(self, config):
-        return (
-            config.batch_kernels
-            and config.shards == 1
-            and config.prune == "always"
-        )
-
-    def estimate(self, logical, stats, model):
-        count = max(1, getattr(logical, "count", 1))
-        member_rate = min(0.5, stats.expected_rsl / max(1, stats.m))
-        question = 4.0 * model.window_seconds(stats) + 4.0 * model.DISPATCH_S
-        return CostEstimate(
-            ops=count * stats.n * stats.d * stats.prune_refine_rate,
-            seconds=(
-                model.pruned_kernel_seconds(count, stats)
-                + count * (1.0 - member_rate) * question
-                + model.DISPATCH_S
-            ),
-            detail=(
-                f"pruned prefilter + ~{count} pipelines "
-                f"(refine~{stats.prune_refine_rate:.0%})"
-            ),
-        )
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_RSL_OPS = (
-    RSLKernelVerify(),
-    RSLIndexVerify(),
-    RSLShardedKernel(),
-    RSLPrunedKernel(),
-)
-_MEMBERSHIP_OPS = (
-    MembershipKernel(),
-    MembershipIndexLoop(),
-    MembershipSharded(),
-    MembershipPruned(),
-)
-_RETAINED_OPS = (RetainedKernel(), RetainedIndexLoop(), RetainedSharded())
-_LAMBDA_OPS = (LambdaWindow(),)
-_MWP_OPS = (MWPStaircase(),)
-_MQP_OPS = (MQPStaircase(),)
-_SR_EXACT_OPS = (
-    SafeRegionCachedFold(),
-    SafeRegionDirectFold(),
-    SafeRegionShardedFold(),
-)
-_SR_APPROX_OPS = (SafeRegionApproxStore(),)
-_MWQ_OPS = (MWQCombine(),)
-_BATCH_OPS = (BatchPrefilter(), BatchSequential(), BatchSharded(), BatchPruned())
-
 _REGISTRY: dict[str, tuple[Operator, ...]] = {
-    "reverse_skyline": _RSL_OPS,
-    "membership": _MEMBERSHIP_OPS,
-    "retained_mask": _RETAINED_OPS,
-    "explain": _LAMBDA_OPS,
-    "mwp": _MWP_OPS,
-    "mqp": _MQP_OPS,
-    "mwq": _MWQ_OPS,
-    "batch": _BATCH_OPS,
+    "safe_region": (
+        _ExactSafeRegionOp("sr-cached-fold", "local"),
+        _ExactSafeRegionOp("sr-sharded-fold", "sharded"),
+    ),
+    "safe_region_approx": (SafeRegionApproxStore(),),
+    "reverse_skyline": (
+        ReverseSkylineOp("rsl-kernel-verify", "kernel"),
+        ReverseSkylineOp("rsl-index-verify", "index"),
+        ReverseSkylineOp("rsl-sharded-kernel", "sharded"),
+        ReverseSkylineOp("rsl-pruned-kernel", "pruned"),
+    ),
+    "membership": (
+        MembershipOp("membership-kernel", "kernel"),
+        MembershipOp("membership-index-loop", "index"),
+        MembershipOp("membership-sharded", "sharded"),
+        MembershipOp("membership-pruned", "pruned"),
+    ),
+    "retained_mask": (
+        RetainedOp("retained-kernel", "kernel"),
+        RetainedOp("retained-index-loop", "index"),
+        RetainedOp("retained-sharded", "sharded"),
+    ),
+    "explain": (LambdaWindow(),),
+    "mwp": (MWPStaircase(),),
+    "mqp": (MQPStaircase(),),
+    "mwq": (MWQCombine(),),
+    "batch": (
+        BatchOp("batch-prefilter", "kernel"),
+        BatchOp("batch-sequential", "index"),
+    ),
 }
 
 
 def candidate_operators(logical: "LogicalPlan") -> tuple[Operator, ...]:
     """Every physical operator that can, in principle, execute
-    ``logical`` — in fixed-preference order (the pre-planner default
-    first), before capability gating."""
-    if logical.surface == "safe_region":
-        return (
-            _SR_APPROX_OPS
-            if getattr(logical, "approximate", False)
-            else _SR_EXACT_OPS
-        )
+    ``logical``, in registry order, before capability gating."""
+    surface = logical.surface
+    if surface == "safe_region" and getattr(logical, "approximate", False):
+        surface = "safe_region_approx"
     try:
-        return _REGISTRY[logical.surface]
+        return _REGISTRY[surface]
     except KeyError:
         raise ValueError(
             f"no physical operators registered for surface "

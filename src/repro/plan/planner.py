@@ -1,21 +1,25 @@
-"""Cost-based operator selection.
+"""Operator selection.
 
 The planner turns a logical plan into a :class:`~repro.plan.executor.
 PlanNode` tree by choosing, per node, among the physical operators
-registered for the surface:
+registered for the surface (one operator class per surface, its
+instances differing by ``variant``):
 
 * ``planner="auto"`` (the default) — pick the available operator with
-  the lowest estimated cost.  Ties break toward the fixed-preference
-  registry order, so planning is deterministic.
-* ``planner="fixed"`` — pick the operator the pre-planner engine
-  dispatched to under this config (``Operator.fixed_choice``),
-  reproducing the historical dispatch bit-for-bit.
+  the lowest estimated cost.  Ties break toward the registry order, so
+  planning is deterministic.
+* ``planner="index"`` / ``"kernel"`` / ``"pruned"`` — pin the arm: pick
+  the first available operator whose variant the pin prefers
+  (:data:`PIN_ORDER`), else the surface's first operator.  With
+  ``shards > 1`` the kernel and pruned pins fan out (workers prune under
+  ``"pruned"``); the exact safe region folds sharded whenever that
+  variant is available, under every pin.
 
 Capability gating happens before either mode: an operator whose
-:meth:`~repro.plan.operators.Operator.available` returns false (e.g.
-any kernel operator under ``batch_kernels=False``) is not a candidate
-at all.  Because every alternative for a surface is property-tested
-bit-identical, the mode changes runtimes, never answers.
+:meth:`~repro.plan.operators.Operator.available` returns false (a
+sharded variant at ``shards == 1``) is not a candidate at all.  Because
+every alternative for a surface is property-tested bit-identical, the
+choice changes runtimes, never answers.
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ from repro.plan.executor import PlanNode
 from repro.plan.logical import LogicalPlan
 from repro.plan.operators import Operator, candidate_operators
 
-__all__ = ["Planner"]
+__all__ = ["PIN_ORDER", "Planner"]
+
+#: Variants each pin accepts, most preferred first.
+PIN_ORDER = {
+    "index": ("index", "sharded"),
+    "kernel": ("sharded", "kernel"),
+    "pruned": ("sharded", "pruned", "kernel"),
+}
 
 
 class Planner:
@@ -41,7 +52,7 @@ class Planner:
     def candidates(
         self, logical: LogicalPlan, stats: DatasetStats
     ) -> list[Operator]:
-        """Available operators for ``logical``, fixed preference first."""
+        """Available operators for ``logical``, in registry order."""
         ops = [
             op
             for op in candidate_operators(logical)
@@ -59,17 +70,17 @@ class Planner:
     ) -> Operator:
         """The operator the active planner mode selects for one node."""
         ops = self.candidates(logical, stats)
-        if self.config.planner == "fixed":
+        if self.config.planner == "auto":
+            # min() is stable, so ties keep the registry order.
+            return min(
+                ops,
+                key=lambda op: op.estimate(logical, stats, self.model).seconds,
+            )
+        for variant in PIN_ORDER[self.config.planner]:
             for op in ops:
-                if op.fixed_choice(self.config):
+                if op.variant == variant:
                     return op
-            return ops[0]
-        # auto: min estimated seconds; min() is stable, so ties keep the
-        # fixed-preference registry order.
-        return min(
-            ops,
-            key=lambda op: op.estimate(logical, stats, self.model).seconds,
-        )
+        return ops[0]
 
     def plan(self, logical: LogicalPlan, stats: DatasetStats) -> PlanNode:
         """Recursively select operators for ``logical`` and its children."""

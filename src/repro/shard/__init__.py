@@ -14,13 +14,11 @@ deterministic oracle) — and merges:
 * Λ-counts — integer sum over product shards;
 * safe-region partial folds — region intersection of per-shard folds.
 
-For float64 the merged results are **bit-identical** to the
-single-process kernels (property-tested): masks and counts because the
-per-row predicate touches only that row's data, the region fold
-because box intersection distributes and containment survives further
+The merged results are **bit-identical** to the single-process
+kernels (property-tested): masks and counts because the per-row
+predicate touches only that row's data, the region fold because box
+intersection distributes and containment survives further
 intersection, so the final set of maximal boxes is order-invariant.
-An opt-in float32 mode halves shared-memory bandwidth at the cost of
-boundary flips within float32 rounding.
 
 Layering: this package sits beside the kernels — it may import
 ``repro.kernels`` / ``repro.index`` / ``repro.obs`` (and the geometry

@@ -13,7 +13,7 @@ three places:
 * in tests, directly.
 
 The kernel calls are exactly the single-process ones, applied to a row
-subset — which is why the merged results are bit-identical for float64:
+subset — which is why the merged results are bit-identical:
 each customer's membership/count depends only on its own row, the
 products and the query.
 
@@ -160,7 +160,6 @@ def membership_rows(
             rtol=payload["rtol"],
             counters=kernel_counters,
             prune_counters=prune_counters,
-            dtype=products.dtype,
             dims=_dims(payload),
             **pruned,
         )
@@ -174,7 +173,6 @@ def membership_rows(
             block_size=payload["block_size"],
             rtol=payload["rtol"],
             counters=kernel_counters,
-            dtype=products.dtype,
             dims=_dims(payload),
         )
     return _wrap(result, kernel_counters, prune_counters)
@@ -197,7 +195,6 @@ def membership_points(
             rtol=payload["rtol"],
             counters=kernel_counters,
             prune_counters=prune_counters,
-            dtype=products.dtype,
             dims=_dims(payload),
             **pruned,
         )
@@ -211,7 +208,6 @@ def membership_points(
             block_size=payload["block_size"],
             rtol=payload["rtol"],
             counters=kernel_counters,
-            dtype=products.dtype,
             dims=_dims(payload),
         )
     return _wrap(result, kernel_counters, prune_counters)
@@ -234,7 +230,6 @@ def lambda_rows(
             block_size=payload["block_size"],
             counters=kernel_counters,
             prune_counters=prune_counters,
-            dtype=products.dtype,
             dims=_dims(payload),
             **pruned,
         )
@@ -247,7 +242,6 @@ def lambda_rows(
             self_positions=payload["self_positions"],
             block_size=payload["block_size"],
             counters=kernel_counters,
-            dtype=products.dtype,
             dims=_dims(payload),
         )
     return _wrap(result, kernel_counters, prune_counters)
@@ -274,7 +268,6 @@ def lambda_products(
             block_size=payload["block_size"],
             counters=kernel_counters,
             prune_counters=prune_counters,
-            dtype=products.dtype,
             dims=_dims(payload),
             tile_size=tile,
         )
@@ -287,7 +280,6 @@ def lambda_products(
             self_positions=payload["self_positions"],
             block_size=payload["block_size"],
             counters=kernel_counters,
-            dtype=products.dtype,
             dims=_dims(payload),
         )
     return _wrap(result, kernel_counters, prune_counters)
@@ -315,8 +307,6 @@ def safe_region_chunk(
     from repro.prefs.model import support_dims
     from repro.skyline.dynamic import dynamic_skyline_indices
 
-    if products.dtype != np.float64:
-        raise ValueError("the sharded safe-region fold requires float64")
     dim = products.shape[1]
     bounds = Box(payload["bounds_lo"], payload["bounds_hi"])
     sort_dim = int(payload["sort_dim"])

@@ -10,7 +10,7 @@ matrices, and answers the four sharded calls:
 * :meth:`lambda_rows` — disjoint-union count merge (customer axis);
 * :meth:`lambda_products` — integer-sum count merge (product axis);
 * :meth:`safe_region_fold` — region-intersection merge of per-shard
-  partial folds (float64 only).
+  partial folds.
 
 ``backend="serial"`` runs the identical task functions in-process in
 shard order; it is the deterministic oracle the process backend is
@@ -69,10 +69,6 @@ class ShardExecutor:
         ``"serial"`` (same tasks in-process, deterministic oracle).
     partition:
         Row-to-shard strategy, see :mod:`repro.shard.partition`.
-    dtype:
-        ``"float64"`` (bit-identical to the single-process kernels) or
-        ``"float32"`` (half the shared-memory bandwidth, results within
-        float32 rounding; the safe-region fold refuses it).
     prune, prune_tile_size:
         When ``prune`` is true, the membership / Λ tasks run the
         filter-refinement kernels of :mod:`repro.kernels.pruned` inside
@@ -101,7 +97,6 @@ class ShardExecutor:
         shards: int,
         backend: str = "process",
         partition: str = "str",
-        dtype: str | np.dtype = np.float64,
         block_size: int = 512,
         prune: bool = False,
         prune_tile_size: int | None = None,
@@ -122,25 +117,18 @@ class ShardExecutor:
                 f"unknown shard partition strategy {partition!r}; "
                 f"one of {STRATEGIES}"
             )
-        dt = np.dtype(dtype)
-        if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise InvalidParameterError(
-                f"shard dtype must be float64 or float32, got {dt}"
-            )
-        # One cast up front: serial and process backends then read the
-        # exact same bits, and float32 mode pays its precision cost
-        # once instead of per task.
-        self._products = np.ascontiguousarray(products, dtype=dt)
+        # One contiguous float64 copy up front: serial and process
+        # backends then read the exact same bits.
+        self._products = np.ascontiguousarray(products, dtype=np.float64)
         self._mono = customers is None
         self._customers = (
             self._products
             if self._mono
-            else np.ascontiguousarray(customers, dtype=dt)
+            else np.ascontiguousarray(customers, dtype=np.float64)
         )
         self.shards = int(shards)
         self.backend = backend
         self.partition = partition
-        self.dtype = dt
         self.block_size = int(block_size)
         self.prune = bool(prune)
         self.prune_tile_size = (
@@ -184,13 +172,11 @@ class ShardExecutor:
         if self._closed:
             raise InvalidParameterError("shard executor is closed")
         if self._pool is None:
-            shared_products = SharedMatrix(self._products, dtype=self.dtype)
+            shared_products = SharedMatrix(self._products)
             self._segments.append(shared_products)
             customer_spec = None
             if not self._mono:
-                shared_customers = SharedMatrix(
-                    self._customers, dtype=self.dtype
-                )
+                shared_customers = SharedMatrix(self._customers)
                 self._segments.append(shared_customers)
                 customer_spec = shared_customers.spec
             self._pool = ProcessPoolExecutor(
@@ -370,7 +356,7 @@ class ShardExecutor:
     ) -> np.ndarray:
         """Membership mask of shipped probe points (contiguous split,
         concatenation merge)."""
-        points = np.ascontiguousarray(points, dtype=self.dtype)
+        points = np.ascontiguousarray(points, dtype=np.float64)
         sp = (
             None
             if self_positions is None
@@ -451,7 +437,7 @@ class ShardExecutor:
         """|Λ| culprit counts of shipped probe points, sharded over the
         *product* axis: every shard counts its products' contribution to
         every probe, and the partials sum to the full counts."""
-        points = np.ascontiguousarray(points, dtype=self.dtype)
+        points = np.ascontiguousarray(points, dtype=np.float64)
         sp = (
             None
             if self_positions is None
@@ -504,15 +490,7 @@ class ShardExecutor:
         exactly like the sequential fold, and the partial regions are
         intersected pairwise.  Returns ``(lo, hi, info)`` box arrays of
         the final maximal set plus merged fold counters.
-
-        Float64 only — the region algebra's subtractions are not
-        associative under float32 rounding, so the bandwidth mode is
-        refused rather than silently drifting.
         """
-        if self.dtype != np.dtype(np.float64):
-            raise InvalidParameterError(
-                "the sharded safe-region fold requires dtype=float64"
-            )
         from repro.geometry import region_array as _ra
 
         rows = np.asarray(rows, dtype=np.int64)

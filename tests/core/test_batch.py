@@ -135,13 +135,13 @@ class TestBatch:
             ds.points,
             backend="scan",
             bounds=ds.bounds,
-            config=WhyNotConfig(batch_kernels=True),
+            config=WhyNotConfig(planner="kernel"),
         )
         slow = WhyNotEngine(
             ds.points,
             backend="scan",
             bounds=ds.bounds,
-            config=WhyNotConfig(batch_kernels=False),
+            config=WhyNotConfig(planner="index"),
         )
         whys = [0, 1, 4, [5.0, 30.0], [26.0, 70.0]]
         for a, b in zip(

@@ -1,7 +1,7 @@
 """Engine-level equivalence of the batch-kernel and per-customer paths.
 
 Every path wired through :mod:`repro.kernels` must produce results
-indistinguishable from the sequential oracle (``batch_kernels=False``,
+indistinguishable from the sequential oracle (``planner="index"``,
 ``n_jobs=1``) — membership masks, lost-customer sets, MQP scores, safe
 regions and precomputed DSL stores alike.
 """
@@ -24,18 +24,18 @@ def dataset():
 
 
 def engine_pair(dataset):
-    """The same engine with kernels on and off."""
+    """The same engine pinned to the kernel and the index arm."""
     on = WhyNotEngine(
         dataset.points,
         backend="scan",
         bounds=dataset.bounds,
-        config=WhyNotConfig(batch_kernels=True, kernel_block_size=64),
+        config=WhyNotConfig(planner="kernel", kernel_block_size=64),
     )
     off = WhyNotEngine(
         dataset.points,
         backend="scan",
         bounds=dataset.bounds,
-        config=WhyNotConfig(batch_kernels=False),
+        config=WhyNotConfig(planner="index"),
     )
     return on, off
 

@@ -125,18 +125,36 @@ class TestCounterInvariance:
         pts = _points()
         q = np.array([0.45, 0.55])
         counts = {}
-        for batch in (False, True):
+        for pin in ("index", "kernel", "pruned"):
             engine = WhyNotEngine(
-                pts, config=WhyNotConfig(trace=trace, batch_kernels=batch)
+                pts, config=WhyNotConfig(trace=trace, planner=pin)
             )
             probe = [0, 1, 2, 3, 4]
             mask = engine.membership_mask(probe, q)
-            counts[batch] = engine.obs.metrics.snapshot()[
+            counts[pin] = engine.obs.metrics.snapshot()[
                 "engine.membership_tests"
             ]
             assert mask.shape == (len(probe),)
         # One increment per membership predicate, regardless of path.
-        assert counts[False] == counts[True] == 5
+        assert counts == {"index": 5, "kernel": 5, "pruned": 5}
+
+    def test_cache_bypass_counts_only_skipped_cache_lookups(self):
+        """``prefs.cache_bypass`` counts skipped result-cache lookups:
+        surfaces without a result cache never move it, a weighted
+        reverse skyline skips exactly one lookup."""
+        engine = WhyNotEngine(_points())
+        q = np.array([0.45, 0.55])
+        weights = (1.0, 2.0)
+
+        def bypassed() -> int:
+            return engine.obs.metrics.snapshot()["prefs.cache_bypass"]
+
+        engine.explain(0, q, weights=weights)
+        engine.membership_mask([0, 1, 2], q, weights=weights)
+        engine.modify_why_not_point(0, q, weights=weights)
+        assert bypassed() == 0
+        engine.reverse_skyline(q, weights=weights)
+        assert bypassed() == 1
 
     def test_reverse_skyline_same_result_traced_and_untraced(self):
         pts = _points()

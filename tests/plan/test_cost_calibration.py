@@ -13,7 +13,6 @@ def make_stats(**kwargs):
         d=2,
         backend="scan",
         epoch=0,
-        kernels_enabled=True,
         cpus=1,
     )
     defaults.update(kwargs)
@@ -69,8 +68,8 @@ class TestMeasuredShardDispatch:
 class TestPrunedCostTerms:
     def test_classify_term_scales_with_pair_count(self):
         model = CostModel()
-        small = make_stats(n=1_000, m=1_000, prune="auto")
-        large = make_stats(n=100_000, m=100_000, prune="auto")
+        small = make_stats(n=1_000, m=1_000)
+        large = make_stats(n=100_000, m=100_000)
         assert model.prune_classify_seconds(
             1_000, small
         ) < model.prune_classify_seconds(100_000, large)
@@ -81,7 +80,7 @@ class TestPrunedCostTerms:
         model = CostModel()
         for rows in (10, 1_000, 100_000):
             stats = make_stats(
-                n=50_000, m=50_000, prune="auto", prune_refine_rate=1.0
+                n=50_000, m=50_000, prune_refine_rate=1.0
             )
             assert model.pruned_kernel_seconds(
                 rows, stats
@@ -90,7 +89,7 @@ class TestPrunedCostTerms:
     def test_low_refine_rate_wins_at_scale(self):
         model = CostModel()
         stats = make_stats(
-            n=50_000, m=50_000, prune="auto", prune_refine_rate=0.02
+            n=50_000, m=50_000, prune_refine_rate=0.02
         )
         rows = 10_000
         assert model.pruned_kernel_seconds(
@@ -99,8 +98,8 @@ class TestPrunedCostTerms:
 
     def test_refine_rate_clamped(self):
         model = CostModel()
-        stats = make_stats(prune="auto", prune_refine_rate=7.5)
-        capped = make_stats(prune="auto", prune_refine_rate=1.0)
+        stats = make_stats(prune_refine_rate=7.5)
+        capped = make_stats(prune_refine_rate=1.0)
         assert model.pruned_kernel_seconds(
             1_000, stats
         ) == pytest.approx(model.pruned_kernel_seconds(1_000, capped))

@@ -90,8 +90,8 @@ class TestEviction:
 class TestConfigFingerprint:
     def test_differs_per_config(self):
         a = config_fingerprint(WhyNotConfig())
-        b = config_fingerprint(WhyNotConfig(planner="fixed"))
-        c = config_fingerprint(WhyNotConfig(batch_kernels=False))
+        b = config_fingerprint(WhyNotConfig(planner="kernel"))
+        c = config_fingerprint(WhyNotConfig(planner="index"))
         assert a != b and a != c and b != c
 
     def test_stable_for_equal_configs(self):

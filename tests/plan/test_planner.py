@@ -1,6 +1,6 @@
-"""Planner operator selection: fixed mode reproduces the historical
-dispatch, auto mode picks the cheapest estimate, and capability gating
-removes operators the config cannot run."""
+"""Planner operator selection: each pin forces its arm, auto mode
+picks the cheapest estimate, and capability gating removes operators
+the config cannot run."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from repro.plan.logical import (
 from repro.plan.planner import Planner
 
 
-def make_stats(n=1_000, m=1_000, kernels=True, dsl_warm=0):
+def make_stats(n=1_000, m=1_000, dsl_warm=0, shards=1):
     return DatasetStats(
         n=n,
         m=m,
@@ -26,16 +26,108 @@ def make_stats(n=1_000, m=1_000, kernels=True, dsl_warm=0):
         backend="scan",
         epoch=0,
         dsl_warm=dsl_warm,
-        kernels_enabled=kernels,
+        shards=shards,
+        shard_backend="serial",
     )
 
 
+SURFACES = (
+    RSLQuery(),
+    MembershipMaskQuery(count=5),
+    RetainedMaskQuery(),
+    SafeRegionQuery(),
+    BatchWhyNotQuery(count=5),
+)
+
+#: (pin, shards) -> operator per surface: RSL, membership, retained,
+#: exact safe region, batch.
+PIN_TABLE = {
+    ("index", 1): (
+        "rsl-index-verify",
+        "membership-index-loop",
+        "retained-index-loop",
+        "sr-cached-fold",
+        "batch-sequential",
+    ),
+    ("index", 3): (
+        "rsl-index-verify",
+        "membership-index-loop",
+        "retained-index-loop",
+        "sr-sharded-fold",
+        "batch-sequential",
+    ),
+    ("kernel", 1): (
+        "rsl-kernel-verify",
+        "membership-kernel",
+        "retained-kernel",
+        "sr-cached-fold",
+        "batch-prefilter",
+    ),
+    ("kernel", 3): (
+        "rsl-sharded-kernel",
+        "membership-sharded",
+        "retained-sharded",
+        "sr-sharded-fold",
+        "batch-prefilter",
+    ),
+    ("pruned", 1): (
+        "rsl-pruned-kernel",
+        "membership-pruned",
+        "retained-kernel",
+        "sr-cached-fold",
+        "batch-prefilter",
+    ),
+    ("pruned", 3): (
+        "rsl-sharded-kernel",
+        "membership-sharded",
+        "retained-sharded",
+        "sr-sharded-fold",
+        "batch-prefilter",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "pin,shards", list(PIN_TABLE), ids=[f"{p}-{s}" for p, s in PIN_TABLE]
+)
+def test_pin_table(pin, shards):
+    """Every pin forces exactly its arm on every surface, planned and
+    executed: the batch prefilter's membership child follows the pin
+    too, and workers prune only under the pruned pin."""
+    planner = Planner(WhyNotConfig(planner=pin, shards=shards))
+    stats = make_stats(shards=shards)
+    chosen = tuple(planner.choose(q, stats).name for q in SURFACES)
+    assert chosen == PIN_TABLE[pin, shards]
+    batch = planner.plan(BatchWhyNotQuery(count=5), stats)
+    assert [c.operator.name for c in batch.children] == list(
+        PIN_TABLE[pin, shards][3:4]
+        + (PIN_TABLE[pin, shards][1:2] if pin != "index" else ())
+    )
+    points = np.random.default_rng(7).random((40, 2))
+    engine = WhyNotEngine(
+        points,
+        config=WhyNotConfig(
+            planner=pin, shards=shards, shard_backend="serial"
+        ),
+    )
+    q = np.array([0.5, 0.5])
+    engine.safe_region(q)
+    assert engine.last_plan.operator.name == PIN_TABLE[pin, shards][3]
+    engine.membership_mask([0, 1, 2], q)
+    assert engine.last_plan.operator.name == PIN_TABLE[pin, shards][1]
+    executors = list(engine._shard_executors.values())
+    assert [ex.prune for ex in executors] == (
+        [pin == "pruned"] if shards > 1 else []
+    )
+    engine.close_shard_executors()
+
+
 class TestFixedMode:
-    """fixed must pick exactly what the pre-planner engine dispatched to."""
+    """Pinned arms: the planner choice is fixed by ``config.planner``."""
 
     def test_kernel_config_picks_kernel_operators(self):
-        planner = Planner(WhyNotConfig(planner="fixed", batch_kernels=True))
-        stats = make_stats(kernels=True)
+        planner = Planner(WhyNotConfig(planner="kernel"))
+        stats = make_stats()
         assert planner.choose(RSLQuery(), stats).name == "rsl-kernel-verify"
         assert (
             planner.choose(MembershipMaskQuery(count=5), stats).name
@@ -48,8 +140,8 @@ class TestFixedMode:
         )
 
     def test_no_kernel_config_picks_index_operators(self):
-        planner = Planner(WhyNotConfig(planner="fixed", batch_kernels=False))
-        stats = make_stats(kernels=False)
+        planner = Planner(WhyNotConfig(planner="index"))
+        stats = make_stats()
         assert planner.choose(RSLQuery(), stats).name == "rsl-index-verify"
         assert (
             planner.choose(MembershipMaskQuery(count=5), stats).name
@@ -65,18 +157,28 @@ class TestFixedMode:
         )
 
     def test_dsl_cache_config_selects_safe_region_fold(self):
+        """One local fold either way: it reads the DSL cache whenever the
+        engine keeps one."""
         stats = make_stats()
-        cached = Planner(WhyNotConfig(planner="fixed", dsl_cache=True))
-        direct = Planner(WhyNotConfig(planner="fixed", dsl_cache=False))
-        assert cached.choose(SafeRegionQuery(), stats).name == "sr-cached-fold"
-        assert direct.choose(SafeRegionQuery(), stats).name == "sr-direct-fold"
+        for dsl_cache in (True, False):
+            config = WhyNotConfig(planner="index", dsl_cache=dsl_cache)
+            planner = Planner(config)
+            chosen = planner.choose(SafeRegionQuery(), stats)
+            assert chosen.name == "sr-cached-fold"
+        points = np.random.default_rng(8).random((30, 2))
+        engine = WhyNotEngine(points, config=WhyNotConfig(dsl_cache=False))
+        assert engine.dsl_cache is None
+        cached = WhyNotEngine(points)
+        q = np.array([0.5, 0.5])
+        assert engine.safe_region(q).area() == cached.safe_region(q).area()
 
     def test_approximate_safe_region_has_one_operator(self):
-        planner = Planner(WhyNotConfig(planner="fixed"))
-        chosen = planner.choose(
-            SafeRegionQuery(approximate=True, k=10), make_stats()
-        )
-        assert chosen.name == "sr-approx-store"
+        for pin in ("index", "kernel", "pruned"):
+            planner = Planner(WhyNotConfig(planner=pin))
+            chosen = planner.choose(
+                SafeRegionQuery(approximate=True, k=10), make_stats()
+            )
+            assert chosen.name == "sr-approx-store"
 
 
 class TestAutoMode:
@@ -100,28 +202,23 @@ class TestAutoMode:
 
 
 class TestCapabilityGating:
-    def test_kernel_operators_unavailable_without_batch_kernels(self):
-        planner = Planner(WhyNotConfig(planner="auto", batch_kernels=False))
-        stats = make_stats(kernels=False)
-        for logical in (
-            RSLQuery(),
-            MembershipMaskQuery(count=5),
-            RetainedMaskQuery(),
-            BatchWhyNotQuery(count=5),
-        ):
-            names = {op.name for op in planner.candidates(logical, stats)}
-            assert not any("kernel" in n or "prefilter" in n for n in names), (
-                logical.surface,
-                names,
-            )
-
     def test_dsl_cache_gating(self):
-        planner = Planner(WhyNotConfig(planner="auto", dsl_cache=False))
+        """Sharded variants need shards > 1; the sharded fold also needs
+        an unbounded box budget."""
+        single = Planner(WhyNotConfig(planner="auto", dsl_cache=False))
         names = {
             op.name
-            for op in planner.candidates(SafeRegionQuery(), make_stats())
+            for op in single.candidates(SafeRegionQuery(), make_stats())
         }
-        assert names == {"sr-direct-fold"}
+        assert names == {"sr-cached-fold"}
+        budget = Planner(WhyNotConfig(shards=3, sr_box_budget=8))
+        names = {
+            op.name
+            for op in budget.candidates(
+                SafeRegionQuery(), make_stats(shards=3)
+            )
+        }
+        assert names == {"sr-cached-fold"}
 
     def test_unknown_surface_rejected(self):
         class Bogus(RSLQuery):
@@ -141,17 +238,15 @@ class TestPlanTrees:
         assert node.estimate.seconds >= 0
 
     def test_batch_prefilter_plan_has_two_children(self):
-        planner = Planner(WhyNotConfig(planner="fixed", batch_kernels=True))
+        planner = Planner(WhyNotConfig(planner="kernel"))
         node = planner.plan(BatchWhyNotQuery(count=7), make_stats())
         assert node.operator.name == "batch-prefilter"
         surfaces = [c.logical.surface for c in node.children]
         assert surfaces == ["safe_region", "membership"]
 
     def test_batch_sequential_plan_drops_prefilter_child(self):
-        planner = Planner(WhyNotConfig(planner="fixed", batch_kernels=False))
-        node = planner.plan(
-            BatchWhyNotQuery(count=7), make_stats(kernels=False)
-        )
+        planner = Planner(WhyNotConfig(planner="index"))
+        node = planner.plan(BatchWhyNotQuery(count=7), make_stats())
         assert node.operator.name == "batch-sequential"
         surfaces = [c.logical.surface for c in node.children]
         assert surfaces == ["safe_region"]
@@ -161,9 +256,9 @@ class TestEngineWiring:
     def test_engine_planner_mode_from_config(self):
         points = np.random.default_rng(0).random((40, 2))
         auto = WhyNotEngine(points)
-        fixed = WhyNotEngine(points, config=WhyNotConfig(planner="fixed"))
+        pinned = WhyNotEngine(points, config=WhyNotConfig(planner="pruned"))
         assert auto.planner.config.planner == "auto"
-        assert fixed.planner.config.planner == "fixed"
+        assert pinned.planner.config.planner == "pruned"
 
     def test_last_plan_tracks_surface_calls(self):
         points = np.random.default_rng(1).random((40, 2))

@@ -1,8 +1,8 @@
 """Planner integration of the filter-refinement (pruned) operators.
 
-Fixed mode dispatches to the pruned arms whenever the user forces them
-(``prune="always"`` at ``shards == 1``); auto mode treats pruning as
-one more candidate whose kernel term is scaled by the tile-summary
+The ``planner="pruned"`` pin dispatches to the pruned arms (at
+``shards == 1``; with more shards the workers prune); auto mode treats
+pruning as one more candidate whose kernel term is scaled by the tile-summary
 selectivity probe, so it declines when the predicted refine rate says
 classification cannot pay for itself.
 """
@@ -19,23 +19,22 @@ from repro.plan.logical import (
     MembershipMaskQuery,
     RSLQuery,
 )
+from repro.plan.operators import candidate_operators
 from repro.plan.planner import Planner
 
-PRUNED_NAMES = {"rsl-pruned-kernel", "membership-pruned", "batch-pruned"}
+PRUNED_NAMES = {"rsl-pruned-kernel", "membership-pruned"}
 
 LOGICALS = (RSLQuery(), MembershipMaskQuery(count=8), BatchWhyNotQuery(count=8))
 
 
-def make_stats(n=10_000, m=10_000, prune="off", refine_rate=1.0, **kwargs):
+def make_stats(n=10_000, m=10_000, refine_rate=1.0, **kwargs):
     return DatasetStats(
         n=n,
         m=m,
         d=2,
         backend="scan",
         epoch=0,
-        kernels_enabled=True,
         cpus=1,
-        prune=prune,
         prune_tile_size=512,
         prune_refine_rate=refine_rate,
         **kwargs,
@@ -43,65 +42,64 @@ def make_stats(n=10_000, m=10_000, prune="off", refine_rate=1.0, **kwargs):
 
 
 class TestFixedMode:
+    """Pinned arms (the planner choice fixed by ``config.planner``)."""
+
     def test_always_picks_pruned_operators(self):
-        planner = Planner(WhyNotConfig(planner="fixed", prune="always"))
-        stats = make_stats(prune="always")
+        planner = Planner(WhyNotConfig(planner="pruned"))
+        stats = make_stats()
         expected = {
             "reverse_skyline": "rsl-pruned-kernel",
             "membership": "membership-pruned",
-            "batch": "batch-pruned",
+            "batch": "batch-prefilter",
         }
         for logical in LOGICALS:
             assert planner.choose(logical, stats).name == (
                 expected[logical.surface]
             )
+        batch = planner.plan(BatchWhyNotQuery(count=8), stats)
+        assert batch.children[1].operator.name == "membership-pruned"
 
     def test_prune_off_keeps_historical_dispatch(self):
-        planner = Planner(WhyNotConfig(planner="fixed", prune="off"))
-        stats = make_stats(prune="off")
+        planner = Planner(WhyNotConfig(planner="kernel"))
+        stats = make_stats()
         for logical in LOGICALS:
             assert planner.choose(logical, stats).name not in PRUNED_NAMES
 
     def test_auto_prune_config_keeps_fixed_dispatch_unpruned(self):
-        # prune="auto" under a fixed planner: pruning is a cost-based
-        # decision, so fixed mode keeps the historical operators.
-        planner = Planner(WhyNotConfig(planner="fixed", prune="auto"))
-        stats = make_stats(prune="auto")
-        for logical in LOGICALS:
-            assert planner.choose(logical, stats).name not in PRUNED_NAMES
+        # Summaries predicting a large win make pruning auto's choice,
+        # but a kernel pin still keeps the unpruned operators.
+        planner = Planner(WhyNotConfig(planner="kernel"))
+        stats = make_stats(n=50_000, m=50_000, refine_rate=0.02)
+        logical = MembershipMaskQuery(count=512)
+        auto = Planner(WhyNotConfig(planner="auto"))
+        assert auto.choose(logical, stats).name == "membership-pruned"
+        assert planner.choose(logical, stats).name == "membership-kernel"
 
     def test_sharding_outranks_pruning_in_fixed_mode(self):
         planner = Planner(
-            WhyNotConfig(
-                planner="fixed",
-                prune="always",
-                shards=2,
-                shard_backend="serial",
-            )
+            WhyNotConfig(planner="pruned", shards=2, shard_backend="serial")
         )
-        stats = make_stats(prune="always", shards=2, shard_backend="serial")
+        stats = make_stats(shards=2, shard_backend="serial")
         assert planner.choose(RSLQuery(), stats).name == "rsl-sharded-kernel"
 
 
 class TestAutoMode:
     def test_declines_pruning_at_full_refine_rate(self):
-        planner = Planner(WhyNotConfig(planner="auto", prune="auto"))
-        stats = make_stats(prune="auto", refine_rate=1.0)
+        planner = Planner(WhyNotConfig(planner="auto"))
+        stats = make_stats(refine_rate=1.0)
         for logical in LOGICALS:
             assert planner.choose(logical, stats).name not in PRUNED_NAMES
 
     def test_prunes_at_low_refine_rate(self):
-        planner = Planner(WhyNotConfig(planner="auto", prune="auto"))
-        stats = make_stats(
-            n=50_000, m=50_000, prune="auto", refine_rate=0.02
-        )
+        planner = Planner(WhyNotConfig(planner="auto"))
+        stats = make_stats(n=50_000, m=50_000, refine_rate=0.02)
         chosen = planner.choose(MembershipMaskQuery(count=512), stats)
         assert chosen.name == "membership-pruned"
 
     @pytest.mark.parametrize("refine_rate", [0.0, 0.05, 0.5, 1.0])
     def test_auto_never_loses_to_best_fixed_arm(self, refine_rate):
-        planner = Planner(WhyNotConfig(planner="auto", prune="auto"))
-        stats = make_stats(prune="auto", refine_rate=refine_rate)
+        planner = Planner(WhyNotConfig(planner="auto"))
+        stats = make_stats(refine_rate=refine_rate)
         model = CostModel()
         for logical in LOGICALS:
             chosen = planner.choose(logical, stats)
@@ -115,23 +113,19 @@ class TestAutoMode:
     def test_pruned_estimate_scales_with_refine_rate(self):
         model = CostModel()
         logical = MembershipMaskQuery(count=512)
-        from repro.plan.operators import MembershipPruned
-
-        op = MembershipPruned()
-        cheap = op.estimate(
-            logical, make_stats(prune="auto", refine_rate=0.01), model
-        )
-        dear = op.estimate(
-            logical, make_stats(prune="auto", refine_rate=1.0), model
-        )
+        (op,) = [
+            op for op in candidate_operators(logical) if op.variant == "pruned"
+        ]
+        cheap = op.estimate(logical, make_stats(refine_rate=0.01), model)
+        dear = op.estimate(logical, make_stats(refine_rate=1.0), model)
         assert cheap.seconds < dear.seconds
 
 
 class TestPlanCacheKeys:
     def test_fingerprint_differs_across_prune_values(self):
         fps = {
-            config_fingerprint(WhyNotConfig(prune=mode))
-            for mode in ("off", "auto", "always")
+            config_fingerprint(WhyNotConfig(planner=mode))
+            for mode in ("kernel", "auto", "pruned")
         }
         assert len(fps) == 3
 
@@ -147,24 +141,19 @@ class TestEngineWiring:
         engine = WhyNotEngine(
             points,
             backend="scan",
-            config=WhyNotConfig(planner="fixed", prune="always"),
+            config=WhyNotConfig(planner="pruned"),
         )
         report = engine.explain_plan("reverse_skyline", np.array([0.5, 0.5]))
         assert report.root.operator.name == "rsl-pruned-kernel"
 
-    def test_prune_off_builds_no_summaries(self):
-        points = np.random.default_rng(1).random((30, 2))
-        engine = WhyNotEngine(
-            points, backend="scan", config=WhyNotConfig(prune="off")
-        )
-        assert engine.prune_summaries is None
-
     def test_default_config_builds_summaries(self):
         points = np.random.default_rng(2).random((30, 2))
-        engine = WhyNotEngine(points, backend="scan")
-        assert engine.config.prune == "auto"
-        assert engine.prune_summaries is not None
-        assert engine.prune_summaries.tile_size == engine.prune_tile_size
+        for pin in ("auto", "index", "kernel", "pruned"):
+            engine = WhyNotEngine(
+                points, backend="scan", config=WhyNotConfig(planner=pin)
+            )
+            assert engine.prune_summaries is not None
+            assert engine.prune_summaries.tile_size == engine.prune_tile_size
 
     def test_dataset_stats_sample_the_selectivity_probe(self):
         rng = np.random.default_rng(3)
@@ -179,17 +168,8 @@ class TestEngineWiring:
             products,
             customers,
             backend="scan",
-            config=WhyNotConfig(prune="auto", prune_tile_size=8),
+            config=WhyNotConfig(prune_tile_size=8),
         )
         stats = DatasetStats.of(engine)
-        assert stats.prune == "auto"
         assert stats.prune_tile_size == 8
         assert stats.prune_refine_rate < 0.5
-
-    def test_prune_off_stats_pin_refine_rate_to_one(self):
-        points = np.random.default_rng(4).random((30, 2))
-        engine = WhyNotEngine(
-            points, backend="scan", config=WhyNotConfig(prune="off")
-        )
-        stats = DatasetStats.of(engine)
-        assert stats.prune_refine_rate == 1.0

@@ -1,9 +1,9 @@
 """Planner integration of the sharded physical operators.
 
-Fixed mode dispatches to the sharded arms whenever the user opted in
-(``shards > 1``); auto mode treats fan-out as one more candidate and
-must never lose meaningfully to the best fixed arm — on tiny inputs or
-a single CPU it declines to fan out.
+The kernel and pruned pins dispatch to the sharded arms whenever the
+user opted in (``shards > 1``); auto mode treats fan-out as one more
+candidate and must never lose meaningfully to the best pinned arm — on
+tiny inputs or a single CPU it declines to fan out.
 """
 
 import numpy as np
@@ -26,7 +26,6 @@ SHARDED_NAMES = {
     "membership-sharded",
     "retained-sharded",
     "sr-sharded-fold",
-    "batch-sharded",
 }
 
 LOGICALS = (
@@ -45,7 +44,6 @@ def make_stats(n=1_000, m=1_000, cpus=1, shards=1, shard_backend="process"):
         d=2,
         backend="scan",
         epoch=0,
-        kernels_enabled=True,
         cpus=cpus,
         shards=shards,
         shard_backend=shard_backend,
@@ -53,36 +51,31 @@ def make_stats(n=1_000, m=1_000, cpus=1, shards=1, shard_backend="process"):
 
 
 class TestFixedMode:
+    """Pinned arms (the planner choice fixed by ``config.planner``)."""
+
     def test_shards_opt_in_picks_sharded_operators(self):
-        planner = Planner(WhyNotConfig(planner="fixed", shards=4))
+        planner = Planner(WhyNotConfig(planner="kernel", shards=4))
         stats = make_stats(shards=4)
         expected = {
             "reverse_skyline": "rsl-sharded-kernel",
             "membership": "membership-sharded",
             "retained_mask": "retained-sharded",
             "safe_region": "sr-sharded-fold",
-            "batch": "batch-sharded",
+            "batch": "batch-prefilter",
         }
         for logical in LOGICALS:
             chosen = planner.choose(logical, stats)
             assert chosen.name == expected[logical.surface]
 
     def test_single_shard_keeps_historical_dispatch(self):
-        planner = Planner(WhyNotConfig(planner="fixed", shards=1))
+        planner = Planner(WhyNotConfig(planner="kernel", shards=1))
         stats = make_stats(shards=1)
         for logical in LOGICALS:
             assert planner.choose(logical, stats).name not in SHARDED_NAMES
 
-    def test_float32_safe_region_falls_back(self):
-        planner = Planner(
-            WhyNotConfig(planner="fixed", shards=4, shard_dtype="float32")
-        )
-        chosen = planner.choose(SafeRegionQuery(), make_stats(shards=4))
-        assert chosen.name == "sr-cached-fold"
-
     def test_box_budget_safe_region_falls_back(self):
         planner = Planner(
-            WhyNotConfig(planner="fixed", shards=4, sr_box_budget=32)
+            WhyNotConfig(planner="kernel", shards=4, sr_box_budget=32)
         )
         chosen = planner.choose(SafeRegionQuery(), make_stats(shards=4))
         assert chosen.name == "sr-cached-fold"
@@ -166,14 +159,14 @@ class TestEngineWiring:
         engine = WhyNotEngine(
             points,
             config=WhyNotConfig(
-                planner="fixed", shards=2, shard_backend="serial"
+                planner="kernel", shards=2, shard_backend="serial"
             ),
         )
         prepared = engine.prepare(
             "batch", [np.array([0.2, 0.3]), np.array([0.6, 0.7])],
             np.array([0.5, 0.5]),
         )
-        assert prepared.node.operator.name == "batch-sharded"
+        assert prepared.node.operator.name == "batch-prefilter"
         child_ops = {c.operator.name for c in prepared.node.children}
         assert "sr-sharded-fold" in child_ops
         assert "membership-sharded" in child_ops
@@ -183,7 +176,7 @@ class TestEngineWiring:
         engine = WhyNotEngine(
             points,
             config=WhyNotConfig(
-                planner="fixed", shards=3, shard_backend="serial"
+                planner="kernel", shards=3, shard_backend="serial"
             ),
         )
         report = engine.explain_plan("reverse_skyline", np.array([0.5, 0.5]))
@@ -205,7 +198,7 @@ class TestEngineWiring:
         engine = WhyNotEngine(
             points,
             config=WhyNotConfig(
-                planner="fixed", shards=2, shard_backend="serial"
+                planner="kernel", shards=2, shard_backend="serial"
             ),
         )
         q = np.array([0.5, 0.5])
@@ -228,7 +221,7 @@ class TestConfigValidation:
             {"shards": -2},
             {"shard_backend": "thread"},
             {"shard_partition": "zorder"},
-            {"shard_dtype": "float16"},
+            {"planner": "sharded"},
         ],
     )
     def test_rejects_bad_shard_settings(self, kwargs):
@@ -240,6 +233,5 @@ class TestConfigValidation:
             shards=4,
             shard_backend="serial",
             shard_partition="grid",
-            shard_dtype="float32",
         )
         assert config.shards == 4

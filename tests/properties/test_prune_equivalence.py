@@ -1,11 +1,11 @@
 """Property tests: filter-refinement pruning changes work, never answers.
 
-The acceptance contract of the prune layer — for float64, every surface
-answered through the pruned operators (``planner="fixed"`` with
-``prune="always"`` forces them) is bit-identical to the unpruned
-engine, across tile sizes, all four index backends, shard counts
-(pruning inside the shard workers stacks with fan-out), and random
-mutation programs driving the incremental tile-summary maintenance.
+The acceptance contract of the prune layer — every surface answered
+through the pruned operators (the ``planner="pruned"`` pin forces them)
+is bit-identical to the unpruned ``planner="kernel"`` engine, across
+tile sizes, all four index backends, shard counts (pruning inside the
+shard workers stacks with fan-out), and random mutation programs
+driving the incremental tile-summary maintenance.
 The counter balance invariant (pairs skipped + blocked + refined ==
 total) must hold on every traced run.
 """
@@ -37,7 +37,7 @@ def point_lists(min_rows: int, max_rows: int):
 
 
 def _pruned_config(**overrides) -> WhyNotConfig:
-    return WhyNotConfig(planner="fixed", prune="always", **overrides)
+    return WhyNotConfig(planner="pruned", **overrides)
 
 
 def _assert_engines_agree(base: WhyNotEngine, pruned: WhyNotEngine):
@@ -70,7 +70,7 @@ def test_pruned_monochromatic_identical(backend, points, tile_size):
     base = WhyNotEngine(
         points,
         backend=backend,
-        config=WhyNotConfig(planner="fixed", prune="off"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     pruned = WhyNotEngine(
@@ -93,7 +93,7 @@ def test_pruned_bichromatic_identical(products, customers, tile_size):
         products,
         customers,
         backend="rtree",
-        config=WhyNotConfig(planner="fixed", prune="off"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     pruned = WhyNotEngine(
@@ -110,13 +110,13 @@ def test_pruned_bichromatic_identical(products, customers, tile_size):
 @given(points=point_lists(6, 20))
 @settings(max_examples=10, deadline=None)
 def test_pruning_stacks_with_sharding(shards, points):
-    """prune="always" with shards > 1 prunes inside the shard workers;
+    """The pruned pin with shards > 1 prunes inside the shard workers;
     the merged answers stay bit-identical to the plain single-process
     engine."""
     base = WhyNotEngine(
         points,
         backend="scan",
-        config=WhyNotConfig(planner="fixed", prune="off"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     pruned = WhyNotEngine(
@@ -151,7 +151,7 @@ def test_pruned_survives_mutation_programs(points, program):
     base = WhyNotEngine(
         points,
         backend="scan",
-        config=WhyNotConfig(planner="fixed", prune="off"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     pruned = WhyNotEngine(
@@ -189,18 +189,18 @@ def test_pruned_survives_mutation_programs(points, program):
 @given(points=point_lists(4, 20))
 @settings(max_examples=10, deadline=None)
 def test_auto_planner_identical_to_unpruned(points):
-    """planner="auto" with prune="auto" may pick either arm; whichever
-    it picks, the answers match the unpruned fixed engine."""
+    """planner="auto" may pick either arm; whichever it picks, the
+    answers match the unpruned kernel-pinned engine."""
     base = WhyNotEngine(
         points,
         backend="scan",
-        config=WhyNotConfig(planner="fixed", prune="off"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     auto = WhyNotEngine(
         points,
         backend="scan",
-        config=WhyNotConfig(planner="auto", prune="auto"),
+        config=WhyNotConfig(planner="auto"),
         bounds=BOUNDS,
     )
     _assert_engines_agree(base, auto)
@@ -214,7 +214,7 @@ def test_process_backend_pruned_identical_end_to_end():
     base = WhyNotEngine(
         points,
         backend="scan",
-        config=WhyNotConfig(planner="fixed", prune="off"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     pruned = WhyNotEngine(

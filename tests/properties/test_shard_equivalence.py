@@ -1,7 +1,7 @@
 """Property tests: sharded execution changes runtimes, never answers.
 
-The acceptance contract of the shard layer — for float64, every surface
-answered through the sharded operators (``planner="fixed"`` with
+The acceptance contract of the shard layer — every surface answered
+through the sharded operators (the ``planner="kernel"`` pin with
 ``shards > 1`` forces them) is bit-identical to the single-process
 engine, across shard counts, partition strategies and all four index
 backends.  The serial shard backend runs the identical worker code the
@@ -36,9 +36,9 @@ def point_lists(min_rows: int, max_rows: int):
     )
 
 
-def _sharded_config(shards: int, **overrides) -> WhyNotConfig:
+def _sharded_config(shards: int, pin: str = "kernel", **overrides):
     return WhyNotConfig(
-        planner="fixed",
+        planner=pin,
         shards=shards,
         shard_backend="serial",
         **overrides,
@@ -106,19 +106,22 @@ def _assert_engines_agree(base: WhyNotEngine, sharded: WhyNotEngine):
     points=point_lists(4, 24),
     shards=st.sampled_from([1, 2, 3, 7]),
     partition=st.sampled_from(["rows", "str", "grid"]),
+    pin=st.sampled_from(["index", "kernel", "pruned"]),
 )
 @settings(max_examples=15, deadline=None)
-def test_sharded_monochromatic_identical(backend, points, shards, partition):
+def test_sharded_monochromatic_identical(
+    backend, points, shards, partition, pin
+):
     base = WhyNotEngine(
         points,
         backend=backend,
-        config=WhyNotConfig(planner="fixed"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     sharded = WhyNotEngine(
         points,
         backend=backend,
-        config=_sharded_config(shards, shard_partition=partition),
+        config=_sharded_config(shards, pin, shard_partition=partition),
         bounds=BOUNDS,
     )
     _assert_engines_agree(base, sharded)
@@ -135,7 +138,7 @@ def test_sharded_bichromatic_identical(products, customers, shards):
         products,
         customers,
         backend="rtree",
-        config=WhyNotConfig(planner="fixed"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     sharded = WhyNotEngine(
@@ -156,7 +159,7 @@ def test_sharded_survives_mutations(points, shards):
     base = WhyNotEngine(
         points,
         backend="kdtree",
-        config=WhyNotConfig(planner="fixed"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     sharded = WhyNotEngine(
@@ -181,68 +184,16 @@ def test_process_backend_identical_end_to_end():
     base = WhyNotEngine(
         points,
         backend="rtree",
-        config=WhyNotConfig(planner="fixed"),
+        config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     sharded = WhyNotEngine(
         points,
         backend="rtree",
         config=WhyNotConfig(
-            planner="fixed", shards=2, shard_backend="process"
+            planner="kernel", shards=2, shard_backend="process"
         ),
         bounds=BOUNDS,
     )
     _assert_engines_agree(base, sharded)
 
-
-def test_float32_mode_within_tolerance():
-    """Float32 sharding is an opt-in approximation: masks may flip only
-    on window boundaries within float32 rounding.  On dyadic data (all
-    coordinates multiples of 1/8, exactly representable in float32) the
-    results are identical."""
-    rng = np.random.default_rng(5)
-    points = dyadic(rng.random((40, 2)))
-    base = WhyNotEngine(
-        points,
-        backend="rtree",
-        config=WhyNotConfig(planner="fixed"),
-        bounds=BOUNDS,
-    )
-    sharded = WhyNotEngine(
-        points,
-        backend="rtree",
-        config=_sharded_config(2, shard_dtype="float32"),
-        bounds=BOUNDS,
-    )
-    for q in QUERIES:
-        assert np.array_equal(
-            base.reverse_skyline(q), sharded.reverse_skyline(q)
-        )
-        everyone = list(range(points.shape[0]))
-        assert np.array_equal(
-            base.membership_mask(everyone, q),
-            sharded.membership_mask(everyone, q),
-        )
-
-
-def test_float32_safe_region_falls_back_to_sequential():
-    """The sharded SR fold refuses float32; fixed mode falls back to the
-    sequential fold, so the safe region stays exact."""
-    rng = np.random.default_rng(6)
-    points = dyadic(rng.random((30, 2)))
-    base = WhyNotEngine(
-        points,
-        backend="scan",
-        config=WhyNotConfig(planner="fixed"),
-        bounds=BOUNDS,
-    )
-    sharded = WhyNotEngine(
-        points,
-        backend="scan",
-        config=_sharded_config(3, shard_dtype="float32"),
-        bounds=BOUNDS,
-    )
-    q = QUERIES[0]
-    sharded.safe_region(q)
-    assert sharded.last_plan is not None
-    assert base.safe_region(q).area() == sharded.safe_region(q).area()

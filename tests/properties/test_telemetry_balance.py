@@ -42,7 +42,7 @@ def _sharded_engine(points, shards: int, backend: str = "serial"):
         backend="scan",
         config=WhyNotConfig(
             trace=True,
-            planner="fixed",
+            planner="kernel",
             shards=shards,
             shard_backend=backend,
         ),
@@ -54,7 +54,7 @@ def _serial_engine(points):
     return WhyNotEngine(
         points,
         backend="scan",
-        config=WhyNotConfig(trace=True, planner="fixed"),
+        config=WhyNotConfig(trace=True, planner="kernel"),
         bounds=BOUNDS,
     )
 

@@ -113,19 +113,6 @@ class TestBitIdentity:
         )
         np.testing.assert_array_equal(with_bounds, inline)
 
-    def test_float32_matches_plain_float32(self):
-        rng = np.random.default_rng(5)
-        products = rng.random((33, 2))
-        customers = rng.random((27, 2))
-        q = np.array([0.5, 0.5])
-        plain = batch_window_membership(
-            products, customers, q, dtype=np.float32
-        )
-        pruned = batch_window_membership_pruned(
-            products, customers, q, tile_size=8, dtype=np.float32
-        )
-        np.testing.assert_array_equal(plain, pruned)
-
     def test_empty_inputs(self):
         q = np.array([0.5, 0.5])
         none = np.empty((0, 2))

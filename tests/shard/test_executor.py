@@ -143,21 +143,6 @@ class TestSafeRegionFold:
         assert np.array_equal(got_hi, ref_hi)
         assert info["members"] == rsl.size
 
-    def test_fold_refuses_float32(self, data):
-        products, customers, _ = data
-        with ShardExecutor(
-            products, customers, shards=2, backend="serial", dtype="float32"
-        ) as ex:
-            with pytest.raises(InvalidParameterError):
-                ex.safe_region_fold(
-                    np.array([0]),
-                    np.zeros(2),
-                    np.ones(2),
-                    0,
-                    self_exclude=False,
-                    chunk_size=16,
-                )
-
     def test_fold_with_no_members_is_universe(self, data):
         products, customers, _ = data
         with ShardExecutor(products, customers, shards=2, backend="serial") as ex:
@@ -183,8 +168,6 @@ class TestValidationAndLifecycle:
             ShardExecutor(products, customers, shards=2, backend="thread")
         with pytest.raises(InvalidParameterError):
             ShardExecutor(products, customers, shards=2, partition="zorder")
-        with pytest.raises(InvalidParameterError):
-            ShardExecutor(products, customers, shards=2, dtype="float16")
 
     def test_close_is_idempotent(self, data):
         products, customers, q = data
@@ -194,15 +177,3 @@ class TestValidationAndLifecycle:
         ex.close()
         with pytest.raises(InvalidParameterError):
             ex._ensure_pool()
-
-    def test_float32_results_close_to_float64(self, data):
-        products, customers, q = data
-        ref = batch_window_membership(products, customers, q, POLICY)
-        with ShardExecutor(
-            products, customers, shards=2, backend="serial", dtype="float32"
-        ) as ex:
-            mask = ex.membership_points(customers, q, POLICY)
-        # Random data sits far from window boundaries, so float32
-        # rounding flips nothing here; boundary-heavy data may differ
-        # within float32 eps (documented tolerance).
-        assert np.mean(mask == ref) > 0.95

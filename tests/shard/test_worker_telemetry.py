@@ -189,7 +189,7 @@ class TestEngineLifecycle:
             backend="scan",
             config=WhyNotConfig(
                 trace=True,
-                planner="fixed",
+                planner="kernel",
                 shards=2,
                 shard_backend=backend,
             ),
@@ -263,7 +263,7 @@ class TestEngineLifecycle:
             config=WhyNotConfig(
                 trace=True,
                 journal=True,
-                planner="fixed",
+                planner="kernel",
                 shards=2,
                 shard_backend="serial",
             ),

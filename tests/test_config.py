@@ -37,9 +37,11 @@ class TestWhyNotConfig:
 
     def test_planner_modes(self):
         assert WhyNotConfig().planner == "auto"
-        WhyNotConfig(planner="fixed")
-        with pytest.raises(ValueError, match="planner"):
-            WhyNotConfig(planner="bogus")
+        for pin in ("index", "kernel", "pruned"):
+            assert WhyNotConfig(planner=pin).planner == pin
+        for bogus in ("bogus", "fixed", "sharded"):
+            with pytest.raises(ValueError, match="planner"):
+                WhyNotConfig(planner=bogus)
 
     def test_n_jobs_validated(self):
         WhyNotConfig(n_jobs=1)
@@ -60,12 +62,12 @@ class TestWhyNotConfig:
         with pytest.raises(ValueError):
             WhyNotConfig(kernel_block_size=-4)
 
-    def test_prune_modes(self):
-        assert WhyNotConfig().prune == "auto"
-        WhyNotConfig(prune="off")
-        WhyNotConfig(prune="always")
-        with pytest.raises(ValueError, match="prune"):
-            WhyNotConfig(prune="bogus")
+    def test_planner_pin_replaces_selection_fields(self):
+        """``planner`` is the only arm-selection setting."""
+        for field in ("batch_kernels", "prune", "shard_dtype"):
+            assert not hasattr(WhyNotConfig(), field)
+            with pytest.raises(TypeError):
+                WhyNotConfig(**{field: None})
 
     def test_prune_tile_size_validated(self):
         assert WhyNotConfig().prune_tile_size is None

@@ -1,10 +1,9 @@
-"""Import-layering contract, mirrored from the CI walk.
+"""Import-layering contract.
 
 Source-level scan (so even lazy/function-local imports are caught) of
 the library layers that must stay below the planner and the
-presentation layers.  The CI job runs the same walk out-of-process;
-keeping a tier-1 replica means a violation fails the fast local suite,
-not just the workflow.
+presentation layers.  It runs inside tier-1, so a violation fails the
+fast local suite and CI alike.
 """
 
 import pathlib
