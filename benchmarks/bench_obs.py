@@ -13,7 +13,7 @@ records after the fact.  Both must stay invisible on the serving path:
   :class:`~repro.shard.executor.ShardExecutor` with worker telemetry
   off vs on (local counters + snapshot merge per task), plus a
   serial-vs-process equality fingerprint of the merged worker totals —
-  the balance invariant the ``obs`` CLI experiment asserts.
+  the balance invariant the ``audit`` CLI experiment asserts.
 
 Entry points::
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.config import WhyNotConfig
 from repro.core.engine import WhyNotEngine
+from repro.experiments.audit import canonical_boxes
 from repro.geometry.box import Box
 from repro.kernels.parallel import available_cpus
 
@@ -67,29 +68,6 @@ def _engine(points: np.ndarray, **config_kwargs) -> WhyNotEngine:
     )
 
 
-def _canonical_boxes(safe_region):
-    """The maximal box set, lexsorted — fold-order invariant, unlike the
-    raw simplify output which can keep redundant zero-volume boxes."""
-    lo = np.asarray(safe_region.region.lo)
-    hi = np.asarray(safe_region.region.hi)
-    keep = np.ones(lo.shape[0], dtype=bool)
-    for i in range(lo.shape[0]):
-        if not keep[i]:
-            continue
-        for j in range(lo.shape[0]):
-            if i == j or not keep[j]:
-                continue
-            if np.all(lo[j] >= lo[i]) and np.all(hi[j] <= hi[i]):
-                same = np.array_equal(lo[j], lo[i]) and np.array_equal(
-                    hi[j], hi[i]
-                )
-                if not same or j > i:
-                    keep[j] = False
-    lo, hi = lo[keep], hi[keep]
-    order = np.lexsort(np.hstack([lo, hi]).T[::-1])
-    return lo[order], hi[order]
-
-
 def _workload(engine: WhyNotEngine, probes: np.ndarray, mask_rows: int):
     """One pass over the sharded surfaces; returns the comparison payload."""
     out = []
@@ -98,7 +76,7 @@ def _workload(engine: WhyNotEngine, probes: np.ndarray, mask_rows: int):
         rsl = engine.reverse_skyline(q)
         mask = engine.membership_mask(everyone, q)
         sr = engine.safe_region(q)
-        lo, hi = _canonical_boxes(sr)
+        lo, hi = canonical_boxes(sr)
         out.append(
             (rsl.tolist(), mask.tolist(), lo.tolist(), hi.tolist(), sr.area())
         )

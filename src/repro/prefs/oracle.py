@@ -2,7 +2,7 @@
 
 Deliberately naive reference implementations of the weighted query
 surfaces — nested loops, no index, no kernels, no pruning — used by the
-property suite and the CLI ``weighted`` experiment to check the
+property suite and the CLI ``audit`` experiment to check the
 production paths exactly.  Every function takes a raw weight vector
 (``None`` = unit weights) and applies the support-projection semantics
 documented in :mod:`repro.prefs`: zero-weight dimensions are dropped

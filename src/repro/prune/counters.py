@@ -5,7 +5,7 @@ the engine creates one bundle when tracing is on, attaches it to the
 metrics registry under ``prune.*`` names, and passes it into every
 pruned kernel call; ``None`` keeps the hot loops counter-free.
 
-The load-bearing invariant (asserted by the tests, the ``prune`` CLI
+The load-bearing invariant (asserted by the tests, the ``audit`` CLI
 experiment and the benchmark) is the pair balance::
 
     pairs_skipped + pairs_blocked + pairs_refined == pairs_total

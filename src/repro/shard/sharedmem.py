@@ -69,15 +69,16 @@ def attach_matrix(
 
 
 class SharedMatrix:
-    """One 2-D matrix published into a shared-memory block (parent side).
+    """One 2-D float64 matrix published into a shared-memory block (parent
+    side).
 
     ``close()`` is idempotent and also runs from a GC finalizer, so an
     executor dropped without explicit cleanup still unlinks its
     segments instead of leaking ``/dev/shm`` files.
     """
 
-    def __init__(self, matrix: np.ndarray, dtype: str | np.dtype = np.float64):
-        arr = np.ascontiguousarray(matrix, dtype=np.dtype(dtype))
+    def __init__(self, matrix: np.ndarray):
+        arr = np.ascontiguousarray(matrix, dtype=np.float64)
         if arr.ndim != 2:
             raise InvalidParameterError(
                 f"shared matrix must be 2-D, got shape {arr.shape}"

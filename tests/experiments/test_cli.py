@@ -1,7 +1,12 @@
 """Tests for the CLI harness."""
 
+import io
+import multiprocessing
+from contextlib import redirect_stdout
+
 import pytest
 
+from repro.experiments import audit
 from repro.experiments.cli import build_parser, main
 
 
@@ -23,6 +28,12 @@ class TestParser:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table99"])
+
+    def test_audit_replaces_the_divergence_experiments(self):
+        assert build_parser().parse_args(["audit"]).experiment == "audit"
+        for retired in ("updates", "shard", "prune", "obs", "serve", "weighted"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([retired])
 
 
 class TestMain:
@@ -208,24 +219,82 @@ class TestExplainExperiment:
         assert "backend=rtree" in capsys.readouterr().out
 
 
-class TestUpdates:
-    def test_updates_passes_and_exits_zero(self, capsys):
-        code = main(["updates", "--sizes", "150", "--seed", "3"])
+class TestAudit:
+    @pytest.fixture(scope="class")
+    def audit_run(self):
+        """One tiny audit run shared by the class: exit code, output,
+        every engine the audit opened and the child processes it left."""
+        opened = []
+
+        class TrackedEngine(audit.WhyNotEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+            mp.setattr(audit, "WhyNotEngine", TrackedEngine)
+            code = main(["audit", "--sizes", "120", "--seed", "3"])
+        left = [
+            p for p in multiprocessing.active_children() if p.pid not in before
+        ]
+        return code, out.getvalue(), opened, left
+
+    def test_audit_passes_and_exits_zero(self, audit_run):
+        code, out, _, _ = audit_run
         assert code == 0
-        out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert "all checks passed" in out
         assert "scoped_considered == evicted_scoped + retained_scoped" in out
 
-    def test_updates_covers_both_conventions(self, capsys):
-        main(["updates", "--sizes", "150", "--seed", "3"])
-        out = capsys.readouterr().out
-        assert "monochromatic" in out
-        assert "bichromatic" in out
+    def test_audit_covers_both_conventions(self, audit_run):
+        _, out, _, _ = audit_run
+        for case in ("mono:", "bi:", "clustered:"):
+            assert case in out
+        assert "served all" in out
+        assert "== oracle" in out
 
-    def test_updates_rtree_backend(self, capsys):
+    def test_audit_closes_every_engine_and_pool(self, audit_run):
+        _, _, opened, left = audit_run
+        # Per case 9 engine arms and a rebuilt engine in each of 4
+        # rounds, plus the served engine.
+        assert len(opened) == 3 * (9 + 4) + 1
+        assert all(engine.closed for engine in opened)
+        assert left == []
+
+    def test_audit_rtree_backend(self, capsys, monkeypatch):
+        real_cases = audit._cases
+        monkeypatch.setattr(
+            audit, "_cases", lambda size, seed: real_cases(size, seed)[:1]
+        )
         code = main(
-            ["updates", "--sizes", "120", "--seed", "3", "--backend", "rtree"]
+            ["audit", "--sizes", "120", "--seed", "3", "--backend", "rtree"]
         )
         assert code == 0
         assert "[FAIL]" not in capsys.readouterr().out
+
+    def test_planted_divergence_fails_naming_arm_and_surface(
+        self, capsys, monkeypatch
+    ):
+        real_answer, real_cases = audit.canonical_answer, audit._cases
+
+        def flip_one_bit(engine, q, members, why_nots, weights=None):
+            answer = real_answer(engine, q, members, why_nots, weights)
+            if engine.config.planner == "kernel" and engine.config.shards == 1:
+                mask = list(answer["membership"])
+                mask[0] = not mask[0]
+                answer["membership"] = mask
+            return answer
+
+        monkeypatch.setattr(audit, "canonical_answer", flip_one_bit)
+        monkeypatch.setattr(
+            audit, "_cases", lambda size, seed: real_cases(size, seed)[:1]
+        )
+        code = main(["audit", "--sizes", "120", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        failures = [line for line in out.splitlines() if "[FAIL]" in line]
+        assert len(failures) == 1
+        assert "kernel/1" in failures[0]
+        assert "membership" in failures[0]

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Box, WhyNotConfig, WhyNotEngine
+from repro.experiments.audit import canonical_boxes
 
 BOUNDS = Box(np.zeros(2), np.ones(2))
 BACKENDS = ["scan", "grid", "kdtree", "rtree"]
@@ -45,37 +46,6 @@ def _sharded_config(shards: int, pin: str = "kernel", **overrides):
     )
 
 
-def _canon_region(safe_region):
-    """The canonical maximal box set of a region, lexsorted.
-
-    ``simplify_arrays`` only drops a box contained in an *earlier* box
-    of its volume-descending sort, so zero-volume boxes (which all tie)
-    can survive despite being contained in a sibling — and which
-    redundant ones survive depends on fold order.  The canonical form
-    (drop every box contained in another, dedupe equals) is fold-order
-    invariant, and the sharded/sequential float64 bit-identity contract
-    is stated on it."""
-    lo = np.asarray(safe_region.region.lo, dtype=np.float64)
-    hi = np.asarray(safe_region.region.hi, dtype=np.float64)
-    k = lo.shape[0]
-    keep = np.ones(k, dtype=bool)
-    for i in range(k):
-        if not keep[i]:
-            continue
-        for j in range(k):
-            if i == j or not keep[j]:
-                continue
-            if np.all(lo[j] >= lo[i]) and np.all(hi[j] <= hi[i]):
-                equal = np.array_equal(lo[j], lo[i]) and np.array_equal(
-                    hi[j], hi[i]
-                )
-                if not equal or j > i:
-                    keep[j] = False
-    lo, hi = lo[keep], hi[keep]
-    order = np.lexsort(np.hstack([lo, hi]).T[::-1])
-    return lo[order], hi[order]
-
-
 def _assert_engines_agree(base: WhyNotEngine, sharded: WhyNotEngine):
     for q in QUERIES:
         assert np.array_equal(
@@ -88,8 +58,8 @@ def _assert_engines_agree(base: WhyNotEngine, sharded: WhyNotEngine):
         )
         sr_base = base.safe_region(q)
         sr_sharded = sharded.safe_region(q)
-        base_lo, base_hi = _canon_region(sr_base)
-        shard_lo, shard_hi = _canon_region(sr_sharded)
+        base_lo, base_hi = canonical_boxes(sr_base)
+        shard_lo, shard_hi = canonical_boxes(sr_sharded)
         assert np.array_equal(base_lo, shard_lo)
         assert np.array_equal(base_hi, shard_hi)
         assert sr_base.area() == sr_sharded.area()

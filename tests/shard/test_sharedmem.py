@@ -20,17 +20,6 @@ class TestSharedMatrix:
                 del view
                 handle.close()
 
-    def test_roundtrip_float32(self):
-        data = np.random.default_rng(1).random((10, 2))
-        with SharedMatrix(data, dtype=np.float32) as shared:
-            assert shared.spec.dtype == np.dtype(np.float32).str
-            view, handle = attach_matrix(shared.spec)
-            try:
-                assert np.array_equal(view, data.astype(np.float32))
-            finally:
-                del view
-                handle.close()
-
     def test_spec_is_picklable_dataclass(self):
         import pickle
 
