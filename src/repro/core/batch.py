@@ -10,6 +10,13 @@ Two conveniences the paper motivates but leaves to the reader:
   recomputed to answer another why-not question for the same query
   point"; the batch path exploits exactly that reuse (the engine caches
   ``SR(q)`` per query).
+
+:func:`answer_batch` is the batched answer path behind the
+``batch-prefilter`` operator: one ``Λ(c_t, q)`` window query per
+question, shared by its explanation and the MWP, MQP and MWQ candidate
+stages, and one kernel verification pass over every candidate of every
+question (the batched filter–refinement of "Inverse Queries for
+Multidimensional Spaces").
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core._verify import combine, verify_pending
 from repro.core.answer import (
     Candidate,
     Explanation,
@@ -26,11 +34,23 @@ from repro.core.answer import (
     MWQCase,
     MWQResult,
 )
+from repro.core.explain import explanation_of
+from repro.core.mqp import mqp_stage
+from repro.core.mwp import mwp_stage
+from repro.core.mwq import mwq_stage
+from repro.skyline.window import lambda_set
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import WhyNotEngine
+    from repro.core.safe_region import SafeRegion
+    from repro.prefs.model import PreferenceModel
 
-__all__ = ["WhyNotAnswer", "answer_why_not", "answer_why_not_batch"]
+__all__ = [
+    "WhyNotAnswer",
+    "answer_batch",
+    "answer_why_not",
+    "answer_why_not_batch",
+]
 
 
 @dataclass
@@ -109,16 +129,15 @@ def answer_why_not(
 
 
 def _member_answer(
-    engine: WhyNotEngine, why_not: "int | Sequence[float]", q: np.ndarray
+    why_not: "int | Sequence[float]", point: np.ndarray, q: np.ndarray, dim: int
 ) -> WhyNotAnswer:
-    """The answer for a customer already in ``RSL(q)``, built without
-    re-running the per-question window queries.
+    """The answer for a customer (at ``point``) already in ``RSL(q)``,
+    built without running the candidate stages.
 
     Replicates exactly what the full pipeline returns on an empty ``Λ``:
     a member explanation, no-op MWP/MQP results whose single candidate is
     the unmoved point at zero cost, and the ``ALREADY_MEMBER`` MWQ case.
     """
-    point, _ = engine._resolve_customer(why_not)
     empty = np.empty(0, dtype=np.int64)
     return WhyNotAnswer(
         why_not=why_not,
@@ -127,7 +146,7 @@ def _member_answer(
             why_not=point,
             query=q,
             culprit_positions=empty,
-            culprits=np.empty((0, engine.dim)),
+            culprits=np.empty((0, dim)),
         ),
         mwp=ModificationResult(
             method="MWP",
@@ -152,6 +171,71 @@ def _member_answer(
             query_candidates=[Candidate(q, cost=0.0, verified=True)],
         ),
     )
+
+
+def answer_batch(
+    engine: WhyNotEngine,
+    why_nots: Sequence["int | Sequence[float]"],
+    q: np.ndarray,
+    members: np.ndarray,
+    region: SafeRegion,
+    prefs: PreferenceModel,
+) -> list[WhyNotAnswer]:
+    """Answer every question of a batch, byte-identical to running
+    :func:`answer_why_not` on each.
+
+    ``members`` flags the questions already in ``RSL(q)`` (they get the
+    member answer), ``region`` is the batch's shared ``SR(q)`` and
+    ``prefs`` the request's preference model.  Each other question pays
+    one ``Λ(c_t, q)`` window query, handed to its explanation and to the
+    MWP, MQP and MWQ candidate stages; the candidates of all questions
+    (MWP points, MQP refined queries, MWQ overlap points and the MWP
+    points of every MWQ corner) are verified together in one
+    :func:`~repro.kernels.membership.batch_verify_membership` pass.
+    """
+    index, config, dim = engine.index, engine.config, engine.dim
+    pw = prefs.weight_array(dim)
+    beta = prefs.cost_weights(engine.beta)
+    alpha = prefs.cost_weights(engine.alpha)
+    bounds = engine._geometry_bounds(q)
+    answers: list = [None] * len(why_nots)
+    slots, stages = [], []
+    for i, why_not in enumerate(why_nots):
+        c_t, exclude = engine._resolve_customer(why_not)
+        lam = (
+            np.empty(0, dtype=np.int64)
+            if members[i]
+            else lambda_set(index, c_t, q, config.policy, exclude, weights=pw)
+        )
+        if lam.size == 0:
+            answers[i] = _member_answer(why_not, c_t, q, dim)
+            continue
+        explanation = explanation_of(index, c_t, q, lam)
+        norm = engine.normalizer
+        ddr = engine._cached_ddr(why_not, prefs, bounds)
+        stages.append(
+            combine(
+                [
+                    mwp_stage(index, c_t, q, config, beta, norm, exclude, pw, lam),
+                    mqp_stage(index, c_t, q, config, alpha, norm, exclude, pw, lam),
+                    mwq_stage(
+                        index, c_t, q, region, bounds, config, beta, norm,
+                        exclude, ddr, pw, lam,
+                    ),
+                ],
+                lambda results, why_not=why_not, explanation=explanation: (
+                    WhyNotAnswer(why_not, q, explanation, *results)
+                ),
+            )
+        )
+        slots.append(i)
+    finished = verify_pending(
+        index, stages, config.policy, config.verify, pw,
+        counters=engine._kernel_counters,
+    )
+    for i, answer in zip(slots, finished):
+        answers[i] = answer
+    return answers
 
 
 def answer_why_not_batch(

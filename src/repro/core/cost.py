@@ -16,7 +16,12 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.geometry.point import as_point, as_points
 
-__all__ = ["MinMaxNormalizer", "movement_cost"]
+__all__ = [
+    "MinMaxNormalizer",
+    "cost_weight_vector",
+    "movement_cost",
+    "movement_costs",
+]
 
 
 class MinMaxNormalizer:
@@ -95,3 +100,33 @@ def movement_cost(
             f"weights must have length {pa.size}, got {w.size}"
         )
     return float(np.sum(w * np.abs(pa - pb)))
+
+
+def movement_costs(
+    anchor: np.ndarray,
+    points: np.ndarray,
+    weights: np.ndarray,
+    normalizer: MinMaxNormalizer | None = None,
+) -> list[float]:
+    """:func:`movement_cost` from ``anchor`` to every row of ``points``,
+    in one vectorised pass over the ``(k, d)`` candidate matrix.
+
+    Bit-identical to the per-row call: the element-wise arithmetic is the
+    same, and NumPy sums each contiguous row the way it sums a 1-D
+    vector.  The inputs are the validated float64 arrays of the
+    algorithms' candidate stages, so nothing is re-checked here.
+    """
+    if normalizer is not None:
+        anchor = normalizer.normalize(anchor)
+        points = normalizer.normalize(points)
+    return np.sum(weights * np.abs(anchor - points), axis=1).tolist()
+
+
+def cost_weight_vector(
+    weights: "Sequence[float] | None", dim: int
+) -> np.ndarray:
+    """The float64 cost weights of Eqns. 9/11: equal weights summing to
+    one when ``weights`` is ``None``."""
+    if weights is None:
+        return np.full(dim, 1.0 / dim)
+    return np.asarray(weights, dtype=np.float64)

@@ -49,6 +49,7 @@ from repro.exceptions import (
 )
 from repro.geometry.box import Box
 from repro.geometry.point import as_point, as_points
+from repro.geometry.region import BoxRegion
 from repro.index import make_index
 from repro.plan.cache import PlanCache, config_fingerprint
 from repro.plan.cost import DatasetStats
@@ -345,6 +346,25 @@ class WhyNotEngine(EngineMutationMixin):
             exclude = (position,) if self.monochromatic else ()
             return point, exclude
         return as_point(why_not, dim=self.dim), ()
+
+    def _cached_ddr(
+        self, why_not: "int | Sequence[float]", prefs: PreferenceModel, bounds: Box
+    ) -> "BoxRegion | None":
+        """The cached anti-dominance region of a position-addressed
+        why-not customer, or ``None`` (Algorithm 4 then builds it).
+
+        Position-addressed customers share the DSL cache's staircase
+        region (its self-exclusion convention matches
+        :meth:`_resolve_customer`'s).  Valid for every *full-support*
+        preference — the region depends only on the weight support, not
+        the magnitudes."""
+        if (
+            self.dsl_cache is not None
+            and prefs.full_support
+            and isinstance(why_not, (int, np.integer))
+        ):
+            return self.dsl_cache.region(int(why_not), bounds)
+        return None
 
     def _geometry_bounds(self, query: np.ndarray) -> Box:
         """Universe box guaranteed to contain the query point."""

@@ -59,7 +59,7 @@ def install_observability(engine: "WhyNotEngine") -> None:
     # through the hot loops when tracing: the disabled path must stay
     # counter-free.  The pair-balance invariant (pairs_skipped +
     # pairs_blocked + pairs_refined == pairs_total) is asserted over the
-    # prune counters by the tests and the `prune` CLI experiment.
+    # prune counters by the tests and the `audit` CLI experiment.
     engine._kernel_counters = None
     engine._prune_counters = None
     if engine.config.trace:

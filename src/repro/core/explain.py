@@ -19,7 +19,7 @@ from repro.geometry.point import as_point
 from repro.index.base import SpatialIndex
 from repro.skyline.window import lambda_set
 
-__all__ = ["explain_why_not"]
+__all__ = ["explain_why_not", "explanation_of"]
 
 
 def explain_why_not(
@@ -51,7 +51,15 @@ def explain_why_not(
     """
     c = as_point(why_not, dim=index.dim)
     q = as_point(query, dim=index.dim)
-    positions = lambda_set(index, c, q, policy, exclude, weights)
+    return explanation_of(
+        index, c, q, lambda_set(index, c, q, policy, exclude, weights)
+    )
+
+
+def explanation_of(
+    index: SpatialIndex, c: np.ndarray, q: np.ndarray, positions: np.ndarray
+) -> Explanation:
+    """The explanation whose ``Λ`` is ``positions``."""
     return Explanation(
         why_not=c,
         query=q,

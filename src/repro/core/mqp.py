@@ -24,52 +24,49 @@ import numpy as np
 
 from repro.config import WhyNotConfig
 from repro.core._staircase import staircase_distance_candidates
-from repro.core._verify import verify_membership
+from repro.core._verify import Pending, flagged_candidates, verify_pending
 from repro.core.answer import Candidate, ModificationResult
-from repro.core.cost import MinMaxNormalizer
+from repro.core.cost import MinMaxNormalizer, cost_weight_vector, movement_costs
 from repro.geometry.point import as_point
-from repro.geometry.transform import to_query_space
 from repro.index.base import SpatialIndex
 from repro.prefs.model import support_dims
 from repro.skyline.algorithms import skyline_indices
 from repro.skyline.window import lambda_set
 
-__all__ = ["modify_query_point", "mqp_candidate_points"]
+__all__ = ["modify_query_point", "mqp_candidate_points", "mqp_stage"]
 
 
 def mqp_candidate_points(
     index: SpatialIndex,
-    why_not: Sequence[float],
-    query: Sequence[float],
+    c_t: np.ndarray,
+    q: np.ndarray,
     config: WhyNotConfig,
     exclude: Sequence[int] = (),
     pref_weights: "np.ndarray | None" = None,
+    lam: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw Algorithm-2 computation.
+    """Raw Algorithm-2 computation over validated float64 points.
 
     Returns ``(candidates, lambda_positions, frontier_positions)``; the
-    candidate matrix is empty when ``c_t`` is already a member.
+    candidate matrix is empty when ``c_t`` is already a member.  ``lam``
+    is ``Λ(c_t, q)`` when the caller already holds it.
 
     ``pref_weights`` are the preference weights of :mod:`repro.prefs`;
     the refined query keeps its original coordinate in every dropped
     dimension.
     """
-    c_t = as_point(why_not, dim=index.dim)
-    q = as_point(query, dim=index.dim)
-    pw = (
-        None
-        if pref_weights is None
-        else np.asarray(pref_weights, dtype=np.float64)
-    )
-    dims = support_dims(pw, index.dim)
-    lam = lambda_set(index, c_t, q, config.policy, exclude, weights=pw)
+    dims = support_dims(pref_weights, index.dim)
+    if lam is None:
+        lam = lambda_set(
+            index, c_t, q, config.policy, exclude, weights=pref_weights
+        )
     if lam.size == 0:
         return np.empty((0, index.dim)), lam, lam
 
     # F = Λ ∩ DSL(c_t): minimal distance vectors from c_t within Λ.
     lam_points = index.points[lam]
-    from_ct = to_query_space(lam_points, c_t)
-    frontier_local = skyline_indices(from_ct, weights=pw)
+    from_ct = np.abs(lam_points - c_t)
+    frontier_local = skyline_indices(from_ct, weights=pref_weights)
     frontier = lam[frontier_local]
 
     thresholds = from_ct[frontier_local]
@@ -85,6 +82,44 @@ def mqp_candidate_points(
     direction = np.sign(q - c_t)
     candidates = c_t + direction * vectors
     return candidates, lam, frontier
+
+
+def mqp_stage(
+    index: SpatialIndex,
+    c_t: np.ndarray,
+    q: np.ndarray,
+    config: WhyNotConfig,
+    weights: np.ndarray,
+    normalizer: MinMaxNormalizer | None,
+    exclude: Sequence[int] = (),
+    pref_weights: "np.ndarray | None" = None,
+    lam: "np.ndarray | None" = None,
+) -> Pending:
+    """Algorithm 2 up to verification: the refined queries with their
+    Eqn.-9 movement costs, and one verification row per candidate
+    (``q*`` must enter ``DSL(c_t)``: the window of ``(c_t, q*)`` must be
+    empty).  Inputs are validated float64 arrays."""
+    points, lam, frontier = mqp_candidate_points(
+        index, c_t, q, config, exclude, pref_weights, lam
+    )
+    result = ModificationResult(
+        method="MQP",
+        why_not=c_t,
+        query=q,
+        lambda_positions=lam,
+        frontier_positions=frontier,
+    )
+    if lam.size == 0:
+        result.candidates.append(Candidate(q, cost=0.0, verified=True))
+        return Pending.done(result, index.dim)
+    costs = movement_costs(q, points, weights, normalizer)
+
+    def finish(flags: "np.ndarray | None") -> ModificationResult:
+        result.candidates.extend(flagged_candidates(points, costs, flags))
+        result.candidates.sort(key=lambda c: c.cost)
+        return result
+
+    return Pending.rows(c_t, points, exclude, finish)
 
 
 def modify_query_point(
@@ -110,36 +145,10 @@ def modify_query_point(
     config = config or WhyNotConfig()
     c_t = as_point(why_not, dim=index.dim)
     q = as_point(query, dim=index.dim)
-    points, lam, frontier = mqp_candidate_points(
-        index, c_t, q, config, exclude, pref_weights=pref_weights
+    pw = None if pref_weights is None else np.asarray(pref_weights, dtype=np.float64)
+    stage = mqp_stage(
+        index, c_t, q, config, cost_weight_vector(weights, index.dim),
+        normalizer, exclude, pw,
     )
-    result = ModificationResult(
-        method="MQP",
-        why_not=c_t,
-        query=q,
-        lambda_positions=lam,
-        frontier_positions=frontier,
-    )
-    if lam.size == 0:
-        result.candidates.append(Candidate(q, cost=0.0, verified=True))
-        return result
-
-    w = np.asarray(
-        weights if weights is not None else np.full(index.dim, 1.0 / index.dim),
-        dtype=np.float64,
-    )
-    for point in points:
-        if normalizer is not None:
-            cost = normalizer.cost(q, point, w)
-        else:
-            cost = float(np.sum(w * np.abs(q - point)))
-        verified: bool | None = None
-        if config.verify:
-            # q* must enter DSL(c_t): the window of (c_t, q*) must be empty.
-            verified = verify_membership(
-                index, c_t, point, config.policy, exclude,
-                weights=pref_weights,
-            )
-        result.candidates.append(Candidate(point, cost=cost, verified=verified))
-    result.candidates.sort(key=lambda c: c.cost)
+    (result,) = verify_pending(index, [stage], config.policy, config.verify, pw)
     return result

@@ -22,20 +22,19 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import WhyNotConfig
-from repro.core._verify import verify_membership
+from repro.core._verify import Pending, combine, flagged_candidates, verify_pending
 from repro.core.answer import Candidate, MWQCase, MWQResult
-from repro.core.cost import MinMaxNormalizer
-from repro.core.mwp import modify_why_not_point
+from repro.core.cost import MinMaxNormalizer, cost_weight_vector
+from repro.core.mwp import mwp_stage
 from repro.core.safe_region import SafeRegion, anti_dominance_region
 from repro.geometry.box import Box
 from repro.geometry.point import as_point
 from repro.geometry.region import BoxRegion
-from repro.geometry.transform import to_query_space
 from repro.index.base import SpatialIndex
 from repro.skyline.algorithms import skyline_indices
 from repro.skyline.window import lambda_set
 
-__all__ = ["modify_query_and_why_not_point"]
+__all__ = ["modify_query_and_why_not_point", "mwq_stage"]
 
 
 def modify_query_and_why_not_point(
@@ -71,7 +70,7 @@ def modify_query_and_why_not_point(
         absent).  Must have been built under the same ``pref_weights``.
     exclude:
         Product positions excluded from windows / skylines (monochromatic
-        self-exclusion of ``c_t``).
+        self-exclusion of ``c_t``); at most one.
     pref_weights:
         Preference weights (:mod:`repro.prefs`) shaping every dominance
         test; the ``safe_region`` must have been built under the same
@@ -80,72 +79,95 @@ def modify_query_and_why_not_point(
     config = config or WhyNotConfig()
     c_t = as_point(why_not, dim=index.dim)
     q = as_point(query, dim=index.dim)
-    pw = (
-        None
-        if pref_weights is None
-        else np.asarray(pref_weights, dtype=np.float64)
+    pw = None if pref_weights is None else np.asarray(pref_weights, dtype=np.float64)
+    stage = mwq_stage(
+        index, c_t, q, safe_region, bounds, config,
+        cost_weight_vector(weights, index.dim), normalizer, exclude,
+        ddr_why_not, pw,
     )
-    w = np.asarray(
-        weights if weights is not None else np.full(index.dim, 1.0 / index.dim),
-        dtype=np.float64,
-    )
+    (result,) = verify_pending(index, [stage], config.policy, config.verify, pw)
+    return result
 
-    lam = lambda_set(index, c_t, q, config.policy, exclude, weights=pw)
+
+def mwq_stage(
+    index: SpatialIndex,
+    c_t: np.ndarray,
+    q: np.ndarray,
+    safe_region: SafeRegion,
+    bounds: Box,
+    config: WhyNotConfig,
+    weights: np.ndarray,
+    normalizer: MinMaxNormalizer | None,
+    exclude: Sequence[int] = (),
+    ddr_why_not: BoxRegion | None = None,
+    pref_weights: "np.ndarray | None" = None,
+    lam: "np.ndarray | None" = None,
+) -> Pending:
+    """Algorithm 4 up to verification, over validated float64 points.
+
+    Case C1 verifies each overlap point as a refined query of ``c_t``;
+    case C2 verifies the Algorithm-1 candidates of every corner.  ``lam``
+    is ``Λ(c_t, q)`` when the caller already holds it."""
+    if lam is None:
+        lam = lambda_set(
+            index, c_t, q, config.policy, exclude, weights=pref_weights
+        )
     if lam.size == 0:
-        return MWQResult(
-            case=MWQCase.ALREADY_MEMBER,
-            why_not=c_t,
-            query=q,
-            query_candidates=[Candidate(q, cost=0.0, verified=True)],
+        return Pending.done(
+            MWQResult(
+                case=MWQCase.ALREADY_MEMBER,
+                why_not=c_t,
+                query=q,
+                query_candidates=[Candidate(q, cost=0.0, verified=True)],
+            ),
+            index.dim,
         )
 
     if ddr_why_not is None:
         ddr_why_not = anti_dominance_region(
             index, c_t, bounds, sort_dim=config.sort_dim, exclude=exclude,
-            weights=pw,
+            weights=pref_weights,
         )
     overlap = safe_region.region.intersect(ddr_why_not)
 
     if not overlap.is_empty():
-        return _case_overlap(index, c_t, q, overlap, config, exclude, pw)
+        return _case_overlap(c_t, q, overlap, exclude)
     return _case_disjoint(
-        index, c_t, q, safe_region, config, w, normalizer, exclude, pw
+        index, c_t, q, safe_region, config, weights, normalizer, exclude,
+        pref_weights,
     )
 
 
 def _case_overlap(
-    index: SpatialIndex,
     c_t: np.ndarray,
     q: np.ndarray,
     overlap: BoxRegion,
-    config: WhyNotConfig,
     exclude: Sequence[int],
-    pref_weights: np.ndarray | None = None,
-) -> MWQResult:
+) -> Pending:
     """Case C1: pick the nearest point of each overlap rectangle to ``q``
-    (steps 1-6 of Algorithm 4); cost is zero by Eqn. (10)."""
+    (steps 1-6 of Algorithm 4); cost is zero by Eqn. (10).  Each point
+    must admit ``c_t`` as a refined query."""
     seen: set[bytes] = set()
-    candidates: list[Candidate] = []
+    points: list[np.ndarray] = []
     for box in overlap:
         point = box.nearest_point_to(q)
         key = point.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        verified: bool | None = None
-        if config.verify:
-            verified = verify_membership(
-                index, c_t, point, config.policy, exclude,
-                weights=pref_weights,
-            )
-        candidates.append(Candidate(point, cost=0.0, verified=verified))
-    candidates.sort(key=lambda cand: float(np.sum(np.abs(cand.point - q))))
-    return MWQResult(
-        case=MWQCase.OVERLAP,
-        why_not=c_t,
-        query=q,
-        query_candidates=candidates,
-    )
+        if key not in seen:
+            seen.add(key)
+            points.append(point)
+    matrix = np.array(points)
+
+    def finish(flags: "np.ndarray | None") -> MWQResult:
+        candidates = flagged_candidates(matrix, [0.0] * len(points), flags)
+        candidates.sort(key=lambda cand: float(np.sum(np.abs(cand.point - q))))
+        return MWQResult(
+            case=MWQCase.OVERLAP,
+            why_not=c_t,
+            query=q,
+            query_candidates=candidates,
+        )
+
+    return Pending.rows(c_t, matrix, exclude, finish)
 
 
 def _case_disjoint(
@@ -158,7 +180,7 @@ def _case_disjoint(
     normalizer: MinMaxNormalizer | None,
     exclude: Sequence[int],
     pref_weights: np.ndarray | None = None,
-) -> MWQResult:
+) -> Pending:
     """Case C2: move ``q`` to the safe-region corners nearest ``c_t`` and
     close the gap with Algorithm 1 (steps 7-20 of Algorithm 4)."""
     corners = safe_region.region.corner_points()
@@ -170,29 +192,31 @@ def _case_disjoint(
     )
     # Keep only corners non-dominated in the space transformed to c_t:
     # those are the extremal moves of q toward the why-not point.
-    transformed = to_query_space(corners, c_t)
+    transformed = np.abs(corners - c_t)
     minimal = skyline_indices(transformed, weights=pref_weights)
     corners = corners[minimal]
 
-    pairs: list[tuple[Candidate, Candidate]] = []
-    for corner in corners:
-        mwp = modify_why_not_point(
-            index,
-            c_t,
-            corner,
-            config=config,
-            weights=weights,
-            normalizer=normalizer,
-            exclude=exclude,
-            pref_weights=pref_weights,
+    def finish(mwps: list) -> MWQResult:
+        pairs: list[tuple[Candidate, Candidate]] = []
+        for corner, mwp in zip(corners, mwps):
+            query_candidate = Candidate(corner, cost=0.0, verified=None)
+            for candidate in mwp.candidates:
+                pairs.append((query_candidate, candidate))
+        pairs.sort(key=lambda p: (np.isnan(p[1].cost), p[1].cost))
+        return MWQResult(
+            case=MWQCase.DISJOINT,
+            why_not=c_t,
+            query=q,
+            pairs=pairs,
         )
-        query_candidate = Candidate(corner, cost=0.0, verified=None)
-        for candidate in mwp.candidates:
-            pairs.append((query_candidate, candidate))
-    pairs.sort(key=lambda p: (np.isnan(p[1].cost), p[1].cost))
-    return MWQResult(
-        case=MWQCase.DISJOINT,
-        why_not=c_t,
-        query=q,
-        pairs=pairs,
+
+    return combine(
+        [
+            mwp_stage(
+                index, c_t, corner, config, weights, normalizer, exclude,
+                pref_weights,
+            )
+            for corner in corners
+        ],
+        finish,
     )

@@ -26,6 +26,7 @@ from repro.config import WhyNotConfig
 from repro.core.batch import answer_why_not
 from repro.core.engine import WhyNotEngine
 from repro.core.safe_region import compute_safe_region_oracle
+from repro.geometry import region_array as _ra
 from repro.geometry.box import Box
 from repro.index.scan import ScanIndex
 from repro.obs import validate_export, validate_journal
@@ -73,15 +74,10 @@ def canonical_boxes(safe_region) -> tuple[np.ndarray, np.ndarray]:
     another, keep the first of equal ones) does not, so the float64
     bit-identity contract across arms is stated on this form.
     """
-    lo = np.asarray(safe_region.region.lo, dtype=np.float64)
-    hi = np.asarray(safe_region.region.hi, dtype=np.float64)
-    # inside[i, j]: box j lies within box i.
-    inside = np.all(lo[None, :, :] >= lo[:, None, :], axis=2) & np.all(
-        hi[None, :, :] <= hi[:, None, :], axis=2
+    lo, hi = _ra.maximal_arrays(
+        np.asarray(safe_region.region.lo, dtype=np.float64),
+        np.asarray(safe_region.region.hi, dtype=np.float64),
     )
-    equal = inside & inside.T
-    dropped = (inside & ~equal).any(axis=0) | np.triu(equal, k=1).any(axis=0)
-    lo, hi = lo[~dropped], hi[~dropped]
     order = np.lexsort(np.hstack([lo, hi]).T[::-1])
     return lo[order], hi[order]
 
@@ -368,15 +364,11 @@ def _invariants(case: _Case, engines: dict[str, WhyNotEngine], ops: int,
               considered == evicted + retained and mutations == ops)
         if engine.config.shards > 1:
             s = engine.shard_stats.snapshot()
-            # A weighted request whose RSL is empty folds its safe region
-            # over no member: a fan-out to no live shard, never merged.
-            relation = "<=" if case.weighted else "=="
-            merged = s["merged"] == s["fanouts"] or (
-                case.weighted and s["merged"] < s["fanouts"])
             fanned = s["fanouts"] > 0 and s["dispatched"] > 0
-            check(f"{arm} merged {relation} fanouts (fanouts={s['fanouts']}, "
+            check(f"{arm} merged == fanouts (fanouts={s['fanouts']}, "
                   f"dispatched={s['dispatched']}, merged={s['merged']})",
-                  merged and (fanned or engine.config.planner == "auto"))
+                  s["merged"] == s["fanouts"]
+                  and (fanned or engine.config.planner == "auto"))
         if case.weighted:
             check(f"{arm} counted weighted requests",
                   engine.obs.counter("prefs.weighted_requests").value > 0)

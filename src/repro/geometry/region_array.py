@@ -223,6 +223,28 @@ def simplify_arrays(
     )
 
 
+def maximal_arrays(
+    lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal boxes: drop every box contained in another box and
+    keep the first of equal ones; survivors keep their input order.
+
+    Unlike :func:`simplify_arrays`, which only drops a box contained in
+    an *earlier* box of its volume sort (so which zero-volume boxes
+    survive depends on the fold order), this set depends only on the
+    union's box set, not on how a fold reached it.
+    """
+    if lo.shape[0] <= 1:
+        return lo, hi
+    # inside[i, j]: box j lies within box i.
+    inside = np.all(lo[None, :, :] >= lo[:, None, :], axis=2) & np.all(
+        hi[None, :, :] <= hi[:, None, :], axis=2
+    )
+    equal = inside & inside.T
+    dropped = (inside & ~equal).any(axis=0) | np.triu(equal, k=1).any(axis=0)
+    return lo[~dropped], hi[~dropped]
+
+
 def contains_point_arrays(
     lo: np.ndarray, hi: np.ndarray, point: np.ndarray, closed: bool = True
 ) -> bool:
@@ -289,10 +311,16 @@ def measure_arrays(lo: np.ndarray, hi: np.ndarray) -> float:
     of Python-float additions.  What is vectorised is the expensive part —
     the per-axis slab-spanning masks (and, for the final two axes, the
     full covered-cell grid via one boolean matmul).
+
+    The sweep runs over the :func:`maximal_arrays` boxes: a redundant
+    box (say a zero-volume one inside a sibling) cannot add a slab
+    breakpoint, so two box lists of the same maximal set — e.g. one
+    region folded on one shard or on two — measure bit-identically.
     """
-    k, dim = lo.shape
     if _METRICS is not None:
         _METRICS.measure_calls.inc()
+    lo, hi = maximal_arrays(lo, hi)
+    k, dim = lo.shape
     if k == 0:
         return 0.0
     cuts = [np.unique(np.concatenate([lo[:, a], hi[:, a]])) for a in range(dim)]

@@ -108,10 +108,21 @@ class OracleBoxRegion:
         return OracleBoxRegion(kept, dim=self._dim)
 
     def measure(self) -> float:
-        """Recursive coordinate-compression sweep (exact, any dimension)."""
+        """Recursive coordinate-compression sweep (exact, any dimension)
+        over the maximal boxes: every box contained in another box is
+        left out, keeping the first of equal ones."""
         if self.is_empty():
             return 0.0
-        boxes = self._boxes
+        boxes = [
+            box
+            for i, box in enumerate(self._boxes)
+            if not any(
+                j != i
+                and other.contains_box(box)
+                and (j < i or not box.contains_box(other))
+                for j, other in enumerate(self._boxes)
+            )
+        ]
         dim = self._dim
         cuts = []
         for axis in range(dim):

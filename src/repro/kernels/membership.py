@@ -140,25 +140,39 @@ def _prepare(
     self_positions: np.ndarray | None,
     block_size: int,
     dims: np.ndarray | None = None,
+    row_queries: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Validated ``(products, customers, query, self_positions)``.
+
+    ``query`` is one ``(d,)`` point, or with ``row_queries`` also an
+    ``(m, d)`` matrix holding one query per customer row."""
     if block_size < 1:
         raise InvalidParameterError("block_size must be a positive integer")
-    q = as_point(query)
-    prods = as_points(products, dim=q.size)
-    custs = as_points(customers, dim=q.size)
+    if row_queries and np.ndim(query) == 2:
+        q = as_points(query, dim=np.shape(query)[1])
+    else:
+        q = as_point(query)
+    dim = q.shape[-1]
+    prods = as_points(products, dim=dim)
+    custs = as_points(customers, dim=dim)
+    if q.ndim == 2 and q.shape[0] != custs.shape[0]:
+        raise InvalidParameterError(
+            "a query matrix must have one row per customer, got "
+            f"{q.shape[0]} queries for {custs.shape[0]} customers"
+        )
     if dims is not None:
         # Preference-support projection (see repro.prefs): the window test
         # runs over the support columns only.  Copies keep the sweep's
         # column reads contiguous.
         sel = np.asarray(dims, dtype=np.int64)
         if sel.ndim != 1 or sel.size == 0 or (
-            sel.size and (sel.min() < 0 or sel.max() >= q.size)
+            sel.size and (sel.min() < 0 or sel.max() >= dim)
         ):
             raise InvalidParameterError(
                 f"dims must be a non-empty 1-d array of valid column "
-                f"positions for dimension {q.size}"
+                f"positions for dimension {dim}"
             )
-        q = q[sel]
+        q = q[..., sel]
         prods = np.ascontiguousarray(prods[:, sel])
         custs = np.ascontiguousarray(custs[:, sel])
     positions = None
@@ -186,12 +200,14 @@ def _window_bounds(
     A product blocks a customer when its per-dimension distance is
     strictly below ``lo`` everywhere (STRICT), or weakly below ``hi``
     everywhere and strictly below ``lo`` somewhere (WEAK).  With
-    ``rtol == 0`` both bounds are the exact window radii.
+    ``rtol == 0`` both bounds are the exact window radii.  ``q`` is one
+    ``(d,)`` query or a ``(b, d)`` matrix of per-row queries.
     """
     radii = np.abs(block - q)  # (b, d)
     if rtol > 0.0:
         scale = np.maximum(
-            1.0, np.max(np.abs(block), axis=1, initial=np.max(np.abs(q)))
+            1.0,
+            np.maximum(np.abs(block).max(axis=1), np.abs(q).max(axis=-1)),
         )
         slack = (rtol * scale)[:, None]  # (b, 1)
         return radii - slack, radii + slack
@@ -310,7 +326,9 @@ def batch_window_membership(
     products, customers:
         ``(n, d)`` product and ``(m, d)`` customer matrices.
     query:
-        The reverse-skyline query point ``q``.
+        The reverse-skyline query point ``q``, or an ``(m, d)`` matrix
+        with one query per customer row (row ``j`` asks whether
+        ``customers[j]`` is in ``RSL(query[j])``).
     policy:
         Dominance policy of the window test (see DESIGN.md §2).
     self_positions:
@@ -337,6 +355,7 @@ def batch_window_membership(
     """
     prods, custs, q, positions = _prepare(
         products, customers, query, self_positions, block_size, dims=dims,
+        row_queries=True,
     )
     m = custs.shape[0]
     members = np.empty(m, dtype=bool)
@@ -348,8 +367,9 @@ def batch_window_membership(
     for start in range(0, m, block_size):
         block = custs[start : start + block_size]
         sp = positions[start : start + block.shape[0]] if positions is not None else None
+        qb = q[start : start + block.shape[0]] if q.ndim == 2 else q
         members[start : start + block.shape[0]] = _membership_block(
-            prods, block, q, policy, rtol, sp, chunk=block_size, counters=counters
+            prods, block, qb, policy, rtol, sp, chunk=block_size, counters=counters
         )
     return members
 
@@ -413,9 +433,14 @@ def batch_verify_membership(
     """Tolerance-aware batch membership, matching
     :func:`repro.core._verify.verify_membership` bit-for-bit.
 
-    Used by the bulk lost-customer and MQP-scoring sweeps, where answers
-    sit exactly on window boundaries and the exact test is one rounding
-    error away from flipping.
+    Used by the bulk lost-customer and MQP-scoring sweeps and by the
+    candidate verification of Algorithms 1, 2 and 4, where answers sit
+    exactly on window boundaries and the exact test is one rounding
+    error away from flipping.  ``query`` may be an ``(m, d)`` matrix of
+    per-row queries, so MQP/MWQ rows (fixed customer, moved query) and
+    MWP rows (moved customer, fixed query) of many questions verify in
+    one call: row ``j`` equals ``verify_membership(customers[j],
+    query[j])`` with ``self_positions[j]`` excluded.
     """
     return batch_window_membership(
         products,

@@ -740,17 +740,7 @@ class MWQCombine(Operator):
         span.set(approximate=node.logical.approximate)
         region = ctx.execute(node.children[0])
         bounds = eng._geometry_bounds(q)
-        # Position-addressed customers share the cached staircase region
-        # (the cache's self-exclusion convention matches _resolve_customer's).
-        # Valid for every *full-support* preference — the anti-dominance
-        # region depends only on the weight support, not the magnitudes.
-        ddr = None
-        if (
-            eng.dsl_cache is not None
-            and prefs.full_support
-            and isinstance(ctx.why_not, (int, np.integer))
-        ):
-            ddr = eng.dsl_cache.region(int(ctx.why_not), bounds)
+        ddr = eng._cached_ddr(ctx.why_not, prefs, bounds)
         return modify_query_and_why_not_point(
             eng.index,
             point,
@@ -773,11 +763,14 @@ class BatchOp(Operator):
     """Answer many why-not questions against one query.
 
     The ``"kernel"`` variant (``batch-prefilter``) resolves every
-    question's membership through the planned membership child first, so
-    members skip their four per-question window queries; the child is
-    planned on its own and may itself be pruned or sharded.  The
-    ``"index"`` variant (``batch-sequential``) runs the full pipeline for
-    every question.  Both warm the shared safe region once."""
+    question's membership through the planned membership child first
+    (planned on its own, it may itself be pruned or sharded), then
+    answers the rest through :func:`repro.core.batch.answer_batch`: one
+    ``Λ`` window query per question and one kernel pass verifying every
+    candidate of the batch.  The ``"index"`` variant
+    (``batch-sequential``) runs the full per-question pipeline for every
+    question — the reference the batched path equals byte for byte.
+    Both fetch the shared safe region once."""
 
     span_name = "engine.answer_batch"
 
@@ -787,10 +780,17 @@ class BatchOp(Operator):
             return logical.child_plans()[:1]
         return logical.child_plans()
 
+    #: Candidates verified per question (MWP, MQP and MWQ together).
+    VERIFY_ROWS = 20.0
+
     def estimate(self, logical, stats, model):
         count = max(1, getattr(logical, "count", 1))
-        question = 4.0 * model.window_seconds(stats) + 4.0 * model.DISPATCH_S
+        window = model.window_seconds(stats)
+        verify = model.kernel_seconds(self.VERIFY_ROWS, stats)
         if self.variant == "index":
+            # Four planned surfaces per question, each with its own Λ
+            # window; MWP, MQP and MWQ each make one verification pass.
+            question = 4.0 * (window + model.DISPATCH_S) + verify
             return CostEstimate(
                 ops=count * 4.0 * model.window_nodes(stats),
                 seconds=count * question + model.DISPATCH_S,
@@ -806,32 +806,34 @@ class BatchOp(Operator):
             key=lambda estimate: estimate.seconds,
         )
         member_rate = min(0.5, stats.expected_rsl / max(1, stats.m))
+        asked = count * (1.0 - member_rate)
+        # One shared Λ window per non-member question; every candidate of
+        # the batch verifies in one kernel pass.
         return CostEstimate(
-            ops=mask.ops,
-            seconds=mask.seconds + count * (1.0 - member_rate) * question,
-            detail=f"prefilter + ~{count} pipelines; {mask.detail}",
+            ops=mask.ops + asked * model.window_nodes(stats),
+            seconds=mask.seconds + asked * (window + verify) + model.DISPATCH_S,
+            detail=(
+                f"prefilter + ~{asked:.0f} Λ windows + one verify pass; "
+                f"{mask.detail}"
+            ),
         )
 
     def run(self, ctx, node, span):
-        from repro.core.batch import _member_answer, answer_why_not
+        from repro.core.batch import answer_batch, answer_why_not
 
         prefs, _ = _ctx_prefs(ctx)
         q = ctx.query
         why_nots = list(ctx.why_nots)
         prefilter = self.variant != "index"
         span.set(questions=len(why_nots), prefilter=prefilter)
-        ctx.execute(node.children[0])  # Warm the safe-region cache once.
+        region = ctx.execute(node.children[0])  # Warm SR(q) once.
         if not why_nots:
             return []
-        members = (
-            ctx.execute(node.children[1])
-            if prefilter
-            else np.zeros(len(why_nots), dtype=bool)
-        )
+        if prefilter:
+            members = ctx.execute(node.children[1])
+            return answer_batch(ctx.engine, why_nots, q, members, region, prefs)
         return [
-            _member_answer(ctx.engine, why_not, q)
-            if members[i]
-            else answer_why_not(
+            answer_why_not(
                 ctx.engine,
                 why_not,
                 q,
@@ -839,7 +841,7 @@ class BatchOp(Operator):
                 k=ctx.k,
                 weights=prefs.weights,
             )
-            for i, why_not in enumerate(why_nots)
+            for why_not in why_nots
         ]
 
 

@@ -6,8 +6,9 @@ equal the one a direct engine call produces.  That comparison needs a
 canonical form on both sides, so the serialisers live here — shared by
 the service, the CLI verifier and the benchmark — and are strictly
 deterministic: dict keys are fixed, floats pass through ``float()``
-untouched (no rounding), arrays become nested lists, and ``NaN`` maps to
-``None`` so the output is valid JSON everywhere.
+untouched (no rounding), arrays become nested lists (built whole by
+``ndarray.tolist()``), and ``NaN``/``inf`` map to ``None`` so the output
+is valid JSON everywhere.
 
 :func:`canonical_json` is the comparison form: sorted keys, no
 whitespace.  Two answers are bit-identical iff their canonical JSON
@@ -48,18 +49,25 @@ def _num(value: float) -> "float | None":
 
 
 def _vector(arr) -> list:
-    return [_num(v) for v in np.asarray(arr, dtype=np.float64).ravel()]
+    a = np.asarray(arr, dtype=np.float64).ravel()
+    values = a.tolist()
+    if np.isfinite(a).all():
+        return values
+    return [v if math.isfinite(v) else None for v in values]
 
 
 def _matrix(arr) -> list:
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(0, 0) if a.size == 0 else a.reshape(1, -1)
-    return [[_num(v) for v in row] for row in a]
+    rows = a.tolist()
+    if np.isfinite(a).all():
+        return rows
+    return [[v if math.isfinite(v) else None for v in row] for row in rows]
 
 
 def _positions(arr) -> list:
-    return [int(v) for v in np.asarray(arr).ravel()]
+    return np.asarray(arr).ravel().astype(np.int64, copy=False).tolist()
 
 
 def serialize_candidate(candidate: "Candidate | None") -> "dict | None":

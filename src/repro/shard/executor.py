@@ -226,37 +226,38 @@ class ShardExecutor:
         and return the results in shard order (``None`` kept in place).
         With telemetry on, tasks return ``(result, snapshots)``; the
         snapshots are merged here and the bare results returned, so the
-        per-call merge code never sees the tuple shape."""
+        per-call merge code never sees the tuple shape.  With no live
+        shard nothing is dispatched and no fan-out is counted, so
+        ``merged == fanouts`` always holds."""
         live = sum(1 for p in payloads if p is not None)
         results: list = [None] * len(payloads)
+        if not live:
+            return results
         with self._span(op, live):
             self.stats.fanouts += 1
-            if live:
-                if self.backend == "serial":
-                    arrays = (self._products, self._customers)
-                    for i, payload in enumerate(payloads):
-                        if payload is not None:
-                            results[i] = _worker.run_task(
-                                kind, payload, arrays
-                            )
-                            self.stats.dispatched += 1
-                else:
-                    pool = self._ensure_pool()
-                    futures = {
-                        i: pool.submit(_worker.pool_task, kind, payload)
-                        for i, payload in enumerate(payloads)
-                        if payload is not None
-                    }
-                    self.stats.dispatched += len(futures)
-                    for i, future in futures.items():
-                        results[i] = future.result()
-                if self.telemetry:
-                    for i, result in enumerate(results):
-                        if result is None:
-                            continue
-                        results[i], snapshots = result
-                        self._merge_worker(snapshots)
-                self.stats.merged += 1
+            if self.backend == "serial":
+                arrays = (self._products, self._customers)
+                for i, payload in enumerate(payloads):
+                    if payload is not None:
+                        results[i] = _worker.run_task(kind, payload, arrays)
+                        self.stats.dispatched += 1
+            else:
+                pool = self._ensure_pool()
+                futures = {
+                    i: pool.submit(_worker.pool_task, kind, payload)
+                    for i, payload in enumerate(payloads)
+                    if payload is not None
+                }
+                self.stats.dispatched += len(futures)
+                for i, future in futures.items():
+                    results[i] = future.result()
+            if self.telemetry:
+                for i, result in enumerate(results):
+                    if result is None:
+                        continue
+                    results[i], snapshots = result
+                    self._merge_worker(snapshots)
+            self.stats.merged += 1
         return results
 
     def _merge_worker(self, snapshots: dict) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import CostWeights
-from repro.core.cost import MinMaxNormalizer, movement_cost
+from repro.core.cost import MinMaxNormalizer, movement_cost, movement_costs
 from repro.exceptions import InvalidParameterError
 
 
@@ -100,3 +100,23 @@ class TestCostWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             CostWeights(alpha=(-0.1, 1.1)).resolved(2)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_vectorised_costs_bit_identical_to_per_row(normalized):
+    """``movement_costs`` over a candidate matrix equals the per-row
+    Eqn.-11 cost (``MinMaxNormalizer.cost`` / ``movement_cost``) to the
+    last bit, for any dimensionality, including zero-width dimensions."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        dim = int(rng.integers(1, 9))
+        lo = rng.normal(size=dim) * 10 ** rng.uniform(-3, 3)
+        hi = lo + np.where(rng.random(dim) < 0.2, 0.0, rng.random(dim) * 50)
+        norm = MinMaxNormalizer(lo, hi) if normalized else None
+        anchor = rng.uniform(lo - 1, hi + 1)
+        points = rng.uniform(lo - 1, hi + 1, size=(int(rng.integers(1, 30)), dim))
+        weights = rng.random(dim) * 10 ** rng.uniform(-2, 2)
+        got = movement_costs(anchor, points, weights, norm)
+        want = [movement_cost(anchor, p, weights, norm) for p in points]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert all(type(c) is float for c in got)

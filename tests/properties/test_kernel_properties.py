@@ -151,3 +151,61 @@ def test_verify_kernel_matches_tolerant_oracle(
         assert mask[j] == verify_membership(
             idx, pts[j], q, policy, (j,) if self_exclude else ()
         ), (pts, q, policy, self_exclude, j)
+
+
+@st.composite
+def row_query_cases(draw):
+    """Products, per-row (center, query) pairs, self positions and
+    preference weights in d = 2..3 on a 1/16 grid.  Half the centers are
+    product/query midpoints (1/32 grid), the boundary an MWP candidate
+    sits on; weights of 0 drop dimensions (partial support)."""
+    dim = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 20))
+    rows = draw(st.integers(1, 25))
+    grid = st.integers(0, 16)
+    prods = np.array(draw(st.lists(grid, min_size=n * dim, max_size=n * dim)))
+    prods = prods.reshape(n, dim) / 16
+    cells = draw(st.lists(grid, min_size=2 * rows * dim, max_size=2 * rows * dim))
+    centers, queries = np.array(cells).reshape(2, rows, dim) / 16
+    mids = draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
+    halve = np.arange(rows) % 2 == 0
+    centers[halve] = (prods[mids][halve] + queries[halve]) / 2
+    selfs = np.array(
+        draw(st.lists(st.integers(-1, n - 1), min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    )
+    weights = draw(
+        st.none()
+        | st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+        .filter(any)
+        .map(lambda w: np.array(w, dtype=np.float64))
+    )
+    return prods, centers, queries, selfs, weights
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_query_cases(), policies, block_sizes, st.sampled_from(["scan", "rtree"]))
+def test_verify_kernel_per_row_queries_match_scalar(case, policy, block_size, backend):
+    """With an ``(m, d)`` query matrix, row ``j`` of the tolerance-aware
+    kernel equals ``verify_membership(centers[j], queries[j])`` with
+    ``self_positions[j]`` excluded and the preference support as
+    ``dims`` — on the index backends the scalar path queries."""
+    from repro.index import make_index
+    from repro.prefs.model import support_dims
+
+    prods, centers, queries, selfs, weights = case
+    idx = make_index(backend, prods)
+    mask = batch_verify_membership(
+        prods,
+        centers,
+        queries,
+        policy,
+        self_positions=selfs,
+        block_size=block_size,
+        dims=support_dims(weights, prods.shape[1]),
+    )
+    for j in range(centers.shape[0]):
+        exclude = (int(selfs[j]),) if selfs[j] >= 0 else ()
+        assert mask[j] == verify_membership(
+            idx, centers[j], queries[j], policy, exclude, weights=weights
+        ), (j, policy, weights)

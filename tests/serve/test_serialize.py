@@ -76,3 +76,55 @@ def test_explanation_matrix_shape_for_member():
         payload = serialize_explanation(engine.explain(member, q))
         assert payload["is_member"]
         assert payload["culprits"] == []
+
+
+def _per_element(arr, matrix: bool) -> list:
+    """The element-by-element serialisation: ``float()`` and
+    ``math.isfinite`` on every entry."""
+    import math
+
+    def num(v):
+        v = float(v)
+        return v if math.isfinite(v) else None
+
+    a = np.asarray(arr, dtype=np.float64)
+    if not matrix:
+        return [num(v) for v in a.ravel()]
+    if a.ndim == 1:
+        a = a.reshape(0, 0) if a.size == 0 else a.reshape(1, -1)
+    return [[num(v) for v in row] for row in a]
+
+
+def test_vectorised_lists_equal_per_element_form():
+    """``tolist()``-built vectors, matrices and position lists serialise
+    byte-identically to the per-element form, NaN, ±inf and -0.0
+    included."""
+    from repro.serve.serialize import _matrix, _positions, _vector
+
+    rng = np.random.default_rng(11)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e308])
+    arrays = [
+        np.empty(0),
+        np.empty((0, 2)),
+        specials,
+        specials.reshape(-1, 1),
+        np.array([[-0.0, 1.5], [np.inf, -2.25], [np.nan, 0.1]]),
+        rng.normal(size=(6, 3)),
+        [0.5, -0.0, 3],
+    ]
+    for _ in range(50):
+        a = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 4))))
+        a[rng.random(a.shape) < 0.3] = rng.choice(specials)
+        arrays.append(a)
+    for arr in arrays:
+        for fn, matrix in ((_vector, False), (_matrix, True)):
+            got, want = fn(arr), _per_element(arr, matrix)
+            # json spells -0.0 and 0.0 apart, and every float exactly.
+            assert json.dumps(got) == json.dumps(want)
+            flat = [v for row in got for v in row] if matrix else got
+            assert all(v is None or type(v) is float for v in flat)
+    for positions in (np.array([3, 0, 7], dtype=np.int64), np.empty(0, np.int64),
+                      [1, 2], np.array([[4], [5]])):
+        got = _positions(positions)
+        assert got == [int(v) for v in np.asarray(positions).ravel()]
+        assert all(type(v) is int for v in got)
