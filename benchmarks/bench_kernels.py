@@ -32,7 +32,9 @@ from repro.kernels.membership import (
     DEFAULT_BLOCK_SIZE,
     KernelCounters,
     batch_lambda_counts,
+    batch_window_membership,
 )
+from repro.skyline.global_skyline import global_skyline_candidates
 from repro.skyline.reverse import reverse_skyline_bbrs, reverse_skyline_naive
 
 BENCH_SEED = 7
@@ -43,6 +45,48 @@ def _dataset(n: int, d: int, seed: int = BENCH_SEED):
     pts = rng.uniform(0.0, 1.0, size=(n, d))
     q = rng.uniform(0.25, 0.75, size=d)
     return pts, q
+
+
+def kernel_naive(
+    pts: np.ndarray,
+    q: np.ndarray,
+    policy: DominancePolicy = DominancePolicy.WEAK,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    counters: KernelCounters | None = None,
+) -> np.ndarray:
+    """Monochromatic ``RSL(q)`` positions: one blocked kernel pass over
+    every customer (the kernel twin of :func:`reverse_skyline_naive`)."""
+    mask = batch_window_membership(
+        pts,
+        pts,
+        q,
+        policy,
+        self_positions=np.arange(pts.shape[0], dtype=np.int64),
+        block_size=block_size,
+        counters=counters,
+    )
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+def kernel_bbrs(
+    pts: np.ndarray,
+    q: np.ndarray,
+    policy: DominancePolicy = DominancePolicy.WEAK,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+) -> np.ndarray:
+    """Monochromatic ``RSL(q)`` positions: BBRS global-skyline pruning,
+    then one blocked kernel pass over the survivors (the kernel twin of
+    :func:`reverse_skyline_bbrs`)."""
+    cand = np.asarray(
+        global_skyline_candidates(pts, pts, q, self_exclude=True),
+        dtype=np.int64,
+    )
+    if cand.size == 0:
+        return cand
+    mask = batch_window_membership(
+        pts, pts[cand], q, policy, self_positions=cand, block_size=block_size
+    )
+    return cand[mask]
 
 
 # ----------------------------------------------------------------------
@@ -62,28 +106,14 @@ def test_kernel_sweep_naive_loop(benchmark, sweep_data):
 
 
 def test_kernel_sweep_batch(benchmark, sweep_data):
-    idx, pts, q = sweep_data
-    result = benchmark(
-        reverse_skyline_naive,
-        idx,
-        pts,
-        q,
-        self_exclude=True,
-        batch_kernels=True,
-    )
+    _idx, pts, q = sweep_data
+    result = benchmark(kernel_naive, pts, q)
     benchmark.extra_info["rsl_size"] = int(result.size)
 
 
 def test_kernel_sweep_bbrs_batch(benchmark, sweep_data):
-    idx, pts, q = sweep_data
-    result = benchmark(
-        reverse_skyline_bbrs,
-        idx,
-        pts,
-        q,
-        self_exclude=True,
-        batch_kernels=True,
-    )
+    _idx, pts, q = sweep_data
+    result = benchmark(kernel_bbrs, pts, q)
     benchmark.extra_info["rsl_size"] = int(result.size)
 
 
@@ -102,9 +132,7 @@ def test_kernel_lambda_counts(benchmark, sweep_data):
 def test_kernel_paths_agree(sweep_data):
     idx, pts, q = sweep_data
     oracle = reverse_skyline_naive(idx, pts, q, self_exclude=True)
-    batch = reverse_skyline_naive(
-        idx, pts, q, self_exclude=True, batch_kernels=True
-    )
+    batch = kernel_naive(pts, q)
     assert np.array_equal(oracle, batch)
 
 
@@ -140,15 +168,8 @@ def run_size(
         self_exclude=True,
         repeats=loop_repeats,
     )
-    kernel_naive, kernel_members = _time(
-        reverse_skyline_naive,
-        idx,
-        pts,
-        q,
-        policy,
-        self_exclude=True,
-        batch_kernels=True,
-        block_size=block_size,
+    kernel_naive_s, kernel_members = _time(
+        kernel_naive, pts, q, policy, block_size=block_size
     )
     assert np.array_equal(loop_members, kernel_members), "kernel != oracle"
     loop_bbrs, bbrs_members = _time(
@@ -160,15 +181,8 @@ def run_size(
         self_exclude=True,
         repeats=loop_repeats,
     )
-    kernel_bbrs, bbrs_kernel_members = _time(
-        reverse_skyline_bbrs,
-        idx,
-        pts,
-        q,
-        policy,
-        self_exclude=True,
-        batch_kernels=True,
-        block_size=block_size,
+    kernel_bbrs_s, bbrs_kernel_members = _time(
+        kernel_bbrs, pts, q, policy, block_size=block_size
     )
     assert np.array_equal(bbrs_members, bbrs_kernel_members)
     kernel_counts, _counts = _time(
@@ -187,11 +201,11 @@ def run_size(
         "policy": policy.value,
         "rsl_size": int(kernel_members.size),
         "loop_naive_s": round(loop_naive, 6),
-        "kernel_naive_s": round(kernel_naive, 6),
-        "speedup_naive": round(loop_naive / kernel_naive, 2),
+        "kernel_naive_s": round(kernel_naive_s, 6),
+        "speedup_naive": round(loop_naive / kernel_naive_s, 2),
         "loop_bbrs_s": round(loop_bbrs, 6),
-        "kernel_bbrs_s": round(kernel_bbrs, 6),
-        "speedup_bbrs": round(loop_bbrs / kernel_bbrs, 2),
+        "kernel_bbrs_s": round(kernel_bbrs_s, 6),
+        "speedup_bbrs": round(loop_bbrs / kernel_bbrs_s, 2),
         "kernel_lambda_counts_s": round(kernel_counts, 6),
     }
 
@@ -206,17 +220,9 @@ def instrumented_pass(
     pruned — so regressions in pruning effectiveness show up in the
     artifact, not just regressions in wall time."""
     pts, q = _dataset(n, d)
-    idx = ScanIndex(pts)
     counters = KernelCounters()
-    members = reverse_skyline_naive(
-        idx,
-        pts,
-        q,
-        policy,
-        self_exclude=True,
-        batch_kernels=True,
-        block_size=block_size,
-        counters=counters,
+    members = kernel_naive(
+        pts, q, policy, block_size=block_size, counters=counters
     )
     return {
         "n": n,

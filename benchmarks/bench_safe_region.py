@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import WhyNotConfig
 from repro.core.dsl_cache import DSLCache
 from repro.core.safe_region import (
     SafeRegionStats,
@@ -52,6 +51,7 @@ from repro.core.safe_region import (
 )
 from repro.geometry.box import Box
 from repro.index.scan import ScanIndex
+from repro.kernels.membership import batch_window_membership
 from repro.skyline.reverse import reverse_skyline_naive
 
 BENCH_SEED = 7
@@ -66,6 +66,24 @@ def _dataset(n: int, d: int, seed: int = BENCH_SEED):
 
 def _bounds(d: int) -> Box:
     return Box(np.zeros(d), np.ones(d))
+
+
+def _kernel_rsl(
+    products: np.ndarray, customers: np.ndarray, q, self_exclude: bool
+) -> np.ndarray:
+    """``RSL(q)`` positions through one blocked membership-kernel pass
+    (same members as :func:`reverse_skyline_naive`, far faster)."""
+    mask = batch_window_membership(
+        products,
+        customers,
+        q,
+        self_positions=(
+            np.arange(customers.shape[0], dtype=np.int64)
+            if self_exclude
+            else None
+        ),
+    )
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 def _time(fn, *args, repeats: int = 3, **kwargs) -> tuple[float, object]:
@@ -155,9 +173,7 @@ def run_size(n: int, d: int, repeats: int, oracle_repeats: int) -> dict:
     pts, q = _dataset(n, d)
     idx = ScanIndex(pts)
     bounds = _bounds(d)
-    rsl = reverse_skyline_naive(
-        idx, pts, q, self_exclude=True, batch_kernels=True
-    )
+    rsl = _kernel_rsl(pts, pts, q, self_exclude=True)
 
     oracle_s, oracle_sr = _time(
         compute_safe_region_oracle, idx, pts, q, rsl, bounds,
@@ -206,7 +222,7 @@ def run_workload(n: int, d: int, queries: int) -> dict:
     jitter = rng.uniform(-1e-9, 1e-9, size=(queries, d))
     workload = np.clip(q[None, :] + jitter, 0.0, 1.0)
     rsls = [
-        reverse_skyline_naive(idx, pts, wq, self_exclude=True, batch_kernels=True)
+        _kernel_rsl(pts, pts, wq, self_exclude=True)
         for wq in workload
     ]
 
@@ -294,9 +310,7 @@ def run_m_sweep(n: int, d: int, m_values: list[int], repeats: int) -> list[dict]
     rows = []
     for m in m_values:
         customers = rng.uniform(0.0, 1.0, size=(m, d))
-        rsl = reverse_skyline_naive(
-            idx, customers, q, self_exclude=False, batch_kernels=True
-        )
+        rsl = _kernel_rsl(pts, customers, q, self_exclude=False)
         oracle_s, oracle_sr = _time(
             compute_safe_region_oracle, idx, customers, q, rsl, bounds,
             repeats=1,
@@ -336,9 +350,7 @@ def instrumented_pass(n: int, d: int) -> dict:
     pts, q = _dataset(n, d)
     idx = ScanIndex(pts)
     bounds = _bounds(d)
-    rsl = reverse_skyline_naive(
-        idx, pts, q, self_exclude=True, batch_kernels=True
-    )
+    rsl = _kernel_rsl(pts, pts, q, self_exclude=True)
     registry = MetricsRegistry()
     cache = DSLCache(idx, pts, self_exclude=True)
     stats = SafeRegionStats()
@@ -438,7 +450,6 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "safe-region construction: object loop vs array engine + DSL cache",
         "methodology": "see EXPERIMENTS.md, section 'Safe-region engine sweep'",
         "seed": BENCH_SEED,
-        "sr_chunk_size": WhyNotConfig().sr_chunk_size,
         "divergence_check": "exact (boxes, area, containment) — asserted per row",
         "python": platform.python_version(),
         "numpy": np.__version__,

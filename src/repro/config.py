@@ -62,14 +62,6 @@ class WhyNotConfig:
         Worker count for the parallel pre-computation paths (sampled-DSL
         store, exact safe-region assembly).  ``1`` keeps the sequential
         oracle path, ``-1`` uses one thread per CPU.
-    dsl_cache:
-        When true (default), the engine keeps a :class:`repro.core.
-        dsl_cache.DSLCache`: each customer's dynamic-skyline threshold
-        matrix and staircase anti-dominance region are computed once and
-        reused across ``safe_region``, ``modify_both``,
-        ``answer_why_not_batch``, the approximate store and the
-        leave-one-out relaxation analysis.  Results are identical either
-        way; the cache only removes recomputation.
     sr_box_budget:
         Upper bound on the box count of the running safe-region
         intersection (``0`` = unlimited, the exact default).  When the
@@ -78,14 +70,6 @@ class WhyNotConfig:
         is safe by Lemma 2 (any subset of a safe region is safe) but may
         under-report area; intended for adversarial inputs where the
         distributed product grows combinatorially.
-    sr_chunk_size:
-        Members of ``RSL(q)`` are processed in contiguous chunks of this
-        size during safe-region assembly: each chunk's anti-dominance
-        regions are built (in parallel when ``n_jobs > 1``), sorted
-        size-ascending, and folded into the running intersection with an
-        empty-region early exit between members.  The chunk partition is
-        independent of ``n_jobs``, so parallel and sequential runs
-        produce identical regions.
     trace:
         When true, the engine records nested timing spans and work
         counters through its :class:`repro.obs.Observability` bundle
@@ -135,32 +119,11 @@ class WhyNotConfig:
         views of the matrices; ``"serial"`` runs the identical per-shard
         code in-process (the deterministic oracle for tests and the
         honest baseline for dispatch-overhead measurements).
-    shard_partition:
-        How rows are assigned to shards: ``"str"`` (default) uses the
-        Sort-Tile-Recursive tiling of :mod:`repro.index.bulkload` (space
-        partitioning, preserves kernel early-exit locality), ``"grid"``
-        buckets rows by uniform grid cell, ``"rows"`` splits contiguous
-        row ranges.  Any choice yields identical merged results; only
-        per-shard work balance differs.
     prune_tile_size:
         Tile width of the pruning classifier (customer tiles and
         product chunks of the summaries).  ``None`` (default) follows
         the resolved kernel block size so one tile of classification
         describes exactly one kernel tile.
-    scoped_invalidation:
-        When true (default), engine mutations (``insert_products``,
-        ``delete_products``, ...) evict only the cache entries the
-        mutation can actually reach — decided with the paper's window
-        locality (a product change at ``p`` affects customer ``c``'s
-        membership w.r.t. ``q`` only if ``p`` falls in ``c``'s window
-        around ``q``, and a cached ``DSL(c)`` only if it changes that
-        skyline) — and *repairs* reverse-skyline entries whose membership
-        provably changed in a known way.  Everything else stays warm.
-        Results are bit-identical either way (property-tested against a
-        freshly built engine); false falls back to full
-        ``invalidate_caches()`` on every mutation.  Product-side scoping
-        additionally requires ``dsl_cache`` (without cached thresholds
-        there is nothing to scope, so mutations nuke as before).
     prefs_weights:
         The engine's *default* per-dimension preference weights (see
         :mod:`repro.prefs`): non-negative, finite, at least one
@@ -172,7 +135,12 @@ class WhyNotConfig:
         magnitudes only price movement costs.  Non-unit defaults with a
         dropped dimension force full cache invalidation on mutation
         (the scoped pass's window locality only holds over the full
-        dimension set).
+        dimension set).  Full-support defaults keep a
+        :class:`repro.core.dsl_cache.DSLCache` (each customer's dynamic
+        skyline and staircase region computed once and shared by every
+        surface) and scope mutations: only the cache entries a mutation
+        can reach under the paper's window locality are evicted or
+        repaired (property-tested against a freshly built engine).
     """
 
     policy: DominancePolicy = DominancePolicy.STRICT
@@ -181,18 +149,14 @@ class WhyNotConfig:
     verify: bool = True
     kernel_block_size: int | None = None
     n_jobs: int = 1
-    dsl_cache: bool = True
     sr_box_budget: int = 0
-    sr_chunk_size: int = 16
     trace: bool = False
     journal: bool = False
     journal_capacity: int = 256
     planner: str = "auto"
     shards: int = 1
     shard_backend: str = "process"
-    shard_partition: str = "str"
     prune_tile_size: int | None = None
-    scoped_invalidation: bool = True
     prefs_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -208,8 +172,6 @@ class WhyNotConfig:
             raise ValueError("n_jobs must be a positive integer or -1")
         if self.sr_box_budget < 0:
             raise ValueError("sr_box_budget must be non-negative (0 = unlimited)")
-        if self.sr_chunk_size < 1:
-            raise ValueError("sr_chunk_size must be a positive integer")
         if self.journal_capacity < 1:
             raise ValueError("journal_capacity must be a positive integer")
         if self.planner not in ("auto", "index", "kernel", "pruned"):
@@ -223,11 +185,6 @@ class WhyNotConfig:
             raise ValueError(
                 f"unknown shard_backend {self.shard_backend!r}; "
                 "use 'process' or 'serial'"
-            )
-        if self.shard_partition not in ("str", "grid", "rows"):
-            raise ValueError(
-                f"unknown shard_partition {self.shard_partition!r}; "
-                "use 'str', 'grid' or 'rows'"
             )
         if self.prune_tile_size is not None and self.prune_tile_size < 1:
             raise ValueError(

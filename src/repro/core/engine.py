@@ -81,8 +81,7 @@ class WhyNotEngine(EngineMutationMixin):
         points serve as products and customers, with self-exclusion).
     backend:
         ``"rtree"`` (the paper's access method), ``"scan"`` (vectorised
-        oracle, fastest for bulk sweeps), ``"grid"`` (uniform grid), or
-        ``"kdtree"`` (median-split k-d tree).
+        oracle, fastest for bulk sweeps) or ``"grid"`` (uniform grid).
     config:
         Dominance policy / sort dimension / margin / verification /
         planner mode.
@@ -166,7 +165,7 @@ class WhyNotEngine(EngineMutationMixin):
                 config=self.config,
                 self_exclude=self.monochromatic,
             )
-            if self.config.dsl_cache and self.prefs.full_support
+            if self.prefs.full_support
             else None
         )
         self.last_safe_region_stats: SafeRegionStats | None = None

@@ -84,14 +84,10 @@ def apply_mutation(
                 engine.index.update(mutation.positions, mutation.new_points)
         # Scoped invalidation reasons about full-dimensional windows and
         # repairs entries with unweighted membership sweeps; under a
-        # partial-support engine default the projected geometry differs,
-        # so the conservative full flush is the only sound choice.
-        scoped = (
-            engine.config.scoped_invalidation
-            and engine.prefs.full_support
-            and (not product or engine.dsl_cache is not None)
-        )
-        if scoped:
+        # partial-support engine default the projected geometry differs
+        # (and there is no DSL cache to scope), so the conservative full
+        # flush is the only sound choice.
+        if engine.prefs.full_support:
             invalidator = MutationInvalidator(engine)
             outcome = (
                 invalidator.product_mutation(mutation)
@@ -110,8 +106,6 @@ def apply_mutation(
             )
         else:
             invalidate_all(engine)
-            if engine.dsl_cache is not None:
-                engine.dsl_cache.rebind(engine.customers)
             span.set(scoped=False)
     engine._mutations.inc()
     engine._epoch_gauge.set(engine.dataset_epoch)
@@ -226,7 +220,9 @@ class MutationInvalidator:
     Instantiated by :class:`~repro.core.engine.WhyNotEngine` *after* the
     store and index have committed a mutation; reads the engine's private
     caches directly (it is a friend of the engine, split out to keep the
-    locality reasoning in one reviewable place).
+    locality reasoning in one reviewable place).  Only run on engines
+    whose default preferences have full support, which always keep a
+    DSL cache.
     """
 
     def __init__(self, engine: "WhyNotEngine") -> None:
@@ -437,8 +433,6 @@ class MutationInvalidator:
         """
         eng = self.engine
         dsl = eng.dsl_cache
-        if dsl is None:
-            return set()
         mono = eng.monochromatic
         kind = mutation.kind
         updated = (
@@ -519,8 +513,6 @@ class MutationInvalidator:
     def _sweep_dsl_cache(self, mutation: "Mutation", affected: set) -> None:
         eng = self.engine
         dsl = eng.dsl_cache
-        if dsl is None:
-            return
         outcome = self.outcome
         before = dsl.entry_count()
         evicted = dsl.evict(affected) if affected else 0
@@ -552,7 +544,6 @@ class MutationInvalidator:
         """Point every surviving cache layer at the post-mutation
         matrices (copy-on-write means the arrays are new objects)."""
         eng = self.engine
-        if eng.dsl_cache is not None:
-            eng.dsl_cache.rebind(eng.customers)
+        eng.dsl_cache.rebind(eng.customers)
         for store in eng._approx_stores.values():
             store.rebind(eng.customers)

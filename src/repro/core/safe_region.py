@@ -302,14 +302,19 @@ class SafeRegion:
         )
 
 
-def _member_chunks(positions: np.ndarray, chunk_size: int) -> list[list[int]]:
-    """Contiguous position chunks; the partition depends only on
-    ``chunk_size`` (never on ``n_jobs``) so parallel and sequential runs
-    fold members in the same order and produce identical regions."""
+#: Members of ``RSL(q)`` folded per chunk by the local, oracle and
+#: shard-worker safe-region folds.  The partition depends only on this
+#: constant (never on ``n_jobs``), so parallel and sequential runs fold
+#: members in the same order and produce identical regions.
+SR_CHUNK_SIZE = 16
+
+
+def _member_chunks(positions: np.ndarray) -> list[list[int]]:
+    """Contiguous position chunks of :data:`SR_CHUNK_SIZE` members."""
     items = [int(p) for p in positions]
     return [
-        items[start : start + chunk_size]
-        for start in range(0, len(items), chunk_size)
+        items[start : start + SR_CHUNK_SIZE]
+        for start in range(0, len(items), SR_CHUNK_SIZE)
     ]
 
 
@@ -329,7 +334,7 @@ def compute_safe_region(
     """Algorithm 3: intersect the anti-dominance regions of all members.
 
     The assembly runs on the array engine: members are processed in
-    contiguous chunks of ``config.sr_chunk_size``; each chunk's regions
+    contiguous chunks of :data:`SR_CHUNK_SIZE`; each chunk's regions
     are built (in parallel when ``n_jobs > 1``, from the DSL cache when
     one is supplied), sorted size-ascending so small regions shrink the
     running intersection before large ones multiply against it, and
@@ -427,7 +432,7 @@ def compute_safe_region(
     intersections = before_simplify = after_simplify = truncations = 0
     peak_boxes = 1
     early_exit = False
-    for chunk in _member_chunks(positions, config.sr_chunk_size):
+    for chunk in _member_chunks(positions):
         t_members = time.perf_counter()
         if workers > 1 and len(chunk) > 1:
             regions = parallel_map_chunks(member_region, chunk, n_jobs=n_jobs)
@@ -524,7 +529,7 @@ def compute_safe_region_oracle(
     region = OracleBoxRegion(
         [Box(bounds.lo.copy(), bounds.hi.copy())], dim=index.dim
     )
-    for chunk in _member_chunks(positions, config.sr_chunk_size):
+    for chunk in _member_chunks(positions):
         regions = [member_region(position) for position in chunk]
         for i in sorted(range(len(regions)), key=lambda i: (len(regions[i]), i)):
             region = region.intersect(regions[i])

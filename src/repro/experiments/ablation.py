@@ -25,7 +25,6 @@ from repro.data.dataset import Dataset
 from repro.data.workload import build_workload
 from repro.geometry.transform import window_box
 from repro.index.grid import GridIndex
-from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
 from repro.skyline.global_skyline import global_skyline_candidates
@@ -56,7 +55,6 @@ def ablation_backends(
         ("scan", ScanIndex(dataset.points)),
         ("rtree", RTree(dataset.points)),
         ("grid", GridIndex(dataset.points)),
-        ("kdtree", KDTree(dataset.points)),
     ):
         index.reset_stats()
         start = time.perf_counter()

@@ -44,12 +44,6 @@ class SpatialIndex(abc.ABC):
     #: is the stats counters.
     incremental_ops: frozenset[str] = frozenset()
 
-    #: Operation names this backend absorbs by marking the structure
-    #: dirty and rebuilding lazily on the next query
-    #: (``stats.deferred_rebuilds``); a batch of mutations coalesces
-    #: into one rebuild.  Disjoint from :attr:`incremental_ops`.
-    deferred_ops: frozenset[str] = frozenset()
-
     def __init__(self, points: np.ndarray) -> None:
         self._points = np.ascontiguousarray(points, dtype=np.float64)
         if self._points.ndim != 2:
@@ -113,10 +107,10 @@ class SpatialIndex(abc.ABC):
             return np.empty(0, dtype=np.int64)
         self._check_mutable()
         start = self.size
-        before = self._structure_work()
+        before = self.stats.rebuilds
         self._points = np.ascontiguousarray(np.vstack([self._points, pts]))
         self._apply_insert(start, pts)
-        if self._structure_work() == before:
+        if self.stats.rebuilds == before:
             self.stats.incremental_inserts += 1
         return np.arange(start, start + pts.shape[0], dtype=np.int64)
 
@@ -136,10 +130,10 @@ class SpatialIndex(abc.ABC):
         keep = np.flatnonzero(mask)
         mapping = np.full(old_points.shape[0], -1, dtype=np.int64)
         mapping[keep] = np.arange(keep.size, dtype=np.int64)
-        before = self._structure_work()
+        before = self.stats.rebuilds
         self._points = np.ascontiguousarray(old_points[keep])
         self._apply_remove(drop, mapping, old_points)
-        if self._structure_work() == before:
+        if self.stats.rebuilds == before:
             self.stats.incremental_removes += 1
         return mapping
 
@@ -168,10 +162,10 @@ class SpatialIndex(abc.ABC):
         old_rows = self._points[target].copy()
         matrix = self._points.copy()
         matrix[target] = pts
-        before = self._structure_work()
+        before = self.stats.rebuilds
         self._points = np.ascontiguousarray(matrix)
         self._apply_update(target, old_rows, pts)
-        if self._structure_work() == before:
+        if self.stats.rebuilds == before:
             self.stats.incremental_updates += 1
 
     # Structure-upkeep hooks: the base behaviour is a counted rebuild.
@@ -196,19 +190,9 @@ class SpatialIndex(abc.ABC):
     def _check_mutable(self) -> None:
         """Pre-mutation validity hook (backends veto unsupported states)."""
 
-    def _structure_work(self) -> int:
-        """Combined rebuild-side counter: a mutation is only counted as
-        incremental when it neither rebuilt nor deferred a rebuild."""
-        return self.stats.rebuilds + self.stats.deferred_rebuilds
-
     def _rebuild(self) -> None:
         self.stats.rebuilds += 1
         self._rebuild_structure()
-
-    def _defer_rebuild(self) -> None:
-        """Counted lazy fallback: mark the structure stale instead of
-        rebuilding now; the backend rebuilds on its next query."""
-        self.stats.deferred_rebuilds += 1
 
     def _rebuild_structure(self) -> None:
         raise NotImplementedError(

@@ -36,13 +36,7 @@ class IndexStats(CounterBackedStats):
     rebuilds:
         Structure reconstructions from the full point matrix actually
         performed (the documented fallback of backends without an
-        incremental path for that operation) — whether triggered
-        eagerly by the mutation or lazily by the next query.
-    deferred_rebuilds:
-        Mutations absorbed by marking the structure dirty instead of
-        rebuilding immediately (lazy-rebuild backends); the rebuild is
-        coalesced into the next query, so a batch of ``k`` mutations
-        costs ``k`` deferrals but a single ``rebuilds`` increment.
+        incremental path for that operation).
     """
 
     _INT_FIELDS = (
@@ -53,7 +47,6 @@ class IndexStats(CounterBackedStats):
         "incremental_removes",
         "incremental_updates",
         "rebuilds",
-        "deferred_rebuilds",
     )
 
     def merge(self, other: "IndexStats") -> "IndexStats":

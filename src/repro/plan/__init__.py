@@ -15,9 +15,7 @@ The planner/executor decomposition of the why-not engine:
 * :mod:`repro.plan.cache` — planned trees keyed by (shape, epoch,
   config fingerprint);
 * :mod:`repro.plan.explain` — EXPLAIN reports (estimated vs. actual);
-* :mod:`repro.plan.prepared` — epoch-pinned plan-then-execute handles;
-* :mod:`repro.plan.pool` — a per-epoch prepared-plan pool the serving
-  layer re-binds across requests.
+* :mod:`repro.plan.prepared` — epoch-pinned plan-then-execute handles.
 
 Layering: this package sits between the algorithm layer
 (``repro.core``/``repro.kernels``/``repro.index``) and the engine
@@ -47,7 +45,6 @@ from repro.plan.logical import (
 )
 from repro.plan.operators import Operator, candidate_operators
 from repro.plan.planner import Planner
-from repro.plan.pool import PlanPool
 from repro.plan.prepared import PreparedPlan
 
 __all__ = [
@@ -64,7 +61,6 @@ __all__ = [
     "MWQQuery",
     "Operator",
     "PlanCache",
-    "PlanPool",
     "PlanNode",
     "PlanReport",
     "Planner",

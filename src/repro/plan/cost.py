@@ -89,14 +89,14 @@ class DatasetStats:
     n, m, d:
         Product rows, customer rows, dimensionality.
     backend:
-        Spatial-index backend name (``"scan"``, ``"rtree"``, ``"grid"``,
-        ``"kdtree"``) — drives the per-window-query cost.
+        Spatial-index backend name (``"scan"``, ``"rtree"`` or
+        ``"grid"``) — drives the per-window-query cost.
     epoch:
         Dataset epoch the stats were sampled at; a plan carries the
         stats it was costed with, so EXPLAIN can show staleness.
     dsl_warm:
         Warm entries in the engine's :class:`~repro.core.dsl_cache.
-        DSLCache` (0 when disabled) — a warm cache collapses the
+        DSLCache` (0 without one) — a warm cache collapses the
         per-member cost of safe-region assembly.
     cpus:
         Schedulable CPUs of this process (affinity/cgroup-aware, see

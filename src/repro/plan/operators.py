@@ -98,7 +98,6 @@ def ensure_shard_executor(engine):
             None if engine.monochromatic else engine.customers,
             shards=config.shards,
             backend=config.shard_backend,
-            partition=config.shard_partition,
             block_size=engine.kernel_block_size,
             prune=config.planner == "pruned",
             prune_tile_size=engine.prune_tile_size,
@@ -643,7 +642,6 @@ class _ExactSafeRegionOp(Operator):
             bounds.hi,
             eng.config.sort_dim,
             self_exclude=eng.monochromatic,
-            chunk_size=eng.config.sr_chunk_size,
             weights=prefs.weight_array(eng.dim),
         )
         region = BoxRegion.from_arrays(lo, hi, dim=eng.dim)

@@ -15,7 +15,7 @@ Composition (each piece usable alone):
 * :class:`~repro.serve.coalesce.Coalescer` — folds concurrent same-key
   requests into one ``answer_why_not_batch`` dispatch;
 * :class:`~repro.serve.service.WhyNotService` — the composition root:
-  leases + plan pool + thread executor + single writer task;
+  leases + thread executor + single writer task;
 * :class:`~repro.serve.http.WhyNotHTTPServer` — dependency-free
   HTTP/1.1 front (``/why-not``, ``/safe-region``, ``/explain``,
   ``/mutate``, ``/metrics``, ``/healthz``).

@@ -10,8 +10,8 @@
 * a **writer task** — the single consumer of the mutation queue.  Each
   batch drains outstanding leases (blocking new ones, so readers cannot
   starve the writer), applies the mutations under the engine's write
-  gate, publishes the new epoch, re-pins the service session and prunes
-  the plan pool's dead generation;
+  gate, publishes the new epoch and re-pins the service session (the
+  store's commit subscribers clear the engine's plan cache);
 * the **serve.`*`** metrics, registered on the engine's own registry so
   the existing Prometheus exporter renders everything in one scrape.
 
@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.batch import answer_why_not, answer_why_not_batch
 from repro.exceptions import InvalidParameterError, StaleSessionError
 from repro.obs.exporters import to_prometheus
-from repro.plan.pool import PlanPool
 from repro.prefs.model import PreferenceModel
 from repro.serve.admission import (
     AdmissionController,
@@ -126,7 +125,6 @@ class WhyNotService:
         self.engine = engine
         self.config = config or ServeConfig()
         engine.enable_thread_safety()
-        self.pool = PlanPool(engine)
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.executor_threads,
             thread_name_prefix="repro-serve",
@@ -319,14 +317,14 @@ class WhyNotService:
         deadline_s: "float | None" = None,
         weights: "Sequence[float] | None" = None,
     ) -> dict:
-        """Serve ``SR(q)`` through the per-epoch prepared-plan pool."""
+        """Serve ``SR(q)`` through ``engine.prepare`` (plan-cached)."""
         q = np.asarray(query, dtype=np.float64)
         self._resolve_prefs(weights)
         frozen_w = _freeze_weights(weights)
 
         async def run(lease: "SnapshotLease") -> dict:
             def work() -> dict:
-                prepared = self.pool.prepare(
+                prepared = self.engine.prepare(
                     "safe_region", q, approximate=approximate, k=k,
                     weights=frozen_w,
                 )
@@ -343,7 +341,7 @@ class WhyNotService:
         deadline_s: "float | None" = None,
         weights: "Sequence[float] | None" = None,
     ) -> dict:
-        """Serve the Λ explanation through the prepared-plan pool."""
+        """Serve the Λ explanation through ``engine.prepare``."""
         q = np.asarray(query, dtype=np.float64)
         frozen = _freeze_why_not(why_not)
         self._resolve_prefs(weights)
@@ -351,7 +349,7 @@ class WhyNotService:
 
         async def run(lease: "SnapshotLease") -> dict:
             def work() -> dict:
-                prepared = self.pool.prepare(
+                prepared = self.engine.prepare(
                     "explain", frozen, q, weights=frozen_w
                 )
                 return serialize_explanation(prepared.execute())
@@ -502,7 +500,6 @@ class WhyNotService:
                     if not future.done():
                         future.set_exception(exc)
                 continue
-            self.pool.prune_stale()
             for (_, _, future), (ok, value) in zip(batch, outcomes):
                 if future.done():
                     continue
@@ -557,7 +554,6 @@ class WhyNotService:
             "inflight": 0 if self.admission is None else self.admission.inflight,
             "queue_depth": 0 if self.admission is None else self.admission.waiting,
             "leases": self.engine.leases.active,
-            "pool_entries": len(self.pool),
         }
 
     def __repr__(self) -> str:

@@ -292,7 +292,7 @@ def safe_region_chunk(
 
     Mirrors the sequential fold of :func:`repro.core.safe_region.
     compute_safe_region` — same staircase construction, same
-    ``sr_chunk_size`` chunking with a size-ascending fold and the
+    ``SR_CHUNK_SIZE`` chunking with a size-ascending fold and the
     empty-region early exit — over this shard's member subset only.
     The parent intersects the partials; the final set of maximal boxes
     is order-invariant, so the merged region equals the sequential one.
@@ -319,7 +319,7 @@ def safe_region_chunk(
     intersections = before_simplify = after_simplify = 0
     peak_boxes = 1
     early_exit = False
-    for chunk in _member_chunks(payload["rows"], payload["chunk_size"]):
+    for chunk in _member_chunks(payload["rows"]):
         regions = []
         for position in chunk:
             origin = customers[position]

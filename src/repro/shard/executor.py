@@ -30,11 +30,7 @@ from repro.config import DominancePolicy
 from repro.exceptions import InvalidParameterError
 from repro.kernels.parallel import available_cpus
 from repro.shard import _worker
-from repro.shard.partition import (
-    STRATEGIES,
-    partition_matrix,
-    shard_assignment,
-)
+from repro.shard.partition import partition_matrix, shard_assignment
 from repro.shard.sharedmem import SharedMatrix
 from repro.shard.stats import ShardStats
 
@@ -67,8 +63,6 @@ class ShardExecutor:
     backend:
         ``"process"`` (ProcessPoolExecutor over shared memory) or
         ``"serial"`` (same tasks in-process, deterministic oracle).
-    partition:
-        Row-to-shard strategy, see :mod:`repro.shard.partition`.
     prune, prune_tile_size:
         When ``prune`` is true, the membership / Λ tasks run the
         filter-refinement kernels of :mod:`repro.kernels.pruned` inside
@@ -96,7 +90,6 @@ class ShardExecutor:
         *,
         shards: int,
         backend: str = "process",
-        partition: str = "str",
         block_size: int = 512,
         prune: bool = False,
         prune_tile_size: int | None = None,
@@ -112,11 +105,6 @@ class ShardExecutor:
             raise InvalidParameterError(
                 f"unknown shard backend {backend!r}; one of {BACKENDS}"
             )
-        if partition not in STRATEGIES:
-            raise InvalidParameterError(
-                f"unknown shard partition strategy {partition!r}; "
-                f"one of {STRATEGIES}"
-            )
         # One contiguous float64 copy up front: serial and process
         # backends then read the exact same bits.
         self._products = np.ascontiguousarray(products, dtype=np.float64)
@@ -128,7 +116,6 @@ class ShardExecutor:
         )
         self.shards = int(shards)
         self.backend = backend
-        self.partition = partition
         self.block_size = int(block_size)
         self.prune = bool(prune)
         self.prune_tile_size = (
@@ -153,15 +140,11 @@ class ShardExecutor:
             "kernels": {},
             "prune": {},
         }
-        self._customer_parts = partition_matrix(
-            self._customers, self.shards, partition
-        )
+        self._customer_parts = partition_matrix(self._customers, self.shards)
         self._shard_of = shard_assignment(
             self._customer_parts, self._customers.shape[0]
         )
-        self._product_parts = partition_matrix(
-            self._products, self.shards, partition
-        )
+        self._product_parts = partition_matrix(self._products, self.shards)
         self._pool: ProcessPoolExecutor | None = None
         self._segments: list[SharedMatrix] = []
         self._closed = False
@@ -483,7 +466,6 @@ class ShardExecutor:
         sort_dim: int,
         *,
         self_exclude: bool,
-        chunk_size: int,
         weights: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, dict]:
         """Intersect the anti-dominance regions of the given members,
@@ -506,7 +488,6 @@ class ShardExecutor:
                 "bounds_hi": np.asarray(bounds_hi, dtype=np.float64),
                 "sort_dim": int(sort_dim),
                 "self_exclude": bool(self_exclude),
-                "chunk_size": int(chunk_size),
                 "weights": None
                 if weights is None
                 else np.asarray(weights, dtype=np.float64),

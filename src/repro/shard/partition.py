@@ -1,20 +1,14 @@
-"""Row-to-shard assignment strategies.
+"""Row-to-shard assignment.
 
-Every strategy returns a *partition*: a list of exactly ``shards``
-disjoint ``int64`` position arrays covering ``range(n)`` (some possibly
-empty when ``shards > n``).  The merged kernel results are identical
-under any strategy — membership is per-row, Λ-counts are sums, the
-region fold is order-invariant — so the choice only moves per-shard
-work balance and cache locality:
-
-* ``"rows"`` — contiguous row ranges (cheapest, no spatial locality);
-* ``"str"`` — Sort-Tile-Recursive order (the same tiling
-  :func:`repro.index.bulkload.str_bulk_load` packs R-tree leaves with)
-  cut into contiguous runs, so each shard covers a compact area and the
-  membership kernel's early-exit stays as effective as on the full
-  matrix;
-* ``"grid"`` — rows bucketed by uniform grid cell (lexicographic cell
-  order), the :class:`repro.index.grid.GridIndex` analogue.
+A *partition* is a list of exactly ``shards`` disjoint ``int64``
+position arrays covering ``range(n)`` (some possibly empty when
+``shards > n``).  Rows are cut in Sort-Tile-Recursive order — the same
+tiling :func:`repro.index.bulkload.str_bulk_load` packs R-tree leaves
+with — into contiguous runs, so each shard covers a compact area and
+the membership kernel's early-exit stays as effective as on the full
+matrix.  The merged kernel results do not depend on the assignment
+(membership is per-row, Λ-counts are sums, the region fold is
+order-invariant); it only moves per-shard work balance.
 """
 
 from __future__ import annotations
@@ -28,72 +22,27 @@ from repro.index.bulkload import _tile_positions
 
 __all__ = ["partition_matrix", "shard_assignment"]
 
-STRATEGIES = ("rows", "str", "grid")
 
-
-def _split_order(order: np.ndarray, shards: int) -> list[np.ndarray]:
-    """Cut a row permutation into ``shards`` near-equal contiguous runs."""
-    return [
-        np.ascontiguousarray(part, dtype=np.int64)
-        for part in np.array_split(order, shards)
-    ]
-
-
-def _str_order(points: np.ndarray, shards: int) -> np.ndarray:
-    """Row permutation in STR tile order: one sort pass per dimension,
-    recursively — spatially compact runs without building any tree."""
-    n = points.shape[0]
-    positions = np.arange(n, dtype=np.int64)
-    capacity = max(1, math.ceil(n / shards))
-    tiles = _tile_positions(points, positions, capacity)
-    return np.concatenate(tiles) if tiles else positions
-
-
-def _grid_order(points: np.ndarray, shards: int) -> np.ndarray:
-    """Row permutation by lexicographic uniform-grid cell, stable within
-    a cell (grid resolution ~ ``shards`` cells total)."""
-    n, dim = points.shape
-    cells_per_dim = max(1, math.ceil(shards ** (1.0 / dim)))
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
-    span[span == 0.0] = 1.0
-    coords = np.clip(
-        ((points - lo) / span * cells_per_dim).astype(np.int64),
-        0,
-        cells_per_dim - 1,
-    )
-    codes = coords[:, 0]
-    for d in range(1, dim):
-        codes = codes * cells_per_dim + coords[:, d]
-    return np.argsort(codes, kind="stable").astype(np.int64)
-
-
-def partition_matrix(
-    points: np.ndarray, shards: int, strategy: str = "str"
-) -> list[np.ndarray]:
+def partition_matrix(points: np.ndarray, shards: int) -> list[np.ndarray]:
     """Partition the rows of ``points`` into ``shards`` position arrays."""
     if shards < 1:
         raise InvalidParameterError("shards must be a positive integer")
-    if strategy not in STRATEGIES:
-        raise InvalidParameterError(
-            f"unknown shard partition strategy {strategy!r}; "
-            f"one of {STRATEGIES}"
-        )
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise InvalidParameterError(
             f"points must be an (n, d) matrix, got shape {pts.shape}"
         )
     n = pts.shape[0]
-    if shards == 1 or n == 0:
-        return _split_order(np.arange(n, dtype=np.int64), shards)
-    if strategy == "rows":
-        order = np.arange(n, dtype=np.int64)
-    elif strategy == "str":
-        order = _str_order(pts, shards)
-    else:
-        order = _grid_order(pts, shards)
-    return _split_order(order, shards)
+    order = np.arange(n, dtype=np.int64)
+    if shards > 1 and n > 0:
+        capacity = max(1, math.ceil(n / shards))
+        tiles = _tile_positions(pts, order, capacity)
+        if tiles:
+            order = np.concatenate(tiles)
+    return [
+        np.ascontiguousarray(part, dtype=np.int64)
+        for part in np.array_split(order, shards)
+    ]
 
 
 def shard_assignment(parts: list[np.ndarray], count: int) -> np.ndarray:

@@ -8,11 +8,10 @@ uses [9]: first prune customers that provably cannot be members via the
 per-orthant global skyline, then verify only the survivors with window
 queries.  Outputs are identical by construction (property-tested).
 
-Both accept ``batch_kernels``: verification then runs through the blocked
-NumPy kernel of :mod:`repro.kernels.membership` — one broadcasted pass
-over all (surviving) customers instead of one index query each — with
-bit-identical output (the kernel evaluates the same predicate on the same
-float arithmetic).
+The blocked NumPy form of the same membership test is
+:func:`repro.kernels.membership.batch_window_membership`; the engine picks
+between it and these index loops through the planner
+(:func:`repro.plan.operators.row_mask`).
 """
 
 from __future__ import annotations
@@ -24,12 +23,6 @@ import numpy as np
 from repro.config import DominancePolicy
 from repro.geometry.point import as_point, as_points
 from repro.index.base import SpatialIndex
-from repro.kernels.membership import (
-    DEFAULT_BLOCK_SIZE,
-    KernelCounters,
-    batch_window_membership,
-)
-from repro.prefs.model import support_dims
 from repro.skyline.global_skyline import global_skyline_candidates
 from repro.skyline.window import window_is_empty
 
@@ -68,9 +61,6 @@ def reverse_skyline_naive(
     query: Sequence[float],
     policy: DominancePolicy = DominancePolicy.WEAK,
     self_exclude: bool = False,
-    batch_kernels: bool = False,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    counters: KernelCounters | None = None,
     weights: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Positions (into ``customers``) of ``RSL(query)`` by direct testing.
@@ -83,26 +73,6 @@ def reverse_skyline_naive(
     custs = as_points(customers, dim=product_index.dim)
     if self_exclude:
         _check_self_exclude(custs, product_index)
-    dims = support_dims(
-        None if weights is None else np.asarray(weights, dtype=np.float64),
-        product_index.dim,
-    )
-    if batch_kernels:
-        mask = batch_window_membership(
-            product_index.points,
-            custs,
-            q,
-            policy,
-            self_positions=(
-                np.arange(custs.shape[0], dtype=np.int64)
-                if self_exclude
-                else None
-            ),
-            block_size=block_size,
-            counters=counters,
-            dims=dims,
-        )
-        return np.flatnonzero(mask).astype(np.int64)
     members = [
         j
         for j in range(custs.shape[0])
@@ -124,9 +94,6 @@ def reverse_skyline_bbrs(
     query: Sequence[float],
     policy: DominancePolicy = DominancePolicy.WEAK,
     self_exclude: bool = False,
-    batch_kernels: bool = False,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    counters: KernelCounters | None = None,
     weights: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Positions of ``RSL(query)`` via global-skyline pruning + verification.
@@ -139,29 +106,10 @@ def reverse_skyline_bbrs(
     custs = as_points(customers, dim=product_index.dim)
     if self_exclude:
         _check_self_exclude(custs, product_index)
-    dims = support_dims(
-        None if weights is None else np.asarray(weights, dtype=np.float64),
-        product_index.dim,
-    )
     candidates = global_skyline_candidates(
         product_index.points, custs, q, self_exclude=self_exclude,
         weights=weights,
     )
-    if batch_kernels:
-        cand = np.asarray(candidates, dtype=np.int64)
-        if cand.size == 0:
-            return cand
-        mask = batch_window_membership(
-            product_index.points,
-            custs[cand],
-            q,
-            policy,
-            self_positions=cand if self_exclude else None,
-            block_size=block_size,
-            counters=counters,
-            dims=dims,
-        )
-        return cand[mask]
     members = [
         int(j)
         for j in candidates

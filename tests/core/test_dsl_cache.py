@@ -11,6 +11,7 @@ import pytest
 
 from repro.config import WhyNotConfig
 from repro.core.dsl_cache import DSLCache, DSLCacheStats
+from repro.core.mwq import modify_query_and_why_not_point
 from repro.core.relaxation import leave_one_out_regions
 from repro.core.safe_region import compute_safe_region
 from repro import WhyNotEngine
@@ -162,22 +163,34 @@ class TestEngineIntegration:
         assert engine.dsl_cache.self_exclude == engine.monochromatic
 
     def test_config_can_disable_cache(self, dataset):
+        """A partial-support default drops dimensions the unweighted
+        cache entries cover, so such an engine keeps no cache."""
         engine = WhyNotEngine(
-            dataset, backend="scan", config=WhyNotConfig(dsl_cache=False)
+            dataset,
+            backend="scan",
+            config=WhyNotConfig(prefs_weights=(0.0, 1.0)),
         )
         assert engine.dsl_cache is None
         q = np.array([0.5, 0.5])
         assert engine.safe_region(q).contains(q)
 
     def test_disabled_cache_same_answers(self, dataset):
+        """The engine's cached fold equals the uncached reference."""
         q = np.array([0.45, 0.55])
-        with_cache = WhyNotEngine(dataset, backend="scan")
-        without = WhyNotEngine(
-            dataset, backend="scan", config=WhyNotConfig(dsl_cache=False)
+        engine = WhyNotEngine(dataset, backend="scan")
+        a = engine.safe_region(q)
+        b = compute_safe_region(
+            ScanIndex(dataset),
+            dataset,
+            q,
+            engine.reverse_skyline(q),
+            engine.bounds,
+            self_exclude=True,
+            dsl_cache=None,
         )
-        a = with_cache.safe_region(q)
-        b = without.safe_region(q)
+        assert engine.dsl_cache.entry_count() > 0
         assert a.region.lo.tolist() == b.region.lo.tolist()
+        assert a.region.hi.tolist() == b.region.hi.tolist()
         assert a.area() == b.area()
 
     def test_safe_region_populates_stats(self, engine):
@@ -216,13 +229,31 @@ class TestEngineIntegration:
             assert engine.dsl_cache.stats.misses == before_misses
 
     def test_modify_both_matches_uncached(self, dataset):
-        cached_engine = WhyNotEngine(dataset, backend="scan")
-        plain_engine = WhyNotEngine(
-            dataset, backend="scan", config=WhyNotConfig(dsl_cache=False)
-        )
+        """Algorithm 4 over the cached safe region and DDR equals it over
+        the uncached safe region with a recomputed DDR."""
+        engine = WhyNotEngine(dataset, backend="scan")
         q = np.array([0.48, 0.52])
-        a = cached_engine.modify_both(0, q)
-        b = plain_engine.modify_both(0, q)
+        a = engine.modify_both(0, q)
+        index = ScanIndex(dataset)
+        uncached = compute_safe_region(
+            index,
+            dataset,
+            q,
+            engine.reverse_skyline(q),
+            engine.bounds,
+            self_exclude=True,
+            dsl_cache=None,
+        )
+        b = modify_query_and_why_not_point(
+            index,
+            dataset[0],
+            q,
+            safe_region=uncached,
+            bounds=engine.bounds,
+            weights=engine.beta,
+            normalizer=engine.normalizer,
+            exclude=(0,),
+        )
         assert a.case == b.case
         assert np.allclose(a.query, b.query)
         if not np.isnan(a.cost) or not np.isnan(b.cost):

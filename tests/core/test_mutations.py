@@ -36,6 +36,9 @@ def _bi(n: int = 20, m: int = 16, seed: int = 22, **cfg) -> WhyNotEngine:
 
 
 Q = np.array([0.5, 0.5])
+# A partial-support default (dimension 0 dropped): such an engine keeps
+# no DSL cache and flushes every cache on mutation.
+PARTIAL = (0.0, 1.0)
 
 
 def _warm(engine, queries=(Q, np.array([0.25, 0.75]))):
@@ -174,16 +177,19 @@ class TestCacheCoherence:
         _assert_fresh_equivalent(engine)
 
     def test_scoped_and_full_agree(self):
-        """scoped_invalidation=False must give bit-identical answers."""
-        scoped, full = _mono(), _mono(scoped_invalidation=False)
+        """The scoped pass and the full flush (partial-support default)
+        both leave every surface equal to a freshly built engine."""
+        scoped, full = _mono(), _mono(prefs_weights=PARTIAL)
+        assert full.dsl_cache is None
         for engine in (scoped, full):
             _warm(engine)
             engine.insert_products([[0.3, 0.7]])
             engine.delete_products([2])
             engine.update_products([5], [[0.55, 0.45]])
-        assert np.array_equal(scoped.reverse_skyline(Q), full.reverse_skyline(Q))
-        a, b = scoped.safe_region(Q).region, full.safe_region(Q).region
-        assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+            _assert_fresh_equivalent(engine)
+        assert scoped._scoped_considered.value > 0
+        assert full._scoped_considered.value == 0
+        assert full._evicted_full.value > 0
 
     def test_counters_balance(self):
         engine = _mono()
@@ -199,7 +205,7 @@ class TestCacheCoherence:
         assert engine._epoch_gauge.value == engine.dataset_epoch == 2
 
     def test_full_path_counts_evictions(self):
-        engine = _mono(scoped_invalidation=False)
+        engine = _mono(prefs_weights=PARTIAL)
         _warm(engine)
         before = engine._evicted_full.value
         engine.insert_products([[0.4, 0.6]])
@@ -208,7 +214,7 @@ class TestCacheCoherence:
 
 class TestApproxStoreEpochKeying:
     def test_store_not_reused_across_epochs_when_full_invalidation(self):
-        engine = _mono(scoped_invalidation=False)
+        engine = _mono(prefs_weights=PARTIAL)
         store0 = engine.approx_store(5)
         engine.safe_region(Q, approximate=True, k=5)
         engine.insert_products([[0.45, 0.55]])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import WhyNotConfig
 from repro.core.safe_region import (
+    SR_CHUNK_SIZE,
     anti_dominance_region,
     compute_safe_region,
     staircase_boxes,
@@ -226,15 +227,20 @@ class TestArrayEngineStats:
         assert 0.0 <= stats.member_seconds <= stats.build_seconds
 
     def test_parallel_identical_to_sequential(self):
+        """Customers clustered around ``q``, products spread out: every
+        customer's window is empty, so ``RSL(q)`` spans several fold
+        chunks and the chunk partition must not depend on ``n_jobs``."""
         for seed in (1, 4):
-            idx, pts, q, rsl = self.make_case(seed, n=40)
-            config = WhyNotConfig(sr_chunk_size=3)
-            seq = compute_safe_region(
-                idx, pts, q, rsl, UNIT, config=config, self_exclude=True, n_jobs=1
-            )
-            par = compute_safe_region(
-                idx, pts, q, rsl, UNIT, config=config, self_exclude=True, n_jobs=4
-            )
+            rng = np.random.default_rng(seed)
+            products = rng.uniform(0, 1, size=(30, 2))
+            q = rng.uniform(0.3, 0.7, size=2)
+            customers = q + rng.uniform(-0.03, 0.03, size=(40, 2))
+            idx = ScanIndex(products)
+            rsl = reverse_skyline_naive(idx, customers, q)
+            assert rsl.size > SR_CHUNK_SIZE, seed
+            seq = compute_safe_region(idx, customers, q, rsl, UNIT, n_jobs=1)
+            par = compute_safe_region(idx, customers, q, rsl, UNIT, n_jobs=4)
+            assert seq.stats.intersections == rsl.size, seed
             assert par.region.lo.tolist() == seq.region.lo.tolist(), seed
             assert par.region.hi.tolist() == seq.region.hi.tolist(), seed
             assert par.area() == seq.area(), seed
@@ -257,24 +263,24 @@ class TestArrayEngineStats:
                 assert exact.contains(p)
 
     def test_chunked_early_exit_skips_later_members(self):
-        """Satellite: the empty-intersection early exit must fire on the
-        chunked (parallel) path too — later chunks are never built."""
+        """The empty-intersection early exit must fire on the chunked
+        (parallel) path too — later chunks are never built."""
         idx = ScanIndex(np.array([[0.5, 0.5]]))
         cache = _DisjointRegionCache()
-        positions = np.arange(6, dtype=np.int64)
+        members = 3 * SR_CHUNK_SIZE
+        positions = np.arange(members, dtype=np.int64)
         sr = compute_safe_region(
             idx,
-            np.tile(np.linspace(0.1, 0.6, 6)[:, None], (1, 2)),
+            np.tile(np.linspace(0.1, 0.6, members)[:, None], (1, 2)),
             np.array([0.05, 0.05]),
             positions,
             UNIT,
-            config=WhyNotConfig(sr_chunk_size=2),
             n_jobs=4,
             dsl_cache=cache,
         )
         assert sr.stats.early_exit
         # Only the first chunk's members were materialised.
-        assert sorted(cache.calls) == [0, 1]
+        assert sorted(cache.calls) == list(range(SR_CHUNK_SIZE))
         assert sr.stats.intersections == 2
         # The degenerate {q} fallback keeps the invariant q ∈ SR(q).
         assert sr.contains([0.05, 0.05])

@@ -19,7 +19,7 @@ def dataset():
 class TestBackends:
     def test_rows_consistent(self, dataset):
         rows = ablation_backends(dataset, n_queries=20, seed=1)
-        assert [r["backend"] for r in rows] == ["scan", "rtree", "grid", "kdtree"]
+        assert [r["backend"] for r in rows] == ["scan", "rtree", "grid"]
         hits = {r["total_hits"] for r in rows}
         assert len(hits) == 1  # All backends agree.
 

@@ -1,6 +1,6 @@
 """Cross-backend equivalence matrix.
 
-All four index backends must be observationally identical on the same
+All three index backends must be observationally identical on the same
 data — for raw queries and through the whole why-not pipeline.
 """
 
@@ -10,13 +10,12 @@ import pytest
 from repro import WhyNotEngine
 from repro.data.cardb import generate_cardb
 from repro.data.paperdata import paper_points, paper_query
+from repro.exceptions import InvalidParameterError
 from repro.geometry.box import Box
-from repro.index.grid import GridIndex
-from repro.index.kdtree import KDTree
-from repro.index.rtree import RTree
+from repro.index import make_index
 from repro.index.scan import ScanIndex
 
-BACKENDS = ["scan", "rtree", "grid", "kdtree"]
+BACKENDS = ["scan", "rtree", "grid"]
 
 
 @pytest.fixture(scope="module")
@@ -24,19 +23,18 @@ def random_points():
     return np.random.default_rng(77).uniform(0, 100, size=(400, 2))
 
 
-def build(backend, points):
-    return {
-        "scan": ScanIndex,
-        "rtree": RTree,
-        "grid": GridIndex,
-        "kdtree": KDTree,
-    }[backend](points)
+def test_make_index_rejects_unknown_backends(random_points):
+    for name in ("kdtree", "quadtree"):
+        with pytest.raises(InvalidParameterError) as err:
+            make_index(name, random_points)
+        for known in BACKENDS:
+            assert repr(known) in str(err.value)
 
 
 class TestRawQueries:
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_range_matches_scan(self, backend, random_points):
-        index = build(backend, random_points)
+        index = make_index(backend, random_points)
         oracle = ScanIndex(random_points)
         rng = np.random.default_rng(5)
         for _ in range(40):
@@ -48,7 +46,7 @@ class TestRawQueries:
 
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_knn_distances_match_scan(self, backend, random_points):
-        index = build(backend, random_points)
+        index = make_index(backend, random_points)
         oracle = ScanIndex(random_points)
         rng = np.random.default_rng(6)
         for _ in range(20):

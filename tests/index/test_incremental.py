@@ -12,14 +12,12 @@ import pytest
 
 from repro.geometry.box import Box
 from repro.index.grid import GridIndex
-from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
 
 BACKENDS = {
     "scan": ScanIndex,
     "grid": GridIndex,
-    "kdtree": KDTree,
     "rtree": RTree,
 }
 
@@ -36,7 +34,7 @@ def _points(n: int = 40, d: int = 2, seed: int = 5) -> np.ndarray:
 
 def _assert_counted(index, op: str) -> None:
     """One mutation must be accounted under exactly one regime: absorbed
-    in place, deferred (lazy rebuild on next query), or eager rebuild."""
+    in place or rebuilt."""
     snap = index.stats.snapshot()
     incremental = (
         snap["incremental_inserts"]
@@ -45,13 +43,8 @@ def _assert_counted(index, op: str) -> None:
     )
     if op in index.incremental_ops:
         assert incremental == 1 and snap["rebuilds"] == 0
-        assert snap["deferred_rebuilds"] == 0
-    elif op in index.deferred_ops:
-        assert incremental == 0 and snap["rebuilds"] == 0
-        assert snap["deferred_rebuilds"] == 1
     else:
         assert incremental == 0 and snap["rebuilds"] == 1
-        assert snap["deferred_rebuilds"] == 0
 
 
 def _assert_matches_fresh(index, backend: str) -> None:
@@ -171,10 +164,9 @@ class TestMutationSequences:
         _assert_matches_fresh(index, backend)
 
     def test_advertised_ops_are_accurate(self, backend):
-        """incremental_ops/deferred_ops must agree with the counters."""
+        """incremental_ops must agree with the counters."""
         for op in ("insert", "remove", "update"):
             index = BACKENDS[backend](_points())
-            assert not (index.incremental_ops & index.deferred_ops)
             if op == "insert":
                 index.insert([[0.5, 0.5]])
             elif op == "remove":
@@ -183,34 +175,3 @@ class TestMutationSequences:
                 index.update([0], [[0.5, 0.5]])
             _assert_counted(index, op)
 
-
-class TestDeferredRebuilds:
-    """The KDTree's lazy-rebuild coalescing (deferred_ops backends)."""
-
-    def test_mutation_batch_coalesces_into_one_rebuild(self):
-        index = KDTree(_points())
-        index.insert([[0.3, 0.3], [0.6, 0.1]])
-        index.update([0], [[0.45, 0.45]])
-        index.remove([2])
-        snap = index.stats.snapshot()
-        assert snap["deferred_rebuilds"] == 3
-        assert snap["rebuilds"] == 0
-        # The first query pays for exactly one reconstruction...
-        index.range_indices(Box(np.zeros(2), np.ones(2)))
-        assert index.stats.rebuilds == 1
-        # ...and later queries reuse it.
-        index.knn_indices([0.5, 0.5], 3)
-        assert index.stats.rebuilds == 1
-        _assert_matches_fresh(index, "kdtree")
-
-    def test_queries_after_mutation_match_fresh(self):
-        index = KDTree(_points())
-        index.insert([[0.05, 0.95]])
-        _assert_matches_fresh(index, "kdtree")
-
-    def test_height_triggers_rebuild(self):
-        index = KDTree(_points(200))
-        before = index.height()
-        index.remove(list(range(150)))
-        assert index.height() <= before
-        assert index.stats.rebuilds == 1

@@ -14,7 +14,6 @@ class TestIndexStats:
             "incremental_removes": 0,
             "incremental_updates": 0,
             "rebuilds": 0,
-            "deferred_rebuilds": 0,
         }
 
     def test_reset(self):
@@ -33,14 +32,13 @@ class TestIndexStats:
         assert merged.queries == 33
 
     def test_merge_sums_mutation_counters(self):
-        a = IndexStats(incremental_inserts=1, rebuilds=2, deferred_rebuilds=1)
+        a = IndexStats(incremental_inserts=1, rebuilds=2)
         b = IndexStats(incremental_inserts=3, incremental_removes=4, rebuilds=5)
         merged = a.merge(b)
         assert merged.incremental_inserts == 4
         assert merged.incremental_removes == 4
         assert merged.incremental_updates == 0
         assert merged.rebuilds == 7
-        assert merged.deferred_rebuilds == 1
 
     def test_merge_does_not_mutate(self):
         a = IndexStats(queries=1)

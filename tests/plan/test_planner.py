@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import WhyNotConfig
 from repro.core.engine import WhyNotEngine
+from repro.core.safe_region import compute_safe_region
 from repro.plan.cost import CostModel, DatasetStats
 from repro.plan.logical import (
     BatchWhyNotQuery,
@@ -158,19 +159,28 @@ class TestFixedMode:
 
     def test_dsl_cache_config_selects_safe_region_fold(self):
         """One local fold either way: it reads the DSL cache whenever the
-        engine keeps one."""
+        engine keeps one (full-support defaults) and equals the uncached
+        fold."""
         stats = make_stats()
-        for dsl_cache in (True, False):
-            config = WhyNotConfig(planner="index", dsl_cache=dsl_cache)
+        for weights in (None, (0.0, 1.0)):
+            config = WhyNotConfig(planner="index", prefs_weights=weights)
             planner = Planner(config)
             chosen = planner.choose(SafeRegionQuery(), stats)
             assert chosen.name == "sr-cached-fold"
         points = np.random.default_rng(8).random((30, 2))
-        engine = WhyNotEngine(points, config=WhyNotConfig(dsl_cache=False))
-        assert engine.dsl_cache is None
         cached = WhyNotEngine(points)
+        assert cached.dsl_cache is not None
         q = np.array([0.5, 0.5])
-        assert engine.safe_region(q).area() == cached.safe_region(q).area()
+        uncached = compute_safe_region(
+            cached.index,
+            points,
+            q,
+            cached.reverse_skyline(q),
+            cached._geometry_bounds(q),
+            self_exclude=True,
+            dsl_cache=None,
+        )
+        assert cached.safe_region(q).area() == uncached.area()
 
     def test_approximate_safe_region_has_one_operator(self):
         for pin in ("index", "kernel", "pruned"):
@@ -205,7 +215,7 @@ class TestCapabilityGating:
     def test_dsl_cache_gating(self):
         """Sharded variants need shards > 1; the sharded fold also needs
         an unbounded box budget."""
-        single = Planner(WhyNotConfig(planner="auto", dsl_cache=False))
+        single = Planner(WhyNotConfig(planner="auto"))
         names = {
             op.name
             for op in single.candidates(SafeRegionQuery(), make_stats())

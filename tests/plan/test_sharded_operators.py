@@ -220,7 +220,7 @@ class TestConfigValidation:
             {"shards": 0},
             {"shards": -2},
             {"shard_backend": "thread"},
-            {"shard_partition": "zorder"},
+            {"shard_backend": "fork"},
             {"planner": "sharded"},
         ],
     )
@@ -232,6 +232,5 @@ class TestConfigValidation:
         config = WhyNotConfig(
             shards=4,
             shard_backend="serial",
-            shard_partition="grid",
         )
         assert config.shards == 4

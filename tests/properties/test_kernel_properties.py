@@ -19,6 +19,7 @@ from repro.kernels.membership import (
     batch_verify_membership,
     batch_window_membership,
 )
+from repro.skyline.global_skyline import global_skyline_candidates
 from repro.skyline.reverse import reverse_skyline_bbrs, reverse_skyline_naive
 from repro.skyline.window import window_is_empty, window_query_indices
 
@@ -79,27 +80,39 @@ def test_membership_kernel_matches_window_oracle(
 def test_reverse_skyline_kernel_paths_match_oracle(
     pts, q, policy, self_exclude, block_size
 ):
-    """naive == naive(kernels) == bbrs(kernels) for every configuration."""
+    """naive == bbrs == kernel over every customer == kernel over the
+    BBRS survivors, for every configuration."""
     idx = ScanIndex(pts)
+    m = pts.shape[0]
     oracle = reverse_skyline_naive(idx, pts, q, policy, self_exclude=self_exclude)
-    naive_k = reverse_skyline_naive(
-        idx,
-        pts,
-        q,
-        policy,
-        self_exclude=self_exclude,
-        batch_kernels=True,
-        block_size=block_size,
+    bbrs = reverse_skyline_bbrs(idx, pts, q, policy, self_exclude=self_exclude)
+    naive_k = np.flatnonzero(
+        batch_window_membership(
+            pts,
+            pts,
+            q,
+            policy,
+            self_positions=(
+                np.arange(m, dtype=np.int64) if self_exclude else None
+            ),
+            block_size=block_size,
+        )
     )
-    bbrs_k = reverse_skyline_bbrs(
-        idx,
-        pts,
-        q,
-        policy,
-        self_exclude=self_exclude,
-        batch_kernels=True,
-        block_size=block_size,
+    cand = np.asarray(
+        global_skyline_candidates(pts, pts, q, self_exclude=self_exclude),
+        dtype=np.int64,
     )
+    bbrs_k = cand[
+        batch_window_membership(
+            pts,
+            pts[cand],
+            q,
+            policy,
+            self_positions=cand if self_exclude else None,
+            block_size=block_size,
+        )
+    ]
+    assert np.array_equal(oracle, bbrs)
     assert np.array_equal(oracle, naive_k)
     assert np.array_equal(oracle, bbrs_k)
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Box, WhyNotConfig, WhyNotEngine
+from repro.core.safe_region import compute_safe_region
 
 BOUNDS = Box(np.zeros(2), np.ones(2))
-BACKENDS = ["scan", "grid", "kdtree", "rtree"]
+BACKENDS = ["scan", "grid", "rtree"]
 QUERIES = [np.array([0.5, 0.5]), np.array([0.25, 0.625])]
 
 
@@ -171,7 +172,21 @@ def test_agreement_survives_mutation_programs(backend, points, ops, pin):
 @settings(max_examples=8, deadline=None)
 @given(points=point_lists(5, 10))
 def test_agreement_without_kernels_or_dsl_cache(points):
-    """With the DSL cache off, the index-pinned oracle arm still agrees
-    with whatever auto picks."""
-    auto, fixed = _pair(points, "scan", "index", dsl_cache=False)
+    """The index-pinned oracle arm agrees with whatever auto picks, and
+    both engines' cached safe regions equal the uncached fold."""
+    auto, fixed = _pair(points, "scan", "index")
     _assert_all_surfaces_equal(auto, fixed)
+    for q in QUERIES:
+        uncached = compute_safe_region(
+            fixed.index,
+            points,
+            q,
+            fixed.reverse_skyline(q),
+            fixed._geometry_bounds(q),
+            self_exclude=True,
+            dsl_cache=None,
+        )
+        for engine in (auto, fixed):
+            region = engine.safe_region(q).region
+            assert np.array_equal(region.lo, uncached.region.lo)
+            assert np.array_equal(region.hi, uncached.region.hi)

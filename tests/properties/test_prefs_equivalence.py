@@ -25,7 +25,7 @@ from repro.prefs.oracle import (
     oracle_reverse_skyline,
 )
 
-BACKENDS = ("scan", "grid", "kdtree", "rtree")
+BACKENDS = ("scan", "grid", "rtree")
 
 
 def grids(rows, cols=2):

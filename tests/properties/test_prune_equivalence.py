@@ -3,7 +3,7 @@
 The acceptance contract of the prune layer — every surface answered
 through the pruned operators (the ``planner="pruned"`` pin forces them)
 is bit-identical to the unpruned ``planner="kernel"`` engine, across
-tile sizes, all four index backends, shard counts (pruning inside the
+tile sizes, all three index backends, shard counts (pruning inside the
 shard workers stacks with fan-out), and random mutation programs
 driving the incremental tile-summary maintenance.
 The counter balance invariant (pairs skipped + blocked + refined ==
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro import Box, WhyNotConfig, WhyNotEngine
 
 BOUNDS = Box(np.zeros(2), np.ones(2))
-BACKENDS = ["scan", "grid", "kdtree", "rtree"]
+BACKENDS = ["scan", "grid", "rtree"]
 QUERIES = [np.array([0.5, 0.5]), np.array([0.25, 0.625])]
 
 

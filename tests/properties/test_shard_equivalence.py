@@ -3,7 +3,7 @@
 The acceptance contract of the shard layer — every surface answered
 through the sharded operators (the ``planner="kernel"`` pin with
 ``shards > 1`` forces them) is bit-identical to the single-process
-engine, across shard counts, partition strategies and all four index
+engine, across shard counts, planner pins and all three index
 backends.  The serial shard backend runs the identical worker code the
 process pool runs, so it stands in for the pool under Hypothesis (pool
 startup per example would dominate); one deterministic process-backend
@@ -19,7 +19,7 @@ from repro import Box, WhyNotConfig, WhyNotEngine
 from repro.experiments.audit import canonical_boxes
 
 BOUNDS = Box(np.zeros(2), np.ones(2))
-BACKENDS = ["scan", "grid", "kdtree", "rtree"]
+BACKENDS = ["scan", "grid", "rtree"]
 QUERIES = [np.array([0.5, 0.5]), np.array([0.25, 0.625])]
 
 
@@ -75,13 +75,10 @@ def _assert_engines_agree(base: WhyNotEngine, sharded: WhyNotEngine):
 @given(
     points=point_lists(4, 24),
     shards=st.sampled_from([1, 2, 3, 7]),
-    partition=st.sampled_from(["rows", "str", "grid"]),
     pin=st.sampled_from(["index", "kernel", "pruned"]),
 )
 @settings(max_examples=15, deadline=None)
-def test_sharded_monochromatic_identical(
-    backend, points, shards, partition, pin
-):
+def test_sharded_monochromatic_identical(backend, points, shards, pin):
     base = WhyNotEngine(
         points,
         backend=backend,
@@ -91,7 +88,7 @@ def test_sharded_monochromatic_identical(
     sharded = WhyNotEngine(
         points,
         backend=backend,
-        config=_sharded_config(shards, pin, shard_partition=partition),
+        config=_sharded_config(shards, pin),
         bounds=BOUNDS,
     )
     _assert_engines_agree(base, sharded)
@@ -128,13 +125,13 @@ def test_sharded_survives_mutations(points, shards):
     the equivalence still holds."""
     base = WhyNotEngine(
         points,
-        backend="kdtree",
+        backend="grid",
         config=WhyNotConfig(planner="kernel"),
         bounds=BOUNDS,
     )
     sharded = WhyNotEngine(
         points,
-        backend="kdtree",
+        backend="grid",
         config=_sharded_config(shards),
         bounds=BOUNDS,
     )

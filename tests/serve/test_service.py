@@ -66,15 +66,17 @@ def test_served_answers_bit_identical_to_direct(coalesce):
     asyncio.run(scenario())
 
 
-def test_safe_region_and_explain_match_direct_and_pool_hits():
+def test_safe_region_and_explain_match_direct_and_plan_cache_hits():
     async def scenario():
-        async with WhyNotService(_engine()) as svc:
+        engine = _engine()
+        async with WhyNotService(engine) as svc:
             twin = _engine()
             served = await svc.safe_region(QUERY)
             direct = serialize_safe_region(twin.safe_region(np.asarray(QUERY)))
             assert canonical_json(served["result"]) == canonical_json(direct)
+            hits = engine.obs.metrics.get("plan.cache_hits").value
             await svc.safe_region(QUERY)  # second identical request
-            assert int(svc.pool.hits.value) >= 1
+            assert engine.obs.metrics.get("plan.cache_hits").value > hits
 
             served = await svc.explain(3, QUERY)
             direct = serialize_explanation(twin.explain(3, np.asarray(QUERY)))

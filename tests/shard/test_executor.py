@@ -37,8 +37,7 @@ def canon(lo, hi):
 
 class TestKernelMerges:
     @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    @pytest.mark.parametrize("partition", ["rows", "str", "grid"])
-    def test_serial_masks_and_counts(self, data, shards, partition):
+    def test_serial_masks_and_counts(self, data, shards):
         products, customers, q = data
         ref_mask = batch_window_membership(products, customers, q, POLICY)
         ref_counts = batch_lambda_counts(products, customers, q, POLICY)
@@ -47,7 +46,6 @@ class TestKernelMerges:
             customers,
             shards=shards,
             backend="serial",
-            partition=partition,
         ) as ex:
             rows = np.arange(customers.shape[0])
             assert np.array_equal(
@@ -136,7 +134,6 @@ class TestSafeRegionFold:
                 bounds.hi,
                 config.sort_dim,
                 self_exclude=False,
-                chunk_size=config.sr_chunk_size,
             )
         got_lo, got_hi = canon(lo, hi)
         assert np.array_equal(got_lo, ref_lo)
@@ -152,7 +149,6 @@ class TestSafeRegionFold:
                 np.ones(2),
                 0,
                 self_exclude=False,
-                chunk_size=16,
             )
         assert lo.shape == (1, 2)
         assert np.array_equal(lo[0], np.zeros(2))
@@ -166,8 +162,6 @@ class TestValidationAndLifecycle:
             ShardExecutor(products, customers, shards=0)
         with pytest.raises(InvalidParameterError):
             ShardExecutor(products, customers, shards=2, backend="thread")
-        with pytest.raises(InvalidParameterError):
-            ShardExecutor(products, customers, shards=2, partition="zorder")
 
     def test_close_is_idempotent(self, data):
         products, customers, q = data

@@ -96,7 +96,6 @@ class TestTaskContract:
             "bounds_hi": np.ones(2),
             "sort_dim": 0,
             "self_exclude": True,
-            "chunk_size": 4,
             "telemetry": True,
         }
         result, snapshots = _worker.run_task(

@@ -1,5 +1,7 @@
 """Tests for library configuration objects."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -65,6 +67,21 @@ class TestWhyNotConfig:
     def test_planner_pin_replaces_selection_fields(self):
         """``planner`` is the only arm-selection setting."""
         for field in ("batch_kernels", "prune", "shard_dtype"):
+            assert not hasattr(WhyNotConfig(), field)
+            with pytest.raises(TypeError):
+                WhyNotConfig(**{field: None})
+
+    def test_unmeasured_knobs_are_gone(self):
+        """Sharding is always STR-tiled, the safe-region fold chunk is a
+        module constant, and the DSL cache / scoped invalidation follow
+        the default preferences' support: none of them is a field."""
+        assert len(dataclasses.fields(WhyNotConfig)) == 15
+        for field in (
+            "shard_partition",
+            "sr_chunk_size",
+            "scoped_invalidation",
+            "dsl_cache",
+        ):
             assert not hasattr(WhyNotConfig(), field)
             with pytest.raises(TypeError):
                 WhyNotConfig(**{field: None})
