@@ -1,4 +1,4 @@
-"""Ablation: R*-tree vs brute-force scan as the window-query backend.
+"""Ablation: R-tree vs brute-force scan as the window-query backend.
 
 The R-tree wins on selective windows (the reverse-skyline membership
 test) by touching a few nodes; the vectorised scan wins on tiny datasets.
@@ -65,11 +65,5 @@ def test_ablation_rtree_touches_fraction_of_nodes(rtree, windows):
 
 
 def test_ablation_build_rtree_bulk(benchmark, points):
-    benchmark.pedantic(lambda: RTree(points, bulk=True), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: RTree(points), rounds=3, iterations=1)
 
-
-def test_ablation_build_rtree_insert(benchmark, points):
-    subset = points[:500]  # One-by-one insertion is the slow path.
-    benchmark.pedantic(
-        lambda: RTree(subset, bulk=False), rounds=1, iterations=1
-    )

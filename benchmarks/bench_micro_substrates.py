@@ -1,5 +1,5 @@
 """Micro-benchmarks of the substrates: skyline kernels, dynamic skyline,
-BBS, and the R*-tree paths the higher layers lean on."""
+BBS, and the R-tree paths the higher layers lean on."""
 
 from __future__ import annotations
 

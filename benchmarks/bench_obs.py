@@ -142,7 +142,6 @@ def run_telemetry_ab(n: int, d: int, probe_count: int, rounds: int) -> dict:
             for _ in range(rounds):
                 for q in probes:
                     ex.membership_rows(rows, q, "strict")
-                    ex.lambda_rows(rows, q, "strict")
             return time.perf_counter() - t0
 
     off = min(timed(False) for _ in range(3))
@@ -155,7 +154,6 @@ def run_telemetry_ab(n: int, d: int, probe_count: int, rounds: int) -> dict:
         ) as ex:
             for q in probes:
                 ex.membership_rows(rows, q, "strict")
-                ex.lambda_rows(rows, q, "strict")
             return {k: dict(v) for k, v in ex.worker_totals.items()}
 
     serial_totals = totals("serial")

@@ -2,7 +2,7 @@
 
 A complete, from-scratch reproduction of Islam, Zhou & Liu, *On Answering
 Why-not Questions in Reverse Skyline Queries* (ICDE 2013): skyline and
-reverse-skyline substrates (including an R*-tree and BBRS), the four
+reverse-skyline substrates (including an R-tree and BBRS), the four
 why-not algorithms (MWP, MQP, exact safe region, MWQ), the approximate
 safe region, data generators, and the full experiment harness.
 

@@ -241,28 +241,18 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class RTreeConfig:
-    """Parameters of the R*-tree.
+    """Fanout of the STR-packed R-tree.
 
     The paper uses 1536-byte pages; with 2-D float64 rectangles plus a child
-    pointer (40 bytes/entry) that is ~38 entries per node, so the defaults
-    mirror the paper's fanout while remaining configurable.
+    pointer (40 bytes/entry) that is ~38 entries per node, so the default
+    mirrors the paper's fanout while remaining configurable.
     """
 
     max_entries: int = 38
-    min_fill: float = 0.4
-    reinsert_fraction: float = 0.3
 
     def __post_init__(self) -> None:
         if self.max_entries < 4:
             raise ValueError("max_entries must be at least 4")
-        if not 0.0 < self.min_fill <= 0.5:
-            raise ValueError("min_fill must lie in (0, 0.5]")
-        if not 0.0 <= self.reinsert_fraction < 1.0:
-            raise ValueError("reinsert_fraction must lie in [0, 1)")
-
-    @property
-    def min_entries(self) -> int:
-        return max(2, int(self.max_entries * self.min_fill))
 
 
 DEFAULT_CONFIG = WhyNotConfig()

@@ -2,7 +2,7 @@
 
 Three studies that probe the design choices DESIGN.md calls out:
 
-* **index backends** — R*-tree vs uniform grid vs vectorised scan on the
+* **index backends** — R-tree vs uniform grid vs vectorised scan on the
   same window-query workload (time + node accesses);
 * **pruning** — BBRS's global-skyline candidate pruning vs the naive
   per-customer test (time + candidates verified);

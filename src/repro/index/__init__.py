@@ -4,11 +4,11 @@ Three interchangeable implementations of the :class:`SpatialIndex`
 interface:
 
 * :class:`ScanIndex` — vectorised brute force, the correctness oracle;
-* :class:`RTree` — an R*-tree (Beckmann et al.) with STR bulk loading
-  and condense-tree deletion, the access method the paper uses (page
-  size 1536 bytes);
+* :class:`RTree` — an STR-packed R-tree with the paper's page fanout
+  (1536-byte pages), the access method the paper uses; every mutation
+  repacks it;
 * :class:`GridIndex` — a uniform grid, which answers selective windows
-  3-4x faster than the R*-tree in the backend ablation.
+  3-4x faster than the R-tree in the backend ablation.
 
 All reverse-skyline and why-not machinery is written against the interface,
 so every experiment can run on any backend.

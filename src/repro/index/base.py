@@ -2,7 +2,7 @@
 
 Every skyline / reverse-skyline / why-not routine in this library is written
 against this small abstract surface, so the brute-force oracle and the
-R*-tree are interchangeable in both tests and experiments.
+R-tree are interchangeable in both tests and experiments.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class SpatialIndex(abc.ABC):
             )
         if pts.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        self._check_mutable()
         start = self.size
         before = self.stats.rebuilds
         self._points = np.ascontiguousarray(np.vstack([self._points, pts]))
@@ -123,7 +122,6 @@ class SpatialIndex(abc.ABC):
             raise ValueError(f"remove position {bad} out of range")
         if drop.size == 0:
             return np.arange(self.size, dtype=np.int64)
-        self._check_mutable()
         old_points = self._points
         mask = np.ones(self.size, dtype=bool)
         mask[drop] = False
@@ -158,7 +156,6 @@ class SpatialIndex(abc.ABC):
         order = np.argsort(target)
         target = target[order]
         pts = pts[order]
-        self._check_mutable()
         old_rows = self._points[target].copy()
         matrix = self._points.copy()
         matrix[target] = pts
@@ -186,9 +183,6 @@ class SpatialIndex(abc.ABC):
         new_points: np.ndarray,
     ) -> None:
         self._rebuild()
-
-    def _check_mutable(self) -> None:
-        """Pre-mutation validity hook (backends veto unsupported states)."""
 
     def _rebuild(self) -> None:
         self.stats.rebuilds += 1

@@ -1,8 +1,8 @@
-"""Sort-Tile-Recursive (STR) bulk loading for the R*-tree.
+"""Sort-Tile-Recursive (STR) packing: the R-tree's only build path.
 
-Building a tree over 200K points by repeated insertion is slow in pure
-Python; STR (Leutenegger et al.) packs points into full leaves with one sort
-pass per dimension and then packs the leaves level by level.  The resulting
+STR (Leutenegger et al.) packs points into full leaves with one sort pass
+per dimension and then packs the leaves level by level.  :class:`RTree`
+calls it at construction and again after every mutation.  The resulting
 tree satisfies every invariant checked by ``RTree.check_integrity``.
 """
 

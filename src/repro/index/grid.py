@@ -7,7 +7,7 @@ rings of cells around the target until the answer is provably complete.
 
 Grids shine on the uniformly distributed synthetic workloads and give
 the benchmark suite a second non-trivial access method to compare the
-R*-tree against.
+R-tree against.
 
 The grid is fully incremental (see :attr:`GridIndex.incremental_ops`):
 inserts land in their cell bucket, removals remap every bucket through

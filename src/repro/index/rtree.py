@@ -1,9 +1,11 @@
-"""An R*-tree over points (Beckmann, Kriegel, Schneider & Seeger, 1990).
+"""An STR-packed R-tree over points.
 
-The paper indexes every dataset with an R-tree with 1536-byte pages; this
-module implements the R*-tree variant it cites [11]: ChooseSubtree with
-minimum overlap enlargement at the leaf level, forced reinsertion on the
-first overflow per level, and the margin/overlap-driven topological split.
+The paper indexes every dataset with an R-tree with 1536-byte pages and
+never inserts into it.  This tree is built one way only: Sort-Tile-
+Recursive packing (:func:`repro.index.bulkload.str_bulk_load`) with the
+paper's page fanout.  Every insert, remove and update repacks the whole
+tree over the post-mutation matrix, so a mutated tree is node for node
+the tree a fresh build over the same points gives.
 
 Only points are indexed (the paper stores tuples); leaf entries are row
 positions into the point matrix, so the tree composes with the rest of the
@@ -19,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.config import RTreeConfig
-from repro.exceptions import IndexCorruptionError, InvalidParameterError
+from repro.exceptions import IndexCorruptionError
 from repro.geometry.box import Box
 from repro.geometry.point import as_point
 from repro.index.base import SpatialIndex
@@ -28,11 +30,11 @@ __all__ = ["RTree", "RTreeNode"]
 
 
 class RTreeNode:
-    """A single R*-tree node.
+    """A single R-tree node.
 
     Leaf nodes hold point positions in :attr:`entries`; internal nodes hold
-    child nodes in :attr:`children`.  The MBR is maintained incrementally as
-    a pair of numpy arrays.
+    child nodes in :attr:`children`.  The MBR is a pair of numpy arrays set
+    by :meth:`recompute_mbr` when the tree is packed.
     """
 
     __slots__ = ("level", "entries", "children", "lo", "hi")
@@ -52,39 +54,14 @@ class RTreeNode:
     def count(self) -> int:
         return len(self.entries) if self.is_leaf else len(self.children)
 
-    def mbr(self) -> Box:
-        return Box(self.lo, self.hi)
-
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
-    def margin(self) -> float:
-        return float(np.sum(self.hi - self.lo))
-
-    def extend_to_point(self, point: np.ndarray) -> None:
-        np.minimum(self.lo, point, out=self.lo)
-        np.maximum(self.hi, point, out=self.hi)
-
-    def extend_to_node(self, node: "RTreeNode") -> None:
-        np.minimum(self.lo, node.lo, out=self.lo)
-        np.maximum(self.hi, node.hi, out=self.hi)
-
     def recompute_mbr(self, points: np.ndarray) -> None:
         if self.is_leaf:
-            if self.entries:
-                block = points[self.entries]
-                self.lo = block.min(axis=0)
-                self.hi = block.max(axis=0)
-            else:
-                self.lo = np.full(points.shape[1], np.inf)
-                self.hi = np.full(points.shape[1], -np.inf)
+            block = points[self.entries]
+            self.lo = block.min(axis=0)
+            self.hi = block.max(axis=0)
         else:
-            if self.children:
-                self.lo = np.min(np.vstack([c.lo for c in self.children]), axis=0)
-                self.hi = np.max(np.vstack([c.hi for c in self.children]), axis=0)
-            else:
-                self.lo = np.full(points.shape[1], np.inf)
-                self.hi = np.full(points.shape[1], -np.inf)
+            self.lo = np.min(np.vstack([c.lo for c in self.children]), axis=0)
+            self.hi = np.max(np.vstack([c.hi for c in self.children]), axis=0)
 
     def intersects_box(self, box: Box) -> bool:
         return bool(np.all(self.lo <= box.hi) and np.all(box.lo <= self.hi))
@@ -95,60 +72,23 @@ class RTreeNode:
         return float(np.dot(delta, delta))
 
 
-def _enlargement(lo: np.ndarray, hi: np.ndarray, point: np.ndarray) -> float:
-    """Volume increase of the MBR [lo, hi] if extended to cover ``point``."""
-    new_lo = np.minimum(lo, point)
-    new_hi = np.maximum(hi, point)
-    return float(np.prod(new_hi - new_lo) - np.prod(hi - lo))
-
-
-def _overlap(node: RTreeNode, siblings: list[RTreeNode], lo: np.ndarray, hi: np.ndarray) -> float:
-    """Total overlap volume between a candidate MBR and its siblings."""
-    total = 0.0
-    for sib in siblings:
-        if sib is node:
-            continue
-        inter_lo = np.maximum(lo, sib.lo)
-        inter_hi = np.minimum(hi, sib.hi)
-        if np.all(inter_lo <= inter_hi):
-            total += float(np.prod(inter_hi - inter_lo))
-    return total
-
-
 class RTree(SpatialIndex):
-    """R*-tree point index.
+    """STR-packed R-tree point index.
 
     Parameters
     ----------
     points:
         ``(n, d)`` matrix to index.
     config:
-        Fanout parameters; defaults mirror the paper's 1536-byte pages.
-    bulk:
-        When true (default) the tree is built with Sort-Tile-Recursive
-        bulk loading, then behaves identically to an insertion-built tree;
-        when false, points are inserted one by one (exercises the full R*
-        insertion machinery, used by tests).
+        Fanout; the default mirrors the paper's 1536-byte pages.
     """
 
     def __init__(
-        self,
-        points: np.ndarray,
-        config: RTreeConfig | None = None,
-        bulk: bool = True,
+        self, points: np.ndarray, config: RTreeConfig | None = None
     ) -> None:
         super().__init__(points)
         self.config = config or RTreeConfig()
-        self._root = RTreeNode(0, self.dim)
-        self._deleted: set[int] = set()
-        if self.size:
-            if bulk:
-                from repro.index.bulkload import str_bulk_load
-
-                self._root = str_bulk_load(self._points, self.config)
-            else:
-                for pos in range(self.size):
-                    self._insert_position(pos)
+        self._rebuild_structure()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -232,301 +172,13 @@ class RTree(SpatialIndex):
     # ------------------------------------------------------------------
     # Mutation surface (SpatialIndex contract)
     # ------------------------------------------------------------------
-    # Appending rows is genuinely incremental: each new position runs the
-    # full R* insertion (choose-subtree, forced reinsert, split), which is
-    # exactly how a bulk=False tree is built, so query results stay
-    # identical to a fresh build over the same matrix.  Compacting
-    # removals and in-place updates would invalidate positions stored in
-    # every leaf, so both take the documented rebuild fallback (STR bulk
-    # load over the post-mutation matrix, counted in ``stats.rebuilds``).
-    incremental_ops = frozenset({"insert"})
-
-    def _check_mutable(self) -> None:
-        if self._deleted:
-            raise InvalidParameterError(
-                "RTree has outstanding tombstone delete()s; the "
-                "compacting insert/remove/update surface would resurrect "
-                "them — rebuild the tree from the surviving points first"
-            )
-
-    def _apply_insert(self, start: int, points: np.ndarray) -> None:
-        for pos in range(start, start + points.shape[0]):
-            self._insert_position(pos)
-
+    # Every insert, remove and update repacks the tree over the
+    # post-mutation matrix (the base class's counted rebuild), so a
+    # mutated tree is the same tree as ``RTree(points, config)``.
     def _rebuild_structure(self) -> None:
-        self._deleted = set()
-        if self.size:
-            from repro.index.bulkload import str_bulk_load
+        from repro.index.bulkload import str_bulk_load  # imports RTreeNode
 
-            self._root = str_bulk_load(self._points, self.config)
-        else:
-            self._root = RTreeNode(0, self.dim)
-
-    # ------------------------------------------------------------------
-    # Insertion (R* algorithm)
-    # ------------------------------------------------------------------
-    def _insert_position(self, pos: int) -> None:
-        # Forced reinsert may be triggered once per level per insertion.
-        self._overflowed_levels: set[int] = set()
-        self._insert_entry(pos, level=0)
-
-    def _insert_entry(self, entry: "int | RTreeNode", level: int) -> None:
-        path = self._choose_path(entry, level)
-        node = path[-1]
-        if isinstance(entry, RTreeNode):
-            node.children.append(entry)
-            node.extend_to_node(entry)
-        else:
-            node.entries.append(entry)
-            node.extend_to_point(self._points[entry])
-        # Propagate MBR growth up the path.
-        for ancestor in path[:-1]:
-            if isinstance(entry, RTreeNode):
-                ancestor.extend_to_node(entry)
-            else:
-                ancestor.extend_to_point(self._points[entry])
-        self._handle_overflow(path)
-
-    def _choose_path(self, entry: "int | RTreeNode", level: int) -> list[RTreeNode]:
-        """Descend from the root to the node at ``level`` that should host
-        the entry, using the R* ChooseSubtree criteria."""
-        path = [self._root]
-        node = self._root
-        if isinstance(entry, RTreeNode):
-            point_lo, point_hi = entry.lo, entry.hi
-            rep = (entry.lo + entry.hi) / 2.0
-        else:
-            rep = self._points[entry]
-            point_lo = point_hi = rep
-        while node.level > level:
-            children = node.children
-            if node.level == level + 1 and level == 0:
-                # Children are leaves: minimise overlap enlargement.
-                best = self._least_overlap_child(children, rep)
-            else:
-                best = self._least_enlargement_child(children, rep)
-            np.minimum(best.lo, point_lo, out=best.lo)
-            np.maximum(best.hi, point_hi, out=best.hi)
-            path.append(best)
-            node = best
-        return path
-
-    @staticmethod
-    def _least_enlargement_child(children: list[RTreeNode], point: np.ndarray) -> RTreeNode:
-        best = None
-        best_key = None
-        for child in children:
-            key = (_enlargement(child.lo, child.hi, point), child.volume())
-            if best_key is None or key < best_key:
-                best, best_key = child, key
-        assert best is not None
-        return best
-
-    @staticmethod
-    def _least_overlap_child(children: list[RTreeNode], point: np.ndarray) -> RTreeNode:
-        best = None
-        best_key = None
-        for child in children:
-            new_lo = np.minimum(child.lo, point)
-            new_hi = np.maximum(child.hi, point)
-            overlap_delta = _overlap(child, children, new_lo, new_hi) - _overlap(
-                child, children, child.lo, child.hi
-            )
-            key = (
-                overlap_delta,
-                _enlargement(child.lo, child.hi, point),
-                child.volume(),
-            )
-            if best_key is None or key < best_key:
-                best, best_key = child, key
-        assert best is not None
-        return best
-
-    # ------------------------------------------------------------------
-    # Overflow: forced reinsert then split
-    # ------------------------------------------------------------------
-    def _handle_overflow(self, path: list[RTreeNode]) -> None:
-        for depth in range(len(path) - 1, -1, -1):
-            node = path[depth]
-            if node.count <= self.config.max_entries:
-                continue
-            is_root = depth == 0
-            if (
-                not is_root
-                and node.level not in self._overflowed_levels
-                and self.config.reinsert_fraction > 0
-            ):
-                self._overflowed_levels.add(node.level)
-                self._reinsert(node, path[:depth + 1])
-                # Reinsertion restarts insertion; stop processing this path.
-                return
-            self._split(node, path[depth - 1] if depth else None)
-
-    def _reinsert(self, node: RTreeNode, path: list[RTreeNode]) -> None:
-        """Remove the entries farthest from the node centre and reinsert
-        them from the top (R* forced reinsertion)."""
-        count = max(1, int(node.count * self.config.reinsert_fraction))
-        center = (node.lo + node.hi) / 2.0
-        if node.is_leaf:
-            coords = self._points[node.entries]
-            dists = np.sum((coords - center) ** 2, axis=1)
-            order = np.argsort(dists)
-            keep = [node.entries[i] for i in order[: node.count - count]]
-            spill = [node.entries[i] for i in order[node.count - count:]]
-            node.entries = keep
-        else:
-            centers = np.vstack([(c.lo + c.hi) / 2.0 for c in node.children])
-            dists = np.sum((centers - center) ** 2, axis=1)
-            order = np.argsort(dists)
-            keep = [node.children[i] for i in order[: node.count - count]]
-            spill = [node.children[i] for i in order[node.count - count:]]
-            node.children = keep
-        node.recompute_mbr(self._points)
-        for ancestor in reversed(path[:-1]):
-            ancestor.recompute_mbr(self._points)
-        for item in spill:
-            self._insert_entry(item, level=node.level)
-
-    def _split(self, node: RTreeNode, parent: RTreeNode | None) -> None:
-        """R* topological split: axis by minimum margin sum, distribution by
-        minimum overlap, then minimum combined volume."""
-        if node.is_leaf:
-            items = list(node.entries)
-            rects = [(self._points[i], self._points[i]) for i in items]
-        else:
-            items = list(node.children)
-            rects = [(c.lo, c.hi) for c in items]
-        m = self.config.min_entries
-        total = len(items)
-        best_axis, best_split, best_key = None, None, None
-        for axis in range(self.dim):
-            for sort_key in (0, 1):  # Sort by lower, then by upper edge.
-                order = sorted(range(total), key=lambda i: (rects[i][sort_key][axis], rects[i][1 - sort_key][axis]))
-                margin_sum = 0.0
-                candidates = []
-                for split_at in range(m, total - m + 1):
-                    left = order[:split_at]
-                    right = order[split_at:]
-                    l_lo = np.min(np.vstack([rects[i][0] for i in left]), axis=0)
-                    l_hi = np.max(np.vstack([rects[i][1] for i in left]), axis=0)
-                    r_lo = np.min(np.vstack([rects[i][0] for i in right]), axis=0)
-                    r_hi = np.max(np.vstack([rects[i][1] for i in right]), axis=0)
-                    margin_sum += float(np.sum(l_hi - l_lo) + np.sum(r_hi - r_lo))
-                    inter_lo = np.maximum(l_lo, r_lo)
-                    inter_hi = np.minimum(l_hi, r_hi)
-                    overlap = (
-                        float(np.prod(inter_hi - inter_lo))
-                        if np.all(inter_lo <= inter_hi)
-                        else 0.0
-                    )
-                    volume = float(np.prod(l_hi - l_lo) + np.prod(r_hi - r_lo))
-                    candidates.append((overlap, volume, left, right))
-                for overlap, volume, left, right in candidates:
-                    key = (margin_sum, overlap, volume)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_axis = axis
-                        best_split = (left, right)
-        assert best_split is not None
-        left_ids, right_ids = best_split
-        sibling = RTreeNode(node.level, self.dim)
-        if node.is_leaf:
-            node.entries = [items[i] for i in left_ids]
-            sibling.entries = [items[i] for i in right_ids]
-        else:
-            node.children = [items[i] for i in left_ids]
-            sibling.children = [items[i] for i in right_ids]
-        node.recompute_mbr(self._points)
-        sibling.recompute_mbr(self._points)
-        if parent is None:
-            new_root = RTreeNode(node.level + 1, self.dim)
-            new_root.children = [node, sibling]
-            new_root.recompute_mbr(self._points)
-            self._root = new_root
-        else:
-            parent.children.append(sibling)
-            parent.recompute_mbr(self._points)
-
-    # ------------------------------------------------------------------
-    # Deletion (with tree condensation)
-    # ------------------------------------------------------------------
-    def delete(self, position: int) -> None:
-        """Remove one indexed point from the tree.
-
-        The point matrix is untouched (positions stay stable); the entry
-        simply stops being returned by queries.  Underfull nodes along
-        the deletion path are dissolved and their entries reinserted —
-        the classic condense-tree step — so the fanout invariants keep
-        holding and :meth:`check_integrity` stays valid.
-        """
-        position = int(position)
-        if not 0 <= position < self.size:
-            raise KeyError(f"position {position} out of range")
-        if position in self._deleted:
-            raise KeyError(f"position {position} already deleted")
-        path = self._find_leaf(self._root, position, [])
-        if path is None:
-            raise IndexCorruptionError(
-                f"position {position} not found in the tree"
-            )
-        leaf = path[-1]
-        leaf.entries.remove(position)
-        self._deleted.add(position)
-        self._condense(path)
-        if not self._root.is_leaf and len(self._root.children) == 1:
-            self._root = self._root.children[0]
-
-    @property
-    def deleted_count(self) -> int:
-        return len(self._deleted)
-
-    def _find_leaf(
-        self, node: RTreeNode, position: int, path: list[RTreeNode]
-    ) -> list[RTreeNode] | None:
-        path = path + [node]
-        point = self._points[position]
-        if node.is_leaf:
-            return path if position in node.entries else None
-        for child in node.children:
-            if np.all(point >= child.lo) and np.all(point <= child.hi):
-                found = self._find_leaf(child, position, path)
-                if found is not None:
-                    return found
-        return None
-
-    def _condense(self, path: list[RTreeNode]) -> None:
-        """Dissolve underfull nodes bottom-up and reinsert their entries."""
-        orphans: list[object] = []
-        for depth in range(len(path) - 1, 0, -1):
-            node = path[depth]
-            parent = path[depth - 1]
-            if node.count < self.config.min_entries:
-                parent.children.remove(node)
-                orphans.extend(node.entries if node.is_leaf else node.children)
-            node.recompute_mbr(self._points)
-        for node in reversed(path):
-            node.recompute_mbr(self._points)
-        for entry in orphans:
-            self._overflowed_levels = set()
-            if isinstance(entry, RTreeNode):
-                # Subtrees reinsert at their own level; if the tree shrank
-                # below that level, fall back to reinserting their points.
-                if entry.level + 1 >= self._root.level:
-                    for pos in self._collect_positions(entry):
-                        self._overflowed_levels = set()
-                        self._insert_entry(pos, level=0)
-                else:
-                    self._insert_entry(entry, level=entry.level + 1)
-            else:
-                self._insert_entry(entry, level=0)
-
-    def _collect_positions(self, node: RTreeNode) -> list[int]:
-        if node.is_leaf:
-            return list(node.entries)
-        out: list[int] = []
-        for child in node.children:
-            out.extend(self._collect_positions(child))
-        return out
+        self._root = str_bulk_load(self._points, self.config)
 
     # ------------------------------------------------------------------
     # Integrity
@@ -535,24 +187,19 @@ class RTree(SpatialIndex):
         """Validate structural invariants; raises IndexCorruptionError.
 
         Checks: every point indexed exactly once; leaf levels uniform; child
-        MBRs contained in parents; fanout within bounds (root exempt).
+        MBRs contained in parents; no node above ``max_entries`` and no
+        empty node below the root.
         """
         seen: list[int] = []
         self._check_node(self._root, is_root=True, seen=seen)
-        expected = sorted(set(range(self.size)) - self._deleted)
-        if sorted(seen) != expected:
+        if sorted(seen) != list(range(self.size)):
             raise IndexCorruptionError(
-                f"index covers {len(seen)} entries, expected {len(expected)} live positions"
+                f"index covers {len(seen)} entries, expected {self.size}"
             )
 
     def _check_node(self, node: RTreeNode, is_root: bool, seen: list[int]) -> None:
-        empty_allowed = is_root and len(self._deleted) == self.size
-        if node.count == 0 and not empty_allowed:
+        if node.count == 0 and not (is_root and self.size == 0):
             raise IndexCorruptionError("empty non-root node")
-        if not is_root and node.count < self.config.min_entries and node.count > 0:
-            # STR bulk loading can produce one underfull node per level; only
-            # flag clearly broken nodes (fewer than 1 entry handled above).
-            pass
         if node.count > self.config.max_entries:
             raise IndexCorruptionError(
                 f"node fanout {node.count} exceeds max {self.config.max_entries}"

@@ -1,6 +1,6 @@
 """Brute-force vectorised index.
 
-This is the correctness oracle for the R*-tree and, thanks to numpy, also a
+This is the correctness oracle for the R-tree and, thanks to numpy, also a
 very competitive backend for the bulk parameter sweeps of the experiment
 harness (a single boolean reduction per query versus Python-level tree
 traversal).

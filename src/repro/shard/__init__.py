@@ -1,8 +1,8 @@
 """Partitioned (sharded) execution of the batch kernels.
 
-The Dellis-Seeger membership test is per-customer independent, the
-Λ-count is a per-(customer, product) sum, and the safe-region fold is
-an intersection of per-member regions — all embarrassingly shardable.
+The Dellis-Seeger membership test is per-customer independent and the
+safe-region fold is an intersection of per-member regions — both
+embarrassingly shardable.
 This package space-partitions the product/customer matrices into
 shards (reusing the STR tiling of :mod:`repro.index.bulkload`), runs
 the blocked kernels of :mod:`repro.kernels` per shard — in a
@@ -11,11 +11,10 @@ the blocked kernels of :mod:`repro.kernels` per shard — in a
 deterministic oracle) — and merges:
 
 * membership / verification masks — boolean union of disjoint shards;
-* Λ-counts — integer sum over product shards;
 * safe-region partial folds — region intersection of per-shard folds.
 
 The merged results are **bit-identical** to the single-process
-kernels (property-tested): masks and counts because the per-row
+kernels (property-tested): masks because the per-row
 predicate touches only that row's data, the region fold because box
 intersection distributes and containment survives further
 intersection, so the final set of maximal boxes is order-invariant.

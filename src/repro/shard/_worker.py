@@ -35,15 +35,8 @@ import weakref
 import numpy as np
 
 from repro.config import DominancePolicy
-from repro.kernels.membership import (
-    KernelCounters,
-    batch_lambda_counts,
-    batch_window_membership,
-)
-from repro.kernels.pruned import (
-    batch_lambda_counts_pruned,
-    batch_window_membership_pruned,
-)
+from repro.kernels.membership import KernelCounters, batch_window_membership
+from repro.kernels.pruned import batch_window_membership_pruned
 from repro.prune.classify import tile_bounds
 from repro.prune.counters import PruneCounters
 from repro.shard.sharedmem import MatrixSpec, attach_matrix
@@ -213,78 +206,6 @@ def membership_points(
     return _wrap(result, kernel_counters, prune_counters)
 
 
-def lambda_rows(
-    products: np.ndarray, customers: np.ndarray, payload: dict
-) -> np.ndarray:
-    """|Λ| counts for one customer-row shard (all products)."""
-    rows = payload["rows"]
-    pruned = _prune_args(products, payload)
-    kernel_counters, prune_counters = _task_counters(payload)
-    if pruned is not None:
-        result = batch_lambda_counts_pruned(
-            products,
-            customers[rows],
-            payload["query"],
-            _policy(payload),
-            self_positions=payload["self_positions"],
-            block_size=payload["block_size"],
-            counters=kernel_counters,
-            prune_counters=prune_counters,
-            dims=_dims(payload),
-            **pruned,
-        )
-    else:
-        result = batch_lambda_counts(
-            products,
-            customers[rows],
-            payload["query"],
-            _policy(payload),
-            self_positions=payload["self_positions"],
-            block_size=payload["block_size"],
-            counters=kernel_counters,
-            dims=_dims(payload),
-        )
-    return _wrap(result, kernel_counters, prune_counters)
-
-
-def lambda_products(
-    products: np.ndarray, customers: np.ndarray, payload: dict
-) -> np.ndarray:
-    """Partial |Λ| counts of every probe against one *product* shard
-    (the parent sums the partials — integer-sum merge).
-    ``self_positions`` arrive already localised to the shard's rows."""
-    prods = products[payload["product_rows"]]
-    kernel_counters, prune_counters = _task_counters(payload)
-    if payload.get("prune"):
-        # Fresh fancy-indexed subset every call: compute its chunk
-        # bounds inline rather than caching by a throwaway id.
-        tile = int(payload.get("prune_tile_size") or payload["block_size"])
-        result = batch_lambda_counts_pruned(
-            prods,
-            payload["points"],
-            payload["query"],
-            _policy(payload),
-            self_positions=payload["self_positions"],
-            block_size=payload["block_size"],
-            counters=kernel_counters,
-            prune_counters=prune_counters,
-            dims=_dims(payload),
-            tile_size=tile,
-        )
-    else:
-        result = batch_lambda_counts(
-            prods,
-            payload["points"],
-            payload["query"],
-            _policy(payload),
-            self_positions=payload["self_positions"],
-            block_size=payload["block_size"],
-            counters=kernel_counters,
-            dims=_dims(payload),
-        )
-    return _wrap(result, kernel_counters, prune_counters)
-
-
 def safe_region_chunk(
     products: np.ndarray, customers: np.ndarray, payload: dict
 ) -> dict:
@@ -377,8 +298,6 @@ def safe_region_chunk(
 _TASKS = {
     "membership_rows": membership_rows,
     "membership_points": membership_points,
-    "lambda_rows": lambda_rows,
-    "lambda_products": lambda_products,
     "safe_region_chunk": safe_region_chunk,
 }
 

@@ -3,12 +3,10 @@
 A :class:`ShardExecutor` is built once per (dataset epoch, shard
 config) pair, holds the partition and — for the process backend — the
 lazily started worker pool plus the shared-memory copies of both
-matrices, and answers the four sharded calls:
+matrices, and answers the three sharded calls the operators dispatch:
 
 * :meth:`membership_rows` / :meth:`membership_points` — disjoint-union
   mask merge;
-* :meth:`lambda_rows` — disjoint-union count merge (customer axis);
-* :meth:`lambda_products` — integer-sum count merge (product axis);
 * :meth:`safe_region_fold` — region-intersection merge of per-shard
   partial folds.
 
@@ -64,7 +62,7 @@ class ShardExecutor:
         ``"process"`` (ProcessPoolExecutor over shared memory) or
         ``"serial"`` (same tasks in-process, deterministic oracle).
     prune, prune_tile_size:
-        When ``prune`` is true, the membership / Λ tasks run the
+        When ``prune`` is true, the membership tasks run the
         filter-refinement kernels of :mod:`repro.kernels.pruned` inside
         each worker, over a per-process product-summary cache (pruning
         and fan-out stack).  Bit-identical either way.
@@ -144,7 +142,6 @@ class ShardExecutor:
         self._shard_of = shard_assignment(
             self._customer_parts, self._customers.shape[0]
         )
-        self._product_parts = partition_matrix(self._products, self.shards)
         self._pool: ProcessPoolExecutor | None = None
         self._segments: list[SharedMatrix] = []
         self._closed = False
@@ -365,98 +362,6 @@ class ShardExecutor:
         if not kept:
             return np.zeros(points.shape[0], dtype=bool)
         return np.concatenate(kept)
-
-    def lambda_rows(
-        self,
-        rows: np.ndarray,
-        query: np.ndarray,
-        policy,
-        *,
-        self_positions: np.ndarray | None = None,
-        dims: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """|Λ| culprit counts of the given customer rows (scatter by the
-        customer partition, disjoint-union merge)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        sp = (
-            None
-            if self_positions is None
-            else np.asarray(self_positions, dtype=np.int64)
-        )
-        owner = self._shard_of[rows] if rows.size else rows
-        payloads: list[dict | None] = []
-        locals_: list[np.ndarray | None] = []
-        for shard_id in range(self.shards):
-            local = np.flatnonzero(owner == shard_id)
-            if local.size == 0:
-                payloads.append(None)
-                locals_.append(None)
-                continue
-            payloads.append(
-                self._base_payload(
-                    policy,
-                    rows=rows[local],
-                    query=query,
-                    self_positions=None if sp is None else sp[local],
-                    dims=dims,
-                )
-            )
-            locals_.append(local)
-        results = self._dispatch("lambda_rows", payloads, "lambda")
-        out = np.zeros(rows.shape[0], dtype=np.int64)
-        for local, result in zip(locals_, results):
-            if local is not None:
-                out[local] = result
-        return out
-
-    def lambda_products(
-        self,
-        points: np.ndarray,
-        query: np.ndarray,
-        policy,
-        *,
-        self_positions: np.ndarray | None = None,
-        dims: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """|Λ| culprit counts of shipped probe points, sharded over the
-        *product* axis: every shard counts its products' contribution to
-        every probe, and the partials sum to the full counts."""
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        sp = (
-            None
-            if self_positions is None
-            else np.asarray(self_positions, dtype=np.int64)
-        )
-        n = self._products.shape[0]
-        payloads: list[dict | None] = []
-        for part in self._product_parts:
-            if part.size == 0:
-                payloads.append(None)
-                continue
-            local_sp = None
-            if sp is not None:
-                # Localise absolute product positions to the shard's
-                # rows; a self that lives in another shard becomes -1
-                # (no exclusion here — its own shard excludes it).
-                inverse = np.full(n, -1, dtype=np.int64)
-                inverse[part] = np.arange(part.size, dtype=np.int64)
-                local_sp = np.where(sp >= 0, inverse[sp], -1)
-            payloads.append(
-                self._base_payload(
-                    policy,
-                    product_rows=part,
-                    points=points,
-                    query=query,
-                    self_positions=local_sp,
-                    dims=dims,
-                )
-            )
-        results = self._dispatch("lambda_products", payloads, "lambda")
-        out = np.zeros(points.shape[0], dtype=np.int64)
-        for result in results:
-            if result is not None:
-                out += result
-        return out
 
     def safe_region_fold(
         self,

@@ -7,8 +7,8 @@ tiling :func:`repro.index.bulkload.str_bulk_load` packs R-tree leaves
 with — into contiguous runs, so each shard covers a compact area and
 the membership kernel's early-exit stays as effective as on the full
 matrix.  The merged kernel results do not depend on the assignment
-(membership is per-row, Λ-counts are sums, the region fold is
-order-invariant); it only moves per-shard work balance.
+(membership is per-row, the region fold is order-invariant); it only
+moves per-shard work balance.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Branch-and-Bound Skyline (BBS) on the R*-tree (Papadias et al. [7]).
+"""Branch-and-Bound Skyline (BBS) on the R-tree (Papadias et al. [7]).
 
 BBS pops index entries from a priority queue ordered by L1 mindist (in the
 relevant space) and keeps a point iff it is not dominated by an already

@@ -19,7 +19,7 @@ class TestStrBulkLoad:
     def test_all_points_covered_once(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, size=(1000, 2))
-        tree = RTree(pts, config=RTreeConfig(max_entries=10), bulk=True)
+        tree = RTree(pts, config=RTreeConfig(max_entries=10))
         tree.check_integrity()  # Verifies exactly-once coverage.
 
     def test_leaves_respect_capacity(self):
@@ -53,13 +53,13 @@ class TestStrBulkLoad:
     def test_sizes_around_capacity_boundaries(self, n):
         rng = np.random.default_rng(n)
         pts = rng.uniform(0, 1, size=(n, 2))
-        tree = RTree(pts, bulk=True)
+        tree = RTree(pts)
         tree.check_integrity()
 
     def test_query_equivalence_3d(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(800, 3))
-        tree = RTree(pts, config=RTreeConfig(max_entries=12), bulk=True)
+        tree = RTree(pts, config=RTreeConfig(max_entries=12))
         scan = ScanIndex(pts)
         for _ in range(20):
             lo = rng.uniform(0, 0.7, size=3)

@@ -1,5 +1,5 @@
-"""Tests for the R*-tree: construction paths, queries vs the scan oracle,
-structural integrity."""
+"""Tests for the STR-packed R-tree: one bulk load or growth by inserts,
+queries vs the scan oracle, structural integrity."""
 
 import numpy as np
 import pytest
@@ -15,16 +15,27 @@ def random_points(seed, n, dim=2):
     return rng.uniform(0, 100, size=(n, dim))
 
 
+def build(pts, config=None, bulk=True):
+    """One STR build over ``pts``, or (``bulk=False``) a tree grown from
+    empty by one-row inserts, each of which repacks the tree."""
+    if bulk:
+        return RTree(pts, config=config)
+    tree = RTree(pts[:0], config=config)
+    for row in pts:
+        tree.insert(row)
+    return tree
+
+
 class TestConstruction:
     @pytest.mark.parametrize("bulk", [True, False])
     def test_integrity_small(self, bulk):
-        tree = RTree(random_points(0, 50), bulk=bulk)
+        tree = build(random_points(0, 50), bulk=bulk)
         tree.check_integrity()
 
     @pytest.mark.parametrize("bulk", [True, False])
     def test_integrity_forces_splits(self, bulk):
         config = RTreeConfig(max_entries=4)
-        tree = RTree(random_points(1, 200), config=config, bulk=bulk)
+        tree = build(random_points(1, 200), config=config, bulk=bulk)
         tree.check_integrity()
         assert tree.height >= 3
 
@@ -41,7 +52,7 @@ class TestConstruction:
 
     def test_duplicate_points(self):
         pts = np.tile([[1.0, 1.0]], (30, 1))
-        tree = RTree(pts, config=RTreeConfig(max_entries=5), bulk=False)
+        tree = build(pts, config=RTreeConfig(max_entries=5), bulk=False)
         tree.check_integrity()
         hits = tree.range_indices(Box([1, 1], [1, 1]))
         assert hits.size == 30
@@ -54,13 +65,18 @@ class TestConstruction:
         tree = RTree(random_points(3, 100))
         assert tree.node_count() >= 1
 
+    def test_single_build_path(self):
+        with pytest.raises(TypeError):
+            RTree(random_points(3, 10), bulk=False)
+        assert not hasattr(RTree, "delete")
+
 
 class TestQueriesMatchOracle:
     @pytest.mark.parametrize("bulk", [True, False])
     @pytest.mark.parametrize("n", [1, 17, 200])
     def test_range_matches_scan(self, bulk, n):
         pts = random_points(4, n)
-        tree = RTree(pts, config=RTreeConfig(max_entries=6), bulk=bulk)
+        tree = build(pts, config=RTreeConfig(max_entries=6), bulk=bulk)
         scan = ScanIndex(pts)
         rng = np.random.default_rng(5)
         for _ in range(40):
@@ -74,7 +90,7 @@ class TestQueriesMatchOracle:
     @pytest.mark.parametrize("bulk", [True, False])
     def test_knn_matches_scan(self, bulk):
         pts = random_points(6, 150)
-        tree = RTree(pts, config=RTreeConfig(max_entries=6), bulk=bulk)
+        tree = build(pts, config=RTreeConfig(max_entries=6), bulk=bulk)
         scan = ScanIndex(pts)
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -119,12 +135,11 @@ class TestConfigValidation:
             RTreeConfig(max_entries=2)
 
     def test_bad_min_fill(self):
-        with pytest.raises(ValueError):
-            RTreeConfig(min_fill=0.9)
+        # STR packs nodes to capacity; there is no fill factor to set.
+        with pytest.raises(TypeError):
+            RTreeConfig(min_fill=0.4)
 
     def test_bad_reinsert(self):
-        with pytest.raises(ValueError):
-            RTreeConfig(reinsert_fraction=1.0)
-
-    def test_min_entries_derived(self):
-        assert RTreeConfig(max_entries=10, min_fill=0.4).min_entries == 4
+        # No insertion path, so no forced-reinsert fraction.
+        with pytest.raises(TypeError):
+            RTreeConfig(reinsert_fraction=0.3)

@@ -1,5 +1,6 @@
-"""Property-based tests: the R*-tree is indistinguishable from the scan
-oracle and structurally sound under any input."""
+"""Property-based tests: the R-tree is indistinguishable from the scan
+oracle and structurally sound under any input and any mutation program,
+and a mutated tree is the tree a fresh STR build gives."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,15 +11,19 @@ from repro.geometry.box import Box
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
 
+CONFIG = RTreeConfig(max_entries=4)
+
+
+def coords(n, dim=2):
+    return st.lists(
+        st.floats(0, 100, allow_nan=False, width=32),
+        min_size=n * dim,
+        max_size=n * dim,
+    ).map(lambda v: np.round(np.array(v).reshape(-1, dim), 1))
+
 
 def matrices(max_rows=60, dim=2):
-    return st.integers(1, max_rows).flatmap(
-        lambda n: st.lists(
-            st.floats(0, 100, allow_nan=False, width=32),
-            min_size=n * dim,
-            max_size=n * dim,
-        ).map(lambda v: np.round(np.array(v).reshape(-1, dim), 1))
-    )
+    return st.integers(1, max_rows).flatmap(lambda n: coords(n, dim))
 
 
 def query_boxes(dim=2):
@@ -33,19 +38,69 @@ def query_boxes(dim=2):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrices(), st.booleans())
-def test_integrity_any_input(pts, bulk):
-    tree = RTree(pts, config=RTreeConfig(max_entries=4), bulk=bulk)
-    tree.check_integrity()
+# One mutation: ("insert", rows), ("remove", slot) or ("update", slot,
+# row); a slot is reduced modulo the tree size when the step runs.
+mutation_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(1, 3).flatmap(coords)),
+        st.tuples(st.just("remove"), st.integers(0, 1000)),
+        st.tuples(st.just("update"), st.integers(0, 1000), coords(1)),
+    ),
+    max_size=6,
+)
+
+
+def mutated(pts, program):
+    tree = RTree(pts, config=CONFIG)
+    for step in program:
+        if step[0] == "insert":
+            tree.insert(step[1])
+        elif tree.size:
+            slot = step[1] % tree.size
+            if step[0] == "remove":
+                tree.remove([slot])
+            else:
+                tree.update([slot], step[2])
+    return tree
+
+
+def shape(node):
+    """Nested leaf entry lists in traversal order."""
+    if node.is_leaf:
+        return list(node.entries)
+    return [shape(child) for child in node.children]
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(), query_boxes(), st.booleans())
-def test_range_equals_scan(pts, box, bulk):
-    tree = RTree(pts, config=RTreeConfig(max_entries=4), bulk=bulk)
-    scan = ScanIndex(pts)
+@given(matrices(), mutation_programs)
+def test_integrity_any_input(pts, program):
+    mutated(pts, program).check_integrity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), query_boxes(), mutation_programs)
+def test_range_equals_scan(pts, box, program):
+    tree = mutated(pts, program)
+    scan = ScanIndex(tree.points)
     assert np.array_equal(tree.range_indices(box), scan.range_indices(box))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), mutation_programs, st.lists(query_boxes(), max_size=4))
+def test_mutated_tree_equals_fresh_build(pts, program, boxes):
+    tree = mutated(pts, program)
+    fresh = RTree(tree.points, config=CONFIG)
+    assert tree.height == fresh.height
+    assert shape(tree.root) == shape(fresh.root)
+    for box in boxes:
+        before = tree.stats.node_accesses, fresh.stats.node_accesses
+        assert np.array_equal(
+            tree.range_indices(box), fresh.range_indices(box)
+        )
+        assert (
+            tree.stats.node_accesses - before[0]
+            == fresh.stats.node_accesses - before[1]
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -55,7 +110,7 @@ def test_range_equals_scan(pts, box, bulk):
     st.integers(1, 8),
 )
 def test_knn_distances_equal_scan(pts, target, k):
-    tree = RTree(pts, config=RTreeConfig(max_entries=4))
+    tree = RTree(pts, config=CONFIG)
     scan = ScanIndex(pts)
     target = np.array(target)
     t = np.sort(np.linalg.norm(pts[tree.knn_indices(target, k)] - target, axis=1))

@@ -14,10 +14,7 @@ from repro.core.safe_region import compute_safe_region
 from repro.exceptions import InvalidParameterError
 from repro.geometry.box import Box
 from repro.index.scan import ScanIndex
-from repro.kernels.membership import (
-    batch_lambda_counts,
-    batch_window_membership,
-)
+from repro.kernels.membership import batch_window_membership
 from repro.shard import ShardExecutor
 from repro.skyline.reverse import reverse_skyline_naive
 
@@ -40,7 +37,6 @@ class TestKernelMerges:
     def test_serial_masks_and_counts(self, data, shards):
         products, customers, q = data
         ref_mask = batch_window_membership(products, customers, q, POLICY)
-        ref_counts = batch_lambda_counts(products, customers, q, POLICY)
         with ShardExecutor(
             products,
             customers,
@@ -53,10 +49,6 @@ class TestKernelMerges:
             )
             assert np.array_equal(
                 ex.membership_points(customers, q, POLICY), ref_mask
-            )
-            assert np.array_equal(ex.lambda_rows(rows, q, POLICY), ref_counts)
-            assert np.array_equal(
-                ex.lambda_products(customers, q, POLICY), ref_counts
             )
 
     def test_process_backend_matches_serial(self, data):
@@ -72,8 +64,8 @@ class TestKernelMerges:
                 serial.membership_rows(rows, q, POLICY),
             )
             assert np.array_equal(
-                proc.lambda_products(customers, q, POLICY),
-                serial.lambda_products(customers, q, POLICY),
+                proc.membership_points(customers, q, POLICY),
+                serial.membership_points(customers, q, POLICY),
             )
 
     def test_monochromatic_self_exclusion(self, data):
@@ -99,7 +91,6 @@ class TestKernelMerges:
         with ShardExecutor(products, customers, shards=2, backend="serial") as ex:
             empty = np.empty(0, dtype=np.int64)
             assert ex.membership_rows(empty, q, POLICY).shape == (0,)
-            assert ex.lambda_rows(empty, q, POLICY).shape == (0,)
             assert ex.membership_points(
                 np.empty((0, 2)), q, POLICY
             ).shape == (0,)

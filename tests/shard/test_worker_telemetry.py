@@ -60,7 +60,7 @@ class TestTaskContract:
     def test_pruned_task_also_ships_prune_snapshot(self):
         points = _points(40)
         result, snapshots = _worker.run_task(
-            "lambda_rows",
+            "membership_rows",
             _payload(
                 np.arange(20), points[0], telemetry=True, prune=True
             ),
@@ -165,20 +165,8 @@ class TestExecutorMerge:
         with ShardExecutor(
             points, shards=2, backend="serial", telemetry=True
         ) as ex:
-            ex.lambda_rows(np.arange(30), points[0], "strict")
+            ex.membership_rows(np.arange(30), points[0], "strict")
         assert ex.worker_totals["kernels"]["customers_evaluated"] == 30
-
-    def test_lambda_products_counts_probes_per_product_shard(self):
-        points = _points(60)
-        probes = _points(7, seed=2)
-        with ShardExecutor(
-            points, shards=3, backend="serial", telemetry=True
-        ) as ex:
-            ex.lambda_products(probes, points[0], "strict")
-        # The product-axis fan-out evaluates every probe once per live
-        # product shard.
-        evaluated = ex.worker_totals["kernels"]["customers_evaluated"]
-        assert evaluated == 7 * 3
 
 
 class TestEngineLifecycle:

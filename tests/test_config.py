@@ -110,13 +110,12 @@ class TestRTreeConfig:
         # ~1536-byte pages with 40-byte 2-D entries.
         config = RTreeConfig()
         assert config.max_entries == 38
-        assert config.min_entries >= 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RTreeConfig(max_entries=3)
-        with pytest.raises(ValueError):
-            RTreeConfig(min_fill=0.0)
+        with pytest.raises(TypeError):
+            RTreeConfig(min_fill=0.4)
 
 
 class TestCostWeights:
