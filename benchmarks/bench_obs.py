@@ -1,4 +1,4 @@
-"""Observability pricing: the per-query journal and worker telemetry.
+"""Observability pricing: the per-query journal.
 
 The journal (``journal=True``) takes two counter snapshots and appends
 one ring record per executed plan; the drift sentinel aggregates those
@@ -9,11 +9,6 @@ records after the fact.  Both must stay invisible on the serving path:
   journal on, interleaved best-of-3 with an off/off repeat pair whose
   spread is the noise floor.  The documented bound: journal + one
   drift aggregation add <2% to the warm workload.
-* ``telemetry A/B`` — the same sharded probe set through a serial
-  :class:`~repro.shard.executor.ShardExecutor` with worker telemetry
-  off vs on (local counters + snapshot merge per task), plus a
-  serial-vs-process equality fingerprint of the merged worker totals —
-  the balance invariant the ``audit`` CLI experiment asserts.
 
 Entry points::
 
@@ -24,7 +19,6 @@ Entry points::
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import time
@@ -122,59 +116,6 @@ def run_journal_ab(n: int, d: int, probe_count: int, rounds: int) -> dict:
     }
 
 
-def run_telemetry_ab(n: int, d: int, probe_count: int, rounds: int) -> dict:
-    """Serial-executor cost of worker counter telemetry, plus the
-    serial-vs-process merged-total equality fingerprint."""
-    from repro.kernels.membership import KernelCounters
-    from repro.shard.executor import ShardExecutor
-
-    points = _dataset(n, d)
-    probes = _probes(d, probe_count)
-    rows = np.arange(points.shape[0])
-
-    def timed(telemetry: bool) -> float:
-        with ShardExecutor(
-            points, shards=2, backend="serial", telemetry=telemetry
-        ) as ex:
-            for q in probes:  # warm the partition paths
-                ex.membership_rows(rows, q, "strict")
-            t0 = time.perf_counter()
-            for _ in range(rounds):
-                for q in probes:
-                    ex.membership_rows(rows, q, "strict")
-            return time.perf_counter() - t0
-
-    off = min(timed(False) for _ in range(3))
-    on = min(timed(True) for _ in range(3))
-
-    def totals(backend: str) -> dict:
-        kc = KernelCounters()
-        with ShardExecutor(
-            points, shards=2, backend=backend, kernel_counters=kc
-        ) as ex:
-            for q in probes:
-                ex.membership_rows(rows, q, "strict")
-            return {k: dict(v) for k, v in ex.worker_totals.items()}
-
-    serial_totals = totals("serial")
-    process_totals = totals("process")
-    assert serial_totals == process_totals, (
-        "worker-telemetry balance broken: serial and process backends "
-        f"merged different totals: {serial_totals} != {process_totals}"
-    )
-    return {
-        "n": n,
-        "d": d,
-        "probes": probe_count,
-        "rounds": rounds,
-        "telemetry_off_s": round(off, 6),
-        "telemetry_on_s": round(on, 6),
-        "telemetry_overhead_pct": round(100.0 * (on - off) / off, 2),
-        "balance": "serial == process merged worker totals (asserted)",
-        "worker_totals": serial_totals,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=4_000)
@@ -184,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny size, equality assertions only (no overhead gates)",
+        help="tiny size, no overhead gates",
     )
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
@@ -203,24 +144,15 @@ def main(argv: list[str] | None = None) -> int:
         f"(+{journal['journal_overhead_pct']}%), off/off noise "
         f"{journal['off_ab_noise_pct']}%"
     )
-    telemetry = run_telemetry_ab(
-        args.size, args.dim, args.probes, max(2, args.rounds // 4)
-    )
-    print(
-        f"telemetry A/B: off {telemetry['telemetry_off_s']:.4f}s vs on "
-        f"{telemetry['telemetry_on_s']:.4f}s "
-        f"(+{telemetry['telemetry_overhead_pct']}%); "
-        "serial == process merged totals"
-    )
     if not args.smoke:
         assert journal["journal_overhead_pct"] < 2.0, journal
         assert journal["off_ab_noise_pct"] < 2.0, journal
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import bench_environment
+    from conftest import bench_environment, write_record
 
     payload = {
-        "benchmark": "observability: per-query journal + shard worker telemetry overhead",
+        "benchmark": "observability: per-query journal overhead",
         "methodology": "see EXPERIMENTS.md, section 'Observability overhead'",
         "seed": BENCH_SEED,
         "python": platform.python_version(),
@@ -228,11 +160,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "env": bench_environment(),
         "journal_ab": journal,
-        "telemetry_ab": telemetry,
     }
-    out = args.out or Path(__file__).resolve().parent.parent / "BENCH_obs.json"
-    out.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {out}")
+    write_record(payload, args.out, args.smoke, "BENCH_obs.json")
     return 0
 
 

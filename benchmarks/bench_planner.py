@@ -27,7 +27,6 @@ Entry points::
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import platform
 import sys
@@ -220,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             assert cache["hit_rate"] >= 0.5, row
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import bench_environment
+    from conftest import bench_environment, write_record
 
     payload = {
         "benchmark": "planner modes: cost-based auto vs pinned operator sets",
@@ -233,9 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         "arms": {name: dict(kwargs) for name, kwargs in ARMS.items()},
         "results": rows,
     }
-    out = args.out or Path(__file__).resolve().parent.parent / "BENCH_planner.json"
-    out.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {out}")
+    write_record(payload, args.out, args.smoke, "BENCH_planner.json")
     return 0
 
 

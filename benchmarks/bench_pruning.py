@@ -28,7 +28,6 @@ Entry points::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -141,7 +140,7 @@ def run_cell(kind: str, n: int, repeats: int) -> dict:
         assert snap["pairs_skipped"] > 0, snap
 
     # The Λ kernel has no early exit even unpruned, so it is timed
-    # directly at kernel level (its engine surface is shard-internal).
+    # directly at kernel level (no engine surface runs it).
     q = probes[0]
     t0 = time.perf_counter()
     lam_plain = batch_lambda_counts(products, customers, q)
@@ -208,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                     assert row["pruned_speedup_vs_unpruned"] >= 3.0, row
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import bench_environment
+    from conftest import bench_environment, write_record
 
     payload = {
         "benchmark": "tile-summary pruned kernels vs plain blocked kernels",
@@ -218,12 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         "arms": {name: dict(kwargs) for name, kwargs in ARMS.items()},
         "results": rows,
     }
-    out = (
-        args.out
-        or Path(__file__).resolve().parent.parent / "BENCH_pruning.json"
-    )
-    out.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {out}")
+    write_record(payload, args.out, args.smoke, "BENCH_pruning.json")
     return 0
 
 

@@ -29,7 +29,6 @@ Entry points::
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import time
@@ -264,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     fingerprint_engine.close()
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import bench_environment
+    from conftest import bench_environment, write_record
 
     payload = {
         "benchmark": (
@@ -281,12 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         "results": rows,
         "cells": cells,
     }
-    out = (
-        args.out
-        or Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
-    )
-    out.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {out}")
+    write_record(payload, args.out, args.smoke, "BENCH_scenarios.json")
     return 0
 
 

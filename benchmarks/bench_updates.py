@@ -29,7 +29,6 @@ Entry points::
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import time
@@ -255,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         assert tracer["disabled_ab_noise_pct"] < 2.0, tracer
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from conftest import bench_environment
+    from conftest import bench_environment, write_record
 
     payload = {
         "benchmark": "update churn: incremental store/index/cache maintenance vs rebuild-per-mutation",
@@ -268,9 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         "churn": row,
         "tracer_ab": tracer,
     }
-    out = args.out or Path(__file__).resolve().parent.parent / "BENCH_updates.json"
-    out.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {out}")
+    write_record(payload, args.out, args.smoke, "BENCH_updates.json")
     return 0
 
 

@@ -9,6 +9,9 @@ MWQ, Approx-MWQ collapses it, BBRS beats the naive scan, and so on.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,19 @@ def bench_environment() -> dict:
             "numpy": np.__version__,
             "platform": platform.platform(),
         }
+
+
+def write_record(payload: dict, out: Path | None, smoke: bool, name: str) -> None:
+    """Write a runner's JSON record to ``out``, or else to the committed
+    ``name`` at the repo root.  A smoke run without ``out`` writes
+    nothing, so a smoke run never overwrites a committed record."""
+    if out is None:
+        if smoke:
+            print("smoke run: no record written (pass --out to keep one)")
+            return
+        out = Path(__file__).resolve().parent.parent / name
+    out.write_text(json.dumps(payload, indent=1) + "\n")
+    print(f"wrote {out}")
 
 
 @pytest.fixture(scope="session")

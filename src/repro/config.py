@@ -100,25 +100,9 @@ class WhyNotConfig:
         one; ``"kernel"`` runs the blocked NumPy kernels of
         :mod:`repro.kernels` with a membership prefilter for batches;
         ``"pruned"`` runs the filter-refinement kernels of
-        :mod:`repro.prune` where they apply.  With ``shards > 1`` the
-        ``"kernel"`` and ``"pruned"`` pins fan out (workers prune under
-        ``"pruned"``).  Answers are identical under every mode —
-        operators are property-tested equivalent — only runtimes
-        differ.
-    shards:
-        Number of data shards for the partitioned execution layer
-        (:mod:`repro.shard`).  ``1`` (default) disables sharding
-        entirely; with ``shards > 1`` the planner may (``"auto"``) or
-        will (``"kernel"``/``"pruned"`` pins) run the membership /
-        verification / safe-region kernels per shard and merge — mask
-        union, region intersection — with results bit-identical to the
-        single-process path (property-tested).
-    shard_backend:
-        ``"process"`` (default) dispatches shard tasks to a
-        ``ProcessPoolExecutor`` over ``multiprocessing.shared_memory``
-        views of the matrices; ``"serial"`` runs the identical per-shard
-        code in-process (the deterministic oracle for tests and the
-        honest baseline for dispatch-overhead measurements).
+        :mod:`repro.prune` where they apply.  Answers are identical
+        under every mode — operators are property-tested equivalent —
+        only runtimes differ; ``n_jobs`` is the one parallelism knob.
     prune_tile_size:
         Tile width of the pruning classifier (customer tiles and
         product chunks of the summaries).  ``None`` (default) follows
@@ -154,8 +138,6 @@ class WhyNotConfig:
     journal: bool = False
     journal_capacity: int = 256
     planner: str = "auto"
-    shards: int = 1
-    shard_backend: str = "process"
     prune_tile_size: int | None = None
     prefs_weights: tuple[float, ...] | None = None
 
@@ -178,13 +160,6 @@ class WhyNotConfig:
             raise ValueError(
                 f"unknown planner mode {self.planner!r}; "
                 "use 'auto', 'index', 'kernel' or 'pruned'"
-            )
-        if self.shards < 1:
-            raise ValueError("shards must be a positive integer")
-        if self.shard_backend not in ("process", "serial"):
-            raise ValueError(
-                f"unknown shard_backend {self.shard_backend!r}; "
-                "use 'process' or 'serial'"
             )
         if self.prune_tile_size is not None and self.prune_tile_size < 1:
             raise ValueError(

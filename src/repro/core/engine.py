@@ -80,8 +80,8 @@ class WhyNotEngine(EngineMutationMixin):
         monochromatic convention of the paper's experiments (the same
         points serve as products and customers, with self-exclusion).
     backend:
-        ``"rtree"`` (the paper's access method), ``"scan"`` (vectorised
-        oracle, fastest for bulk sweeps) or ``"grid"`` (uniform grid).
+        ``"rtree"`` (the paper's access method) or ``"scan"``
+        (vectorised oracle, fastest for bulk sweeps).
     config:
         Dominance policy / sort dimension / margin / verification /
         planner mode.
@@ -146,10 +146,6 @@ class WhyNotEngine(EngineMutationMixin):
         self._sr_cache: dict[bytes, SafeRegion] = {}
         self._approx_sr_cache: dict[tuple[bytes, int], SafeRegion] = {}
         self._approx_stores: dict[tuple, object] = {}
-        # Sharded execution: one ShardExecutor per dataset epoch, built
-        # lazily by the sharded operators (repro.plan.operators.
-        # ensure_shard_executor) and torn down on every store commit.
-        self._shard_executors: dict[int, object] = {}
         # Engine-level DSL/anti-dominance cache: per-customer dynamic
         # skylines computed once, shared by safe_region / modify_both /
         # batch answering / approx store / relaxation analysis.
@@ -256,23 +252,16 @@ class WhyNotEngine(EngineMutationMixin):
         return self._closed
 
     def close(self) -> None:
-        """Release pooled resources now instead of at garbage collection.
-
-        Tears down the shard executors (worker pools + shared-memory
-        segments) and flushes the observability state so a final export
-        is coherent (the epoch gauge reflects the last committed
-        generation).  Idempotent.  The engine object itself remains
-        usable for reads afterwards — lazily-built executors would
-        simply be recreated — but the contract callers should rely on
-        is: after ``close()`` no engine-owned OS resources are live.
-        ``with WhyNotEngine(...) as engine:`` closes on exit; the serve
-        layer's shutdown path calls this.
+        """Flush the observability state so a final export is coherent
+        (the epoch gauge reflects the last committed generation).
+        Idempotent.  The engine object itself remains usable for reads
+        afterwards.  ``with WhyNotEngine(...) as engine:`` closes on
+        exit; the serve layer's shutdown path calls this.
         """
         if self._closed:
             return
         self._closed = True
         with self.gate.write():
-            self.close_shard_executors()
             self._epoch_gauge.set(self.dataset_epoch)
 
     def __enter__(self) -> "WhyNotEngine":
@@ -393,21 +382,6 @@ class WhyNotEngine(EngineMutationMixin):
         # all (the cache key's epoch would miss anyway — this keeps the
         # cache small and the eviction counter honest).
         self._plan_cache.clear()
-        # Shard executors hold shared-memory copies of the pre-mutation
-        # matrices; close them eagerly (unlinking the segments) rather
-        # than waiting for the next sharded call.
-        for executor in self._shard_executors.values():
-            executor.close()
-        self._shard_executors.clear()
-
-    def close_shard_executors(self) -> None:
-        """Release the sharded execution resources (worker pool and
-        shared-memory segments) now instead of at garbage collection.
-        Safe to call at any time: the next sharded operator dispatch
-        simply rebuilds an executor for the current epoch."""
-        for executor in self._shard_executors.values():
-            executor.close()
-        self._shard_executors.clear()
 
     def _request(
         self, surface: str, *args, **kwargs

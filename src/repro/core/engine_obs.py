@@ -17,7 +17,6 @@ from repro.core.safe_region import SafeRegionStats
 from repro.kernels.membership import KernelCounters
 from repro.obs import Observability, QueryJournal
 from repro.prune.counters import PruneCounters
-from repro.shard.stats import ShardStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import WhyNotEngine
@@ -51,10 +50,6 @@ def install_observability(engine: "WhyNotEngine") -> None:
     # SafeRegion.stats / last_safe_region_stats).
     engine.safe_region_totals = SafeRegionStats()
     engine.obs.attach_stats("safe_region", engine.safe_region_totals)
-    # Sharded-execution counters (shard.dispatched / shard.merged / ...),
-    # shared by every ShardExecutor the engine builds across epochs.
-    engine.shard_stats = ShardStats()
-    engine.obs.attach_stats("shard", engine.shard_stats)
     # Kernel and pruning counters (kernels.*, prune.*) are only threaded
     # through the hot loops when tracing: the disabled path must stay
     # counter-free.  The pair-balance invariant (pairs_skipped +

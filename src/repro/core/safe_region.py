@@ -302,8 +302,8 @@ class SafeRegion:
         )
 
 
-#: Members of ``RSL(q)`` folded per chunk by the local, oracle and
-#: shard-worker safe-region folds.  The partition depends only on this
+#: Members of ``RSL(q)`` folded per chunk by the local and oracle
+#: safe-region folds.  The partition depends only on this
 #: constant (never on ``n_jobs``), so parallel and sequential runs fold
 #: members in the same order and produce identical regions.
 SR_CHUNK_SIZE = 16

@@ -2,7 +2,7 @@
 
 Three studies that probe the design choices DESIGN.md calls out:
 
-* **index backends** — R-tree vs uniform grid vs vectorised scan on the
+* **index backends** — R-tree vs vectorised scan on the
   same window-query workload (time + node accesses);
 * **pruning** — BBRS's global-skyline candidate pruning vs the naive
   per-customer test (time + candidates verified);
@@ -24,7 +24,6 @@ from repro.core.engine import WhyNotEngine
 from repro.data.dataset import Dataset
 from repro.data.workload import build_workload
 from repro.geometry.transform import window_box
-from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
 from repro.skyline.global_skyline import global_skyline_candidates
@@ -54,7 +53,6 @@ def ablation_backends(
     for name, index in (
         ("scan", ScanIndex(dataset.points)),
         ("rtree", RTree(dataset.points)),
-        ("grid", GridIndex(dataset.points)),
     ):
         index.reset_stats()
         start = time.perf_counter()

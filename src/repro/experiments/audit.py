@@ -3,9 +3,9 @@
 ``repro-whynot audit`` answers every surface — ``RSL(q)``, membership,
 ``Λ``, the exact and approximate safe regions, MWP / MQP / MWQ — through
 every execution arm: the planner pins ``index`` / ``kernel`` /
-``pruned`` / ``auto`` at one and two serial shards, a two-process pool,
-an engine rebuilt each round and an in-process
-:class:`~repro.serve.WhyNotService` replayed over HTTP.  Across one
+``pruned`` / ``auto``, ``auto`` on two ``n_jobs`` threads, an engine
+rebuilt each round and an in-process :class:`~repro.serve.WhyNotService`
+replayed over HTTP.  Across one
 mutation program on monochromatic, bichromatic and clustered data and
 every weight shape, each arm must be bit-identical to the ``index/1``
 reference arm and the reference must match the brute-force oracles; the
@@ -45,12 +45,9 @@ __all__ = ["canonical_answer", "canonical_boxes", "run_audit"]
 PINS = ("index", "kernel", "pruned", "auto")
 REFERENCE = "index/1"
 # Tracing is switched on only where a check reads the counters it
-# feeds: prune pair balance, worker telemetry and the query journal.
-TRACED = {
-    "auto/1": dict(trace=True, journal=True),
-    **dict.fromkeys(("pruned/1", "pruned/2-serial", "pruned/2-process"),
-                    dict(trace=True)),
-}
+# feeds: prune pair balance and the query journal.
+TRACED = {"auto/1": dict(trace=True, journal=True),
+          "pruned/1": dict(trace=True)}
 # Unit weights spelled two ways, a magnitude skew and each
 # single-dimension support (a zero weight drops that dimension).
 WEIGHT_SHAPES = (("unit", None), ("ones", (1.0, 1.0)), ("skew", (4.0, 0.25)),
@@ -71,8 +68,8 @@ def canonical_boxes(safe_region) -> tuple[np.ndarray, np.ndarray]:
     volume-descending sort, so zero-volume boxes (which all tie) can
     survive inside a sibling, and which redundant ones survive depends
     on the fold order.  The maximal set (drop every box contained in
-    another, keep the first of equal ones) does not, so the float64
-    bit-identity contract across arms is stated on this form.
+    another, keep the first of equal ones) does not; the audit compares
+    both forms.
     """
     lo, hi = _ra.maximal_arrays(
         np.asarray(safe_region.region.lo, dtype=np.float64),
@@ -92,37 +89,31 @@ def canonical_answer(
     """Every surface of one query in comparable form, keyed by surface:
     the RSL, the membership mask of ``members``, the sorted ``Λ`` set of
     each why-not customer, the canonical exact safe region with its
-    exact area and the approximate safe region; at one shard also the
-    raw exact boxes (in fold order) and each why-not customer's
-    serialized composite answer (MWP, MQP and MWQ).  Two engines agree
-    exactly when these dicts compare equal."""
+    exact area, the raw exact boxes (in fold order), the approximate
+    safe region and each why-not customer's serialized composite answer
+    (MWP, MQP and MWQ).  Two engines agree exactly when these dicts
+    compare equal."""
     exact = engine.safe_region(q, weights=weights)
     approx = engine.safe_region(
         q, approximate=True, k=APPROX_K, weights=weights
     ).region
     lo, hi = canonical_boxes(exact)
-    out: dict[str, object] = {
+    answers = [answer_why_not(engine, w, q, weights=weights)
+               for w in why_nots]
+    return {
         "rsl": engine.reverse_skyline(q, weights=weights).tolist(),
         "membership": engine.membership_mask(
             members, q, weights=weights
         ).tolist(),
         "safe_region": (lo.tolist(), hi.tolist(), exact.area()),
+        "safe_region.raw": (exact.region.lo.tolist(),
+                            exact.region.hi.tolist()),
         "approx_safe_region": (approx.lo.tolist(), approx.hi.tolist()),
+        "answer": [canonical_json(serialize_answer(answer))
+                   for answer in answers],
+        "lambda": [sorted(answer.explanation.culprit_positions.tolist())
+                   for answer in answers],
     }
-    if engine.config.shards == 1:
-        answers = [answer_why_not(engine, w, q, weights=weights)
-                   for w in why_nots]
-        explanations = [answer.explanation for answer in answers]
-        out["safe_region.raw"] = (exact.region.lo.tolist(),
-                                  exact.region.hi.tolist())
-        out["answer"] = [canonical_json(serialize_answer(answer))
-                         for answer in answers]
-    else:
-        explanations = [engine.explain(w, q, weights=weights)
-                        for w in why_nots]
-    out["lambda"] = [sorted(e.culprit_positions.tolist())
-                     for e in explanations]
-    return out
 
 
 @dataclass
@@ -206,13 +197,8 @@ def _program(case: _Case, rng) -> list[list[tuple[str, dict]]]:
 
 
 def _arm_configs(overrides: dict) -> dict[str, WhyNotConfig]:
-    arms = {}
-    for pin in PINS:
-        arms[f"{pin}/1"] = dict(planner=pin)
-        arms[f"{pin}/2-serial"] = dict(planner=pin, shards=2,
-                                       shard_backend="serial")
-    arms["pruned/2-process"] = dict(planner="pruned", shards=2,
-                                    shard_backend="process")
+    arms = {f"{pin}/1": dict(planner=pin) for pin in PINS}
+    arms["auto/n_jobs-2"] = dict(n_jobs=2)
     return {
         name: WhyNotConfig(**kwargs, **TRACED.get(name, {}), **overrides)
         for name, kwargs in arms.items()
@@ -362,37 +348,17 @@ def _invariants(case: _Case, engines: dict[str, WhyNotEngine], ops: int,
               f"({considered} == {evicted} + {retained}), {mutations} "
               "mutations counted",
               considered == evicted + retained and mutations == ops)
-        if engine.config.shards > 1:
-            s = engine.shard_stats.snapshot()
-            fanned = s["fanouts"] > 0 and s["dispatched"] > 0
-            check(f"{arm} merged == fanouts (fanouts={s['fanouts']}, "
-                  f"dispatched={s['dispatched']}, merged={s['merged']})",
-                  s["merged"] == s["fanouts"]
-                  and (fanned or engine.config.planner == "auto"))
         if case.weighted:
             check(f"{arm} counted weighted requests",
                   engine.obs.counter("prefs.weighted_requests").value > 0)
-    totals, merges = [], []
-    for arm in ("pruned/1", "pruned/2-serial", "pruned/2-process"):
-        engine = engines[arm]
-        s = engine._prune_counters.snapshot()
-        skips = arm == "pruned/1" and case.name == "clustered"
-        check(f"{arm} prune pair balance (skipped + blocked + refined == "
-              f"total): {s['pairs_skipped']} + {s['pairs_blocked']} + "
-              f"{s['pairs_refined']} == {s['pairs_total']}"
-              + (", pairs_skipped > 0" if skips else ""),
-              engine._prune_counters.balanced() and s["pairs_total"] > 0
-              and (s["pairs_skipped"] > 0 or not skips))
-        if engine.config.shards > 1:
-            metrics = engine.obs.metrics
-            totals.append({name: metrics.get(name).value
-                           for name in metrics.names()
-                           if name.startswith("shard.worker.")})
-            merges.append(engine.shard_stats.worker_merges)
-    check(f"worker telemetry serial == process ({len(totals[0])} "
-          f"shard.worker.* counters, worker_merges={merges[0]}/{merges[1]})",
-          totals[0] == totals[1] and min(merges) > 0
-          and any(n.startswith("shard.worker.kernels.") for n in totals[0]))
+    s = engines["pruned/1"]._prune_counters.snapshot()
+    skips = case.name == "clustered"
+    check(f"pruned/1 prune pair balance (skipped + blocked + refined == "
+          f"total): {s['pairs_skipped']} + {s['pairs_blocked']} + "
+          f"{s['pairs_refined']} == {s['pairs_total']}"
+          + (", pairs_skipped > 0" if skips else ""),
+          engines["pruned/1"]._prune_counters.balanced()
+          and s["pairs_total"] > 0 and (s["pairs_skipped"] > 0 or not skips))
     journaled = engines["auto/1"]
     journal = journaled.journal
     error = _error(validate_journal, journal)
@@ -511,5 +477,5 @@ def run_audit(args: argparse.Namespace) -> tuple[str, str, dict]:
     failures = sum("[FAIL]" in line for line in lines)
     lines.append(f"{failures} FAILURES" if failures else "all checks passed")
     title = (f"Differential audit (size {size}, seed {args.seed}, backend "
-             f"{args.backend}): {len(PINS) * 2 + 3} arms vs {REFERENCE}")
+             f"{args.backend}): {len(PINS) + 3} arms vs {REFERENCE}")
     return title, "\n".join(lines), exports[0]

@@ -315,7 +315,7 @@ def measure_arrays(lo: np.ndarray, hi: np.ndarray) -> float:
     The sweep runs over the :func:`maximal_arrays` boxes: a redundant
     box (say a zero-volume one inside a sibling) cannot add a slab
     breakpoint, so two box lists of the same maximal set — e.g. one
-    region folded on one shard or on two — measure bit-identically.
+    region folded in two member orders — measure bit-identically.
     """
     if _METRICS is not None:
         _METRICS.measure_calls.inc()

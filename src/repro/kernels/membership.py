@@ -79,7 +79,7 @@ def auto_block_size(dim: int) -> int:
 def resolve_block_size(block_size: int | None, dim: int) -> int:
     """``block_size`` if given, else the :func:`auto_block_size`
     heuristic for ``dim`` — the single resolution point used by the
-    engine, the planner and the shard executor."""
+    engine and the planner."""
     if block_size is None:
         return auto_block_size(dim)
     return int(block_size)

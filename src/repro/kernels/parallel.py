@@ -37,9 +37,8 @@ def available_cpus(refresh: bool = False) -> int:
     badly.  ``sched_getaffinity`` reflects both (Linux); platforms
     without it fall back to the machine count.
 
-    The answer is cached after the first call — ``DatasetStats.cpus``
-    samples it on every plan-cache miss and the fan-out cost term must
-    agree with :func:`resolve_n_jobs` on one stable number.  Pass
+    The answer is cached after the first call, so every caller of
+    :func:`resolve_n_jobs` sees one stable number.  Pass
     ``refresh=True`` after changing the process affinity.
     """
     global _CPU_CACHE

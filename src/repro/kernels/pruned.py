@@ -22,9 +22,8 @@ without materialising a blocking matrix:
 Customer tile AABBs are computed inline per call (probe sets are
 arbitrary subsets); product chunk AABBs can be passed in precomputed
 (``product_bounds`` — the engine's epoch-versioned
-:class:`repro.prune.summaries.PruneSummaries` or a shard worker's local
-cache) and must then describe the *same* product matrix at the same
-tile width.
+:class:`repro.prune.summaries.PruneSummaries`) and must then describe
+the *same* product matrix at the same tile width.
 
 Accounting happens at classification time so the early exits cannot
 unbalance the :class:`repro.prune.counters.PruneCounters` invariant

@@ -5,7 +5,7 @@ executor layer feeds it one :class:`JournalRecord` per top-level plan
 execution — surface, chosen operator, dataset epoch, config
 fingerprint, estimated vs. actual seconds, and the per-request *counter
 deltas* of the tracked counter families (``kernels.*`` / ``prune.*`` /
-``cache.*`` / ``shard.*`` and friends).  Records live in a ring of
+``cache.*`` and friends).  Records live in a ring of
 fixed capacity, so a long-lived serving engine pays O(capacity) memory
 no matter how many queries it answers; evictions are accounted in
 :attr:`QueryJournal.dropped`.
@@ -45,7 +45,6 @@ TRACKED_COUNTER_PREFIXES = (
     "kernels.",
     "prune.",
     "cache.",
-    "shard.",
     "index.",
     "dsl_cache.",
     "engine.",
@@ -72,7 +71,7 @@ class JournalRecord:
         ...; see :mod:`repro.plan.logical`).
     operator:
         Name of the physical root operator the planner chose
-        (``"sr-cached-fold"``, ``"membership-sharded"``, ...).
+        (``"sr-cached-fold"``, ``"membership-pruned"``, ...).
     epoch:
         Dataset epoch the plan executed against.
     config_fingerprint:

@@ -5,7 +5,7 @@ The planner/executor decomposition of the why-not engine:
 * :mod:`repro.plan.logical` — coordinate-free descriptions of each
   paper surface (RSL, Λ, Algorithms 1-4, approx-MWQ, batch);
 * :mod:`repro.plan.operators` — one physical operator per surface,
-  its execution paths (index / kernel / pruned / sharded) as variants;
+  its execution paths (index / kernel / pruned) as variants;
 * :mod:`repro.plan.cost` — dataset statistics and the calibrated cost
   model;
 * :mod:`repro.plan.planner` — ``auto`` (cost-based) operator selection

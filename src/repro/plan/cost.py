@@ -19,7 +19,6 @@ of two bit-identical operators.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -30,54 +29,7 @@ __all__ = [
     "CostEstimate",
     "CostModel",
     "DatasetStats",
-    "measured_shard_dispatch_s",
 ]
-
-_MEASURED_SHARD_DISPATCH: float | None = None
-
-
-def _pool_dispatch_probe_task(x: int) -> int:
-    """Top-level (hence picklable) no-op task for the dispatch probe."""
-    return x
-
-
-def measured_shard_dispatch_s(
-    probe_tasks: int = 8, refresh: bool = False
-) -> float:
-    """Measured per-task dispatch overhead of a process pool, cached
-    per process.
-
-    The hardcoded ``CostModel.SHARD_DISPATCH_S`` was calibrated on one
-    machine; queue round-trip latency varies enough across hosts to
-    flip fan-out decisions near the break-even point (ROADMAP, PR 6).
-    This probe times ``probe_tasks`` no-op round-trips through a
-    one-worker ``ProcessPoolExecutor`` (fork-preferred, one warm-up
-    submit excluded) and keeps the per-task mean.  Any failure —
-    platforms without working multiprocessing, sandboxed test runs —
-    falls back to the calibrated constant, so the probe can only
-    *improve* estimates, never break planning.
-    """
-    global _MEASURED_SHARD_DISPATCH
-    if _MEASURED_SHARD_DISPATCH is not None and not refresh:
-        return _MEASURED_SHARD_DISPATCH
-    try:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            ctx = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            pool.submit(_pool_dispatch_probe_task, 0).result()  # warm up
-            start = time.perf_counter()
-            for i in range(probe_tasks):
-                pool.submit(_pool_dispatch_probe_task, i).result()
-            elapsed = time.perf_counter() - start
-        _MEASURED_SHARD_DISPATCH = max(elapsed / probe_tasks, 1e-5)
-    except Exception:  # pragma: no cover - no usable process pool
-        _MEASURED_SHARD_DISPATCH = CostModel.SHARD_DISPATCH_S
-    return _MEASURED_SHARD_DISPATCH
 
 
 @dataclass(frozen=True)
@@ -89,8 +41,8 @@ class DatasetStats:
     n, m, d:
         Product rows, customer rows, dimensionality.
     backend:
-        Spatial-index backend name (``"scan"``, ``"rtree"`` or
-        ``"grid"``) — drives the per-window-query cost.
+        Spatial-index backend name (``"scan"`` or ``"rtree"``) —
+        drives the per-window-query cost.
     epoch:
         Dataset epoch the stats were sampled at; a plan carries the
         stats it was costed with, so EXPLAIN can show staleness.
@@ -98,15 +50,6 @@ class DatasetStats:
         Warm entries in the engine's :class:`~repro.core.dsl_cache.
         DSLCache` (0 without one) — a warm cache collapses the
         per-member cost of safe-region assembly.
-    cpus:
-        Schedulable CPUs of this process (affinity/cgroup-aware, see
-        :func:`repro.kernels.parallel.available_cpus`) — caps the worker
-        count the sharded operators can actually use, which is what
-        makes ``planner="auto"`` decline to fan out on small machines.
-    shards, shard_backend:
-        The configured shard count and backend (``WhyNotConfig.shards``
-        / ``shard_backend``), echoed here so estimates can price the
-        per-task dispatch overhead of the active backend.
     prune_tile_size:
         The *resolved* classifier tile width of the engine's summaries.
     prune_refine_rate:
@@ -125,9 +68,6 @@ class DatasetStats:
     backend: str
     epoch: int
     dsl_warm: int = 0
-    cpus: int = 1
-    shards: int = 1
-    shard_backend: str = "process"
     prune_tile_size: int = 512
     prune_refine_rate: float = 1.0
     # Dimensions dominance actually compares under the engine-default
@@ -139,8 +79,6 @@ class DatasetStats:
     @classmethod
     def of(cls, engine: "WhyNotEngine") -> "DatasetStats":
         """Sample the live statistics of one engine."""
-        from repro.kernels.parallel import available_cpus
-
         summaries = engine.prune_summaries
         return cls(
             n=int(engine.products.shape[0]),
@@ -154,9 +92,6 @@ class DatasetStats:
                 if engine.dsl_cache is not None
                 else 0
             ),
-            cpus=available_cpus(),
-            shards=int(engine.config.shards),
-            shard_backend=engine.config.shard_backend,
             prune_tile_size=int(summaries.tile_size),
             prune_refine_rate=float(summaries.centroid_refine_rate()),
         )
@@ -221,16 +156,6 @@ class CostModel:
     PY_OP_S = 2.5e-6
     #: Fixed overhead of entering any operator (plan node dispatch).
     DISPATCH_S = 5.0e-6
-    #: Per-shard-task overhead of the process backend: payload pickling,
-    #: queue round-trip and result unpickling (the shared-memory design
-    #: keeps the matrices out of this, so it is size-independent).
-    SHARD_DISPATCH_S = 1.5e-3
-    #: Per-shard-task overhead of the in-process serial backend (one
-    #: extra function call plus payload slicing).
-    SERIAL_SHARD_DISPATCH_S = 2.0e-5
-    #: Merge cost per shard (mask scatter / count sum / one region
-    #: intersection), interpreted-regime work.
-    SHARD_MERGE_S = 1.0e-5
 
     def window_nodes(self, stats: DatasetStats) -> float:
         """Nodes/rows one window query touches, per backend."""
@@ -240,7 +165,7 @@ class CostModel:
             # numpy-call steps to build the window box, mask and verify
             # (measured ~30us fixed per probe at any n).
             return 12.0
-        # Tree/grid descent: a root-to-leaf path plus boundary leaves.
+        # Tree descent: a root-to-leaf path plus boundary leaves.
         return 4.0 * math.log2(n + 2.0) + 8.0
 
     def window_seconds(self, stats: DatasetStats) -> float:
@@ -268,42 +193,6 @@ class CostModel:
         return members * boxes * 8.0 * self.VECTOR_OP_S * 100 + self.PY_OP_S
 
     # ------------------------------------------------------------------
-    # Sharded (fan-out) regime
-    # ------------------------------------------------------------------
-    def shard_workers(self, stats: DatasetStats) -> int:
-        """Concurrent workers a fan-out actually gets: the serial
-        backend is one by construction, the process pool is capped by
-        the schedulable CPUs.  This is the term that makes ``auto``
-        refuse to fan out on a one-core machine — dividing by 1 never
-        beats the extra dispatch cost."""
-        if stats.shard_backend == "serial":
-            return 1
-        return max(1, min(stats.shards, stats.cpus))
-
-    def shard_task_seconds(self, stats: DatasetStats) -> float:
-        """Fixed per-task overhead of the active shard backend.  The
-        process backend uses the measured dispatch probe
-        (:func:`measured_shard_dispatch_s`) so the fan-out break-even
-        tracks the actual host instead of the calibration machine."""
-        if stats.shard_backend == "serial":
-            return self.SERIAL_SHARD_DISPATCH_S
-        return measured_shard_dispatch_s()
-
-    def fanout_seconds(self, stats: DatasetStats) -> float:
-        """Fixed cost of one sharded call: per-task dispatch for every
-        shard plus the merge pass."""
-        return stats.shards * (
-            self.shard_task_seconds(stats) + self.SHARD_MERGE_S
-        )
-
-    def sharded_kernel_seconds(self, rows: float, stats: DatasetStats) -> float:
-        """One blocked kernel pass over ``rows`` customers, split across
-        the shard workers: the vector work divides by the concurrency,
-        the dispatch/merge overhead multiplies by the shard count."""
-        vector = rows * stats.n * stats.d * self.VECTOR_OP_S
-        return vector / self.shard_workers(stats) + self.fanout_seconds(stats)
-
-    # ------------------------------------------------------------------
     # Filter-refinement (pruned) regime
     # ------------------------------------------------------------------
     def prune_classify_seconds(self, rows: float, stats: DatasetStats) -> float:
@@ -329,15 +218,4 @@ class CostModel:
             self.prune_classify_seconds(rows, stats)
             + refine * self.kernel_seconds(rows, stats)
             + self.PY_OP_S
-        )
-
-    def sharded_fold_seconds(self, members: float, stats: DatasetStats) -> float:
-        """The sharded safe-region fold: per-member staircase builds and
-        the region algebra divide by the workers; dispatch, merge and
-        one cross-shard region intersection per shard do not."""
-        per_member = members * self.dsl_build_seconds(stats)
-        fold = self.region_fold_seconds(members, stats)
-        return (per_member + fold) / self.shard_workers(stats) + (
-            self.fanout_seconds(stats)
-            + stats.shards * self.region_fold_seconds(1.0, stats)
         )

@@ -3,21 +3,17 @@
 Every reverse-skyline, membership and retained-mask path evaluates the
 Definition-3 predicate — a customer is in ``RSL(q)`` exactly when its
 window over the products is empty.  :func:`row_mask` computes that row
-mask for all of them, with four strategies:
+mask for all of them, with three strategies:
 
 * ``"index"`` — one window probe per row (the per-customer oracle);
 * ``"kernel"`` — one blocked NumPy pass (:mod:`repro.kernels`);
-* ``"pruned"`` — the filter-refinement kernel over the tile summaries;
-* ``"sharded"`` — the blocked kernel fanned out over :mod:`repro.shard`.
+* ``"pruned"`` — the filter-refinement kernel over the tile summaries.
 
 :func:`mask_cost` prices every variant, so each surface is one operator
 class whose instances differ only in their ``variant`` and registry name
 (``rsl-kernel-verify``, ``membership-pruned``, ...).  The planner picks
 an instance per node:
 
-* :meth:`Operator.available` — capability gating (a sharded variant needs
-  ``shards > 1``; the sharded safe-region fold also needs
-  ``sr_box_budget == 0``).
 * :meth:`Operator.estimate` — predicted cost from dataset statistics,
   used by ``planner="auto"``; a pinned planner picks by ``variant``.
 * :meth:`Operator.run` — the execution, emitting the surface's span
@@ -32,28 +28,19 @@ result.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
-from repro.config import WhyNotConfig
 from repro.core._verify import VERIFY_RTOL, verify_membership
 from repro.core.approx import ApproximateDSLStore
 from repro.core.explain import explain_why_not
 from repro.core.mqp import modify_query_point
 from repro.core.mwp import modify_why_not_point
 from repro.core.mwq import modify_query_and_why_not_point
-from repro.core.safe_region import (
-    SafeRegion,
-    SafeRegionStats,
-    compute_safe_region,
-)
+from repro.core.safe_region import compute_safe_region
 from repro.geometry import region_array as _ra
-from repro.geometry.box import Box
-from repro.geometry.point import as_point
-from repro.geometry.region import BoxRegion
 from repro.kernels.membership import batch_window_membership
 from repro.kernels.pruned import batch_window_membership_pruned
 from repro.plan.cost import CostEstimate, CostModel, DatasetStats
@@ -67,47 +54,9 @@ __all__ = [
     "Operator",
     "candidate_operators",
     "ensure_approx_store",
-    "ensure_shard_executor",
     "mask_cost",
     "row_mask",
 ]
-
-
-def ensure_shard_executor(engine):
-    """The engine's shard executor for the current dataset epoch.
-
-    Lazily imported so :mod:`repro.core` (which loads this module via
-    the engine) never pulls :mod:`repro.shard` — and through it the
-    multiprocessing machinery — unless a sharded operator actually runs.
-    Keyed by epoch: a mutation makes the partition and the published
-    shared-memory copies stale, so stale executors are closed and
-    rebuilt on the next sharded call.  Workers prune exactly when the
-    planner is pinned to ``"pruned"``.
-    """
-    from repro.shard.executor import ShardExecutor
-
-    key = engine.dataset_epoch
-    executor = engine._shard_executors.get(key)
-    if executor is None:
-        for stale in engine._shard_executors.values():
-            stale.close()
-        engine._shard_executors.clear()
-        config = engine.config
-        executor = ShardExecutor(
-            engine.products,
-            None if engine.monochromatic else engine.customers,
-            shards=config.shards,
-            backend=config.shard_backend,
-            block_size=engine.kernel_block_size,
-            prune=config.planner == "pruned",
-            prune_tile_size=engine.prune_tile_size,
-            obs=engine.obs,
-            stats=engine.shard_stats,
-            kernel_counters=engine._kernel_counters,
-            prune_counters=engine._prune_counters,
-        )
-        engine._shard_executors[key] = executor
-    return executor
 
 
 def ensure_approx_store(engine, k: int) -> ApproximateDSLStore:
@@ -140,7 +89,6 @@ def row_mask(
     prefs,
     self_positions: np.ndarray | None = None,
     *,
-    rows: np.ndarray | None = None,
     rtol: float = 0.0,
 ) -> np.ndarray:
     """``(len(points),)`` mask: is each row's window over the products
@@ -148,10 +96,7 @@ def row_mask(
 
     ``prefs`` is the preference model (dominance policy and support);
     ``self_positions`` holds each row's self-excluded product (``-1`` or
-    ``None`` for none); ``rows`` are the customer positions of
-    ``points`` when they are customer rows, which lets the sharded
-    variant read them from shared memory instead of shipping them;
-    ``rtol`` is the verification tolerance of
+    ``None`` for none); ``rtol`` is the verification tolerance of
     :func:`repro.core._verify.verify_membership`.
     """
     count = points.shape[0]
@@ -175,17 +120,6 @@ def row_mask(
             ),
             dtype=bool,
             count=count,
-        )
-    if variant == "sharded":
-        executor = ensure_shard_executor(eng)
-        if rows is not None:
-            return executor.membership_rows(
-                rows, query, policy, self_positions=self_positions,
-                rtol=rtol, dims=dims,
-            )
-        return executor.membership_points(
-            points, query, policy, self_positions=self_positions,
-            rtol=rtol, dims=dims,
         )
     if variant == "pruned":
         return batch_window_membership_pruned(
@@ -230,15 +164,10 @@ def mask_cost(
     note = ""
     if variant == "kernel":
         seconds = model.kernel_seconds(rows, stats)
-    elif variant == "pruned":
+    else:
         ops *= stats.prune_refine_rate
         seconds = model.pruned_kernel_seconds(rows, stats)
         note = f" (refine~{stats.prune_refine_rate:.0%})"
-    else:
-        seconds = model.sharded_kernel_seconds(rows, stats)
-        note = (
-            f" ({stats.shards} shards, {model.shard_workers(stats)} workers)"
-        )
     return CostEstimate(
         ops=ops,
         seconds=seconds + model.DISPATCH_S,
@@ -322,13 +251,7 @@ class Operator:
     @property
     def attrs(self) -> dict:
         """Span attributes marking the non-default strategies."""
-        if self.variant in ("pruned", "sharded"):
-            return {self.variant: True}
-        return {}
-
-    def available(self, config: WhyNotConfig, stats: DatasetStats) -> bool:
-        """May the planner consider this operator at all?"""
-        return self.variant != "sharded" or config.shards > 1
+        return {"pruned": True} if self.variant == "pruned" else {}
 
     def child_plans(self, logical: "LogicalPlan") -> tuple:
         """The sub-plans this operator actually executes (defaults to
@@ -390,7 +313,6 @@ class ReverseSkylineOp(Operator):
                 q,
                 prefs,
                 candidates if eng.monochromatic else None,
-                rows=candidates,
             )
         ]
         if default:
@@ -453,7 +375,6 @@ class RetainedOp(Operator):
             ctx.refined_query,
             prefs,
             members if eng.monochromatic else None,
-            rows=members,
             rtol=VERIFY_RTOL,
         )
 
@@ -543,36 +464,15 @@ class MQPStaircase(_StaircaseOp):
 # Safe region (Algorithm 3 exact, Section VI.B approximate)
 # ----------------------------------------------------------------------
 class _ExactSafeRegionOp(Operator):
-    """Algorithm 3: fold the anti-dominance regions of ``RSL(q)``.
+    """Algorithm 3: fold the anti-dominance regions of ``RSL(q)`` in
+    this process, reusing the engine's DSL cache whenever one exists
+    (``WhyNotConfig.n_jobs`` threads build the member regions)."""
 
-    The ``"local"`` variant folds in this process, reusing the engine's
-    DSL cache whenever one exists.  The ``"sharded"`` variant has each
-    shard fold a contiguous slice of ``RSL(q)`` exactly like the
-    sequential loop while the parent intersects the partial regions;
-    the final set of maximal boxes is order-invariant (box intersection
-    distributes; containment survives further intersection), so the
-    region equals the local one — asserted bit-identical on
-    canonicalised box arrays by the property tests.  It needs
-    ``sr_box_budget == 0`` (truncating an intermediate breaks that
-    order-invariance) and rebuilds staircases in the workers."""
-
+    name = "sr-cached-fold"
     span_name = "engine.safe_region"
-
-    def available(self, config, stats):
-        return super().available(config, stats) and (
-            self.variant != "sharded" or config.sr_box_budget == 0
-        )
 
     def estimate(self, logical, stats, model):
         members = stats.expected_rsl
-        if self.variant == "sharded":
-            return CostEstimate(
-                ops=members * stats.n * stats.d + members,
-                seconds=model.sharded_fold_seconds(members, stats)
-                + model.DISPATCH_S,
-                detail=f"sharded fold of ~{members:.0f} members "
-                f"({stats.shards} shards)",
-            )
         cold = max(0.0, members - stats.dsl_warm)
         return CostEstimate(
             ops=cold * stats.n * stats.d + members,
@@ -601,63 +501,32 @@ class _ExactSafeRegionOp(Operator):
                 result_cache="hit",
             )
             return cached
-        t_start = time.perf_counter()
         with _observe_regions(eng):
             rsl = ctx.execute(node.children[0])
-            if self.variant == "sharded":
-                cached = self._sharded_fold(eng, q, rsl, prefs, t_start)
-            else:
-                # compute_safe_region bypasses the DSL cache itself for
-                # partial-support weights (full support leaves the
-                # regions unchanged, so the unweighted cache is shared).
-                cached = compute_safe_region(
-                    eng.index,
-                    eng.customers,
-                    q,
-                    rsl,
-                    eng._geometry_bounds(q),
-                    config=eng.config,
-                    self_exclude=eng.monochromatic,
-                    dsl_cache=eng.dsl_cache,
-                    weights=prefs.weight_array(eng.dim),
-                )
+            # compute_safe_region bypasses the DSL cache itself for
+            # partial-support weights (full support leaves the regions
+            # unchanged, so the unweighted cache is shared).
+            cached = compute_safe_region(
+                eng.index,
+                eng.customers,
+                q,
+                rsl,
+                eng._geometry_bounds(q),
+                config=eng.config,
+                self_exclude=eng.monochromatic,
+                dsl_cache=eng.dsl_cache,
+                weights=prefs.weight_array(eng.dim),
+            )
             span.set(
                 members=cached.stats.members,
                 boxes=len(cached.region),
                 early_exit=cached.stats.early_exit,
-                **self.attrs,
             )
         eng.last_safe_region_stats = cached.stats
         _absorb_safe_region_stats(eng, cached.stats)
         if default:
             eng._sr_cache[key] = cached
         return cached
-
-    @staticmethod
-    def _sharded_fold(eng, q, rsl, prefs, t_start) -> SafeRegion:
-        bounds = eng._geometry_bounds(q)
-        lo, hi, info = ensure_shard_executor(eng).safe_region_fold(
-            rsl,
-            bounds.lo,
-            bounds.hi,
-            eng.config.sort_dim,
-            self_exclude=eng.monochromatic,
-            weights=prefs.weight_array(eng.dim),
-        )
-        region = BoxRegion.from_arrays(lo, hi, dim=eng.dim)
-        point = as_point(q, dim=eng.dim)
-        if not region.contains_point(point):
-            region = region.union(BoxRegion([Box(point, point)], dim=eng.dim))
-        stats = SafeRegionStats()
-        for field, value in info.items():
-            setattr(stats, field, value)
-        stats.build_seconds += time.perf_counter() - t_start
-        return SafeRegion(
-            query=point,
-            region=region,
-            rsl_positions=np.asarray(rsl, dtype=np.int64),
-            stats=stats,
-        )
 
 
 class SafeRegionApproxStore(Operator):
@@ -762,7 +631,7 @@ class BatchOp(Operator):
 
     The ``"kernel"`` variant (``batch-prefilter``) resolves every
     question's membership through the planned membership child first
-    (planned on its own, it may itself be pruned or sharded), then
+    (planned on its own, it may itself be pruned), then
     answers the rest through :func:`repro.core.batch.answer_batch`: one
     ``Λ`` window query per question and one kernel pass verifying every
     candidate of the batch.  The ``"index"`` variant
@@ -796,11 +665,8 @@ class BatchOp(Operator):
             )
         # Price the prefilter with the cheapest membership mask the
         # planner could give the child.
-        variants = ("kernel", "pruned") + (
-            ("sharded",) if stats.shards > 1 else ()
-        )
         mask = min(
-            (mask_cost(v, count, stats, model) for v in variants),
+            (mask_cost(v, count, stats, model) for v in ("kernel", "pruned")),
             key=lambda estimate: estimate.seconds,
         )
         member_rate = min(0.5, stats.expected_rsl / max(1, stats.m))
@@ -847,27 +713,21 @@ class BatchOp(Operator):
 # Registry (registry order breaks cost ties in planner="auto")
 # ----------------------------------------------------------------------
 _REGISTRY: dict[str, tuple[Operator, ...]] = {
-    "safe_region": (
-        _ExactSafeRegionOp("sr-cached-fold", "local"),
-        _ExactSafeRegionOp("sr-sharded-fold", "sharded"),
-    ),
+    "safe_region": (_ExactSafeRegionOp(),),
     "safe_region_approx": (SafeRegionApproxStore(),),
     "reverse_skyline": (
         ReverseSkylineOp("rsl-kernel-verify", "kernel"),
         ReverseSkylineOp("rsl-index-verify", "index"),
-        ReverseSkylineOp("rsl-sharded-kernel", "sharded"),
         ReverseSkylineOp("rsl-pruned-kernel", "pruned"),
     ),
     "membership": (
         MembershipOp("membership-kernel", "kernel"),
         MembershipOp("membership-index-loop", "index"),
-        MembershipOp("membership-sharded", "sharded"),
         MembershipOp("membership-pruned", "pruned"),
     ),
     "retained_mask": (
         RetainedOp("retained-kernel", "kernel"),
         RetainedOp("retained-index-loop", "index"),
-        RetainedOp("retained-sharded", "sharded"),
     ),
     "explain": (LambdaWindow(),),
     "mwp": (MWPStaircase(),),

@@ -5,21 +5,15 @@ PlanNode` tree by choosing, per node, among the physical operators
 registered for the surface (one operator class per surface, its
 instances differing by ``variant``):
 
-* ``planner="auto"`` (the default) — pick the available operator with
-  the lowest estimated cost.  Ties break toward the registry order, so
+* ``planner="auto"`` (the default) — pick the operator with the lowest
+  estimated cost.  Ties break toward the registry order, so
   planning is deterministic.
 * ``planner="index"`` / ``"kernel"`` / ``"pruned"`` — pin the arm: pick
-  the first available operator whose variant the pin prefers
-  (:data:`PIN_ORDER`), else the surface's first operator.  With
-  ``shards > 1`` the kernel and pruned pins fan out (workers prune under
-  ``"pruned"``); the exact safe region folds sharded whenever that
-  variant is available, under every pin.
+  the first operator whose variant the pin prefers
+  (:data:`PIN_ORDER`), else the surface's first operator.
 
-Capability gating happens before either mode: an operator whose
-:meth:`~repro.plan.operators.Operator.available` returns false (a
-sharded variant at ``shards == 1``) is not a candidate at all.  Because
-every alternative for a surface is property-tested bit-identical, the
-choice changes runtimes, never answers.
+Because every alternative for a surface is property-tested
+bit-identical, the choice changes runtimes, never answers.
 """
 
 from __future__ import annotations
@@ -34,9 +28,9 @@ __all__ = ["PIN_ORDER", "Planner"]
 
 #: Variants each pin accepts, most preferred first.
 PIN_ORDER = {
-    "index": ("index", "sharded"),
-    "kernel": ("sharded", "kernel"),
-    "pruned": ("sharded", "pruned", "kernel"),
+    "index": ("index",),
+    "kernel": ("kernel",),
+    "pruned": ("pruned", "kernel"),
 }
 
 
@@ -52,18 +46,8 @@ class Planner:
     def candidates(
         self, logical: LogicalPlan, stats: DatasetStats
     ) -> list[Operator]:
-        """Available operators for ``logical``, in registry order."""
-        ops = [
-            op
-            for op in candidate_operators(logical)
-            if op.available(self.config, stats)
-        ]
-        if not ops:
-            raise ValueError(
-                f"no operator available for surface {logical.surface!r} "
-                f"under config {self.config!r}"
-            )
-        return ops
+        """The operators for ``logical``, in registry order."""
+        return list(candidate_operators(logical))
 
     def choose(
         self, logical: LogicalPlan, stats: DatasetStats

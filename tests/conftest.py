@@ -7,7 +7,6 @@ import pytest
 
 from repro import WhyNotEngine
 from repro.data.paperdata import paper_dataset, paper_points, paper_query
-from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
 
@@ -51,15 +50,13 @@ def random_points(
     return pts
 
 
-@pytest.fixture(params=["scan", "rtree", "grid"])
+@pytest.fixture(params=["scan", "rtree"])
 def index_factory(request):
     """Build either index implementation from a point matrix."""
 
     def factory(points: np.ndarray):
         if request.param == "scan":
             return ScanIndex(points)
-        if request.param == "grid":
-            return GridIndex(points)
         return RTree(points)
 
     factory.backend = request.param

@@ -28,7 +28,7 @@ QUERY = np.array([0.45, 0.55])
 def _make_engine() -> WhyNotEngine:
     rng = np.random.default_rng(77)
     return WhyNotEngine(
-        rng.random((50, 2)), customers=rng.random((30, 2)), backend="grid"
+        rng.random((50, 2)), customers=rng.random((30, 2)), backend="rtree"
     )
 
 

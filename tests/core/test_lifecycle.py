@@ -38,17 +38,6 @@ def test_context_manager_closes_on_error():
     assert engine.closed
 
 
-def test_close_tears_down_shard_executors():
-    engine = _engine()
-    # Force a shard executor into existence, then close must reap it.
-    from repro.plan.operators import ensure_shard_executor
-
-    ensure_shard_executor(engine)
-    assert engine._shard_executors
-    engine.close()
-    assert not engine._shard_executors
-
-
 def test_enable_thread_safety_locks_registry():
     engine = _engine()
     assert not engine.obs.metrics.thread_safe

@@ -1,14 +1,10 @@
-"""The audit's canonical box form against the pairwise reference loop,
-and a safe-region area the audit once found differing across shard
-counts."""
+"""The audit's canonical box form against the pairwise reference loop."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from repro.config import WhyNotConfig
-from repro.core.engine import WhyNotEngine
-from repro.experiments.audit import UNIT_BOX, _cases, canonical_boxes
+from repro.experiments.audit import canonical_boxes
 
 
 def _pairwise(lo, hi):
@@ -48,35 +44,3 @@ def test_canonical_boxes_matches_pairwise_loop():
         want_lo, want_hi = _pairwise(lo, hi)
         assert np.array_equal(got_lo, want_lo)
         assert np.array_equal(got_hi, want_hi)
-
-
-def test_area_bit_identical_across_shard_counts_clustered_seed4():
-    """Regression: on the audit's clustered case (``--sizes 150 --seed
-    4``), after its insert/delete/update program, the two-shard fold
-    kept one more redundant zero-volume box than the one-shard fold.
-    Their canonical boxes were equal, but the area differed in the last
-    bit because the sweep measured the raw box list and the extra box
-    added a slab breakpoint."""
-    (case,) = [c for c in _cases(150, 4) if c.name == "clustered"]
-    engines = [
-        WhyNotEngine(
-            case.products,
-            case.customers,
-            config=WhyNotConfig(
-                planner="index", shards=shards, shard_backend="serial",
-                **case.overrides,
-            ),
-            bounds=UNIT_BOX,
-        )
-        for shards in (1, 2)
-    ]
-    for step in case.program:
-        for op, payload in step:
-            for engine in engines:
-                getattr(engine, op)(**payload)
-    single, sharded = (e.safe_region(case.probes[0]) for e in engines)
-    for a, b in zip(canonical_boxes(single), canonical_boxes(sharded)):
-        assert np.array_equal(a, b)
-    assert single.area() == sharded.area()
-    for engine in engines:
-        engine.close()

@@ -15,7 +15,7 @@ from repro.geometry.box import Box
 from repro.index import make_index
 from repro.index.scan import ScanIndex
 
-BACKENDS = ["scan", "rtree", "grid"]
+BACKENDS = ["scan", "rtree"]
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from repro.geometry.box import Box
-from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
 
 BACKENDS = {
     "scan": ScanIndex,
-    "grid": GridIndex,
     "rtree": RTree,
 }
 

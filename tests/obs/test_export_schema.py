@@ -122,8 +122,8 @@ class TestPromNameHygiene:
         assert prom_name("plan.drift.sr-cached-fold") == (
             "repro_plan_drift_sr_cached_fold"
         )
-        assert prom_name("shard.worker.kernels.tiles") == (
-            "repro_shard_worker_kernels_tiles"
+        assert prom_name("prune.pairs_refined") == (
+            "repro_prune_pairs_refined"
         )
 
     def test_leading_non_alpha_is_guarded(self):
@@ -138,10 +138,10 @@ class TestPromNameHygiene:
 
     def test_sanitized_names_round_trip_through_exposition(self):
         metrics = MetricsRegistry()
-        metrics.counter("shard.worker.kernels.tiles").inc(2)
+        metrics.counter("prune.pairs_refined").inc(2)
         metrics.gauge("plan.drift.rsl-kernel-verify").set(1.5)
         text = to_prometheus(metrics)
-        assert "repro_shard_worker_kernels_tiles_total 2" in text
+        assert "repro_prune_pairs_refined_total 2" in text
         assert "repro_plan_drift_rsl_kernel_verify 1.5" in text
         for line in text.splitlines():
             if line and not line.startswith("#"):

@@ -1,6 +1,5 @@
 """Planner operator selection: each pin forces its arm, auto mode
-picks the cheapest estimate, and capability gating removes operators
-the config cannot run."""
+picks the cheapest estimate, and an unknown surface is rejected."""
 
 import numpy as np
 import pytest
@@ -19,16 +18,9 @@ from repro.plan.logical import (
 from repro.plan.planner import Planner
 
 
-def make_stats(n=1_000, m=1_000, dsl_warm=0, shards=1):
+def make_stats(n=1_000, m=1_000, dsl_warm=0):
     return DatasetStats(
-        n=n,
-        m=m,
-        d=2,
-        backend="scan",
-        epoch=0,
-        dsl_warm=dsl_warm,
-        shards=shards,
-        shard_backend="serial",
+        n=n, m=m, d=2, backend="scan", epoch=0, dsl_warm=dsl_warm
     )
 
 
@@ -40,87 +32,53 @@ SURFACES = (
     BatchWhyNotQuery(count=5),
 )
 
-#: (pin, shards) -> operator per surface: RSL, membership, retained,
-#: exact safe region, batch.
+#: pin -> operator per surface: RSL, membership, retained, exact safe
+#: region, batch.
 PIN_TABLE = {
-    ("index", 1): (
+    "index": (
         "rsl-index-verify",
         "membership-index-loop",
         "retained-index-loop",
         "sr-cached-fold",
         "batch-sequential",
     ),
-    ("index", 3): (
-        "rsl-index-verify",
-        "membership-index-loop",
-        "retained-index-loop",
-        "sr-sharded-fold",
-        "batch-sequential",
-    ),
-    ("kernel", 1): (
+    "kernel": (
         "rsl-kernel-verify",
         "membership-kernel",
         "retained-kernel",
         "sr-cached-fold",
         "batch-prefilter",
     ),
-    ("kernel", 3): (
-        "rsl-sharded-kernel",
-        "membership-sharded",
-        "retained-sharded",
-        "sr-sharded-fold",
-        "batch-prefilter",
-    ),
-    ("pruned", 1): (
+    "pruned": (
         "rsl-pruned-kernel",
         "membership-pruned",
         "retained-kernel",
         "sr-cached-fold",
         "batch-prefilter",
     ),
-    ("pruned", 3): (
-        "rsl-sharded-kernel",
-        "membership-sharded",
-        "retained-sharded",
-        "sr-sharded-fold",
-        "batch-prefilter",
-    ),
 }
 
 
-@pytest.mark.parametrize(
-    "pin,shards", list(PIN_TABLE), ids=[f"{p}-{s}" for p, s in PIN_TABLE]
-)
-def test_pin_table(pin, shards):
+@pytest.mark.parametrize("pin", list(PIN_TABLE))
+def test_pin_table(pin):
     """Every pin forces exactly its arm on every surface, planned and
     executed: the batch prefilter's membership child follows the pin
-    too, and workers prune only under the pruned pin."""
-    planner = Planner(WhyNotConfig(planner=pin, shards=shards))
-    stats = make_stats(shards=shards)
+    too."""
+    planner = Planner(WhyNotConfig(planner=pin))
+    stats = make_stats()
     chosen = tuple(planner.choose(q, stats).name for q in SURFACES)
-    assert chosen == PIN_TABLE[pin, shards]
+    assert chosen == PIN_TABLE[pin]
     batch = planner.plan(BatchWhyNotQuery(count=5), stats)
     assert [c.operator.name for c in batch.children] == list(
-        PIN_TABLE[pin, shards][3:4]
-        + (PIN_TABLE[pin, shards][1:2] if pin != "index" else ())
+        PIN_TABLE[pin][3:4] + (PIN_TABLE[pin][1:2] if pin != "index" else ())
     )
     points = np.random.default_rng(7).random((40, 2))
-    engine = WhyNotEngine(
-        points,
-        config=WhyNotConfig(
-            planner=pin, shards=shards, shard_backend="serial"
-        ),
-    )
+    engine = WhyNotEngine(points, config=WhyNotConfig(planner=pin))
     q = np.array([0.5, 0.5])
     engine.safe_region(q)
-    assert engine.last_plan.operator.name == PIN_TABLE[pin, shards][3]
+    assert engine.last_plan.operator.name == PIN_TABLE[pin][3]
     engine.membership_mask([0, 1, 2], q)
-    assert engine.last_plan.operator.name == PIN_TABLE[pin, shards][1]
-    executors = list(engine._shard_executors.values())
-    assert [ex.prune for ex in executors] == (
-        [pin == "pruned"] if shards > 1 else []
-    )
-    engine.close_shard_executors()
+    assert engine.last_plan.operator.name == PIN_TABLE[pin][1]
 
 
 class TestFixedMode:
@@ -212,24 +170,6 @@ class TestAutoMode:
 
 
 class TestCapabilityGating:
-    def test_dsl_cache_gating(self):
-        """Sharded variants need shards > 1; the sharded fold also needs
-        an unbounded box budget."""
-        single = Planner(WhyNotConfig(planner="auto"))
-        names = {
-            op.name
-            for op in single.candidates(SafeRegionQuery(), make_stats())
-        }
-        assert names == {"sr-cached-fold"}
-        budget = Planner(WhyNotConfig(shards=3, sr_box_budget=8))
-        names = {
-            op.name
-            for op in budget.candidates(
-                SafeRegionQuery(), make_stats(shards=3)
-            )
-        }
-        assert names == {"sr-cached-fold"}
-
     def test_unknown_surface_rejected(self):
         class Bogus(RSLQuery):
             surface = "bogus"
@@ -281,8 +221,8 @@ class TestEngineWiring:
 
     def test_dataset_stats_snapshot(self):
         points = np.random.default_rng(2).random((30, 2))
-        engine = WhyNotEngine(points, backend="grid")
+        engine = WhyNotEngine(points, backend="scan")
         stats = engine.dataset_stats()
         assert stats.n == 30 and stats.m == 30 and stats.d == 2
-        assert stats.backend == "grid"
+        assert stats.backend == "scan"
         assert stats.epoch == engine.dataset_epoch

@@ -1,7 +1,6 @@
 """Planner integration of the filter-refinement (pruned) operators.
 
-The ``planner="pruned"`` pin dispatches to the pruned arms (at
-``shards == 1``; with more shards the workers prune); auto mode treats
+The ``planner="pruned"`` pin dispatches to the pruned arms; auto mode treats
 pruning as one more candidate whose kernel term is scaled by the tile-summary
 selectivity probe, so it declines when the predicted refine rate says
 classification cannot pay for itself.
@@ -34,7 +33,6 @@ def make_stats(n=10_000, m=10_000, refine_rate=1.0, **kwargs):
         d=2,
         backend="scan",
         epoch=0,
-        cpus=1,
         prune_tile_size=512,
         prune_refine_rate=refine_rate,
         **kwargs,
@@ -74,13 +72,6 @@ class TestFixedMode:
         auto = Planner(WhyNotConfig(planner="auto"))
         assert auto.choose(logical, stats).name == "membership-pruned"
         assert planner.choose(logical, stats).name == "membership-kernel"
-
-    def test_sharding_outranks_pruning_in_fixed_mode(self):
-        planner = Planner(
-            WhyNotConfig(planner="pruned", shards=2, shard_backend="serial")
-        )
-        stats = make_stats(shards=2, shard_backend="serial")
-        assert planner.choose(RSLQuery(), stats).name == "rsl-sharded-kernel"
 
 
 class TestAutoMode:

@@ -19,7 +19,7 @@ from repro import Box, WhyNotConfig, WhyNotEngine
 # comparison engine cannot infer a different box after mutations.
 BOUNDS = Box(np.zeros(2), np.ones(2))
 
-BACKENDS = ["scan", "grid", "rtree"]
+BACKENDS = ["scan", "rtree"]
 
 
 def dyadic(values) -> np.ndarray:

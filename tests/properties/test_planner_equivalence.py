@@ -17,7 +17,7 @@ from repro import Box, WhyNotConfig, WhyNotEngine
 from repro.core.safe_region import compute_safe_region
 
 BOUNDS = Box(np.zeros(2), np.ones(2))
-BACKENDS = ["scan", "grid", "rtree"]
+BACKENDS = ["scan", "rtree"]
 QUERIES = [np.array([0.5, 0.5]), np.array([0.25, 0.625])]
 
 

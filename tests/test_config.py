@@ -72,10 +72,10 @@ class TestWhyNotConfig:
                 WhyNotConfig(**{field: None})
 
     def test_unmeasured_knobs_are_gone(self):
-        """Sharding is always STR-tiled, the safe-region fold chunk is a
-        module constant, and the DSL cache / scoped invalidation follow
-        the default preferences' support: none of them is a field."""
-        assert len(dataclasses.fields(WhyNotConfig)) == 15
+        """The safe-region fold chunk is a module constant, and the DSL
+        cache / scoped invalidation follow the default preferences'
+        support: none of them is a field."""
+        assert len(dataclasses.fields(WhyNotConfig)) == 13
         for field in (
             "shard_partition",
             "sr_chunk_size",
@@ -85,6 +85,15 @@ class TestWhyNotConfig:
             assert not hasattr(WhyNotConfig(), field)
             with pytest.raises(TypeError):
                 WhyNotConfig(**{field: None})
+
+    def test_shard_fields_are_gone(self):
+        """``n_jobs`` threads are the one parallel path: there is no
+        process-sharded layer to configure."""
+        assert len(dataclasses.fields(WhyNotConfig)) == 13
+        with pytest.raises(TypeError):
+            WhyNotConfig(shards=2)
+        with pytest.raises(TypeError):
+            WhyNotConfig(shard_backend="serial")
 
     def test_prune_tile_size_validated(self):
         assert WhyNotConfig().prune_tile_size is None

@@ -14,7 +14,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 RULES = {
     "repro/plan": ("repro.experiments", "repro.viz"),
     "repro/kernels": ("repro.plan",),
-    "repro/shard": ("repro.plan", "repro.experiments", "repro.viz"),
     "repro/obs": (
         "repro.core",
         "repro.plan",
@@ -32,18 +31,16 @@ RULES = {
         "repro.plan",
         "repro.kernels",
         "repro.index",
-        "repro.shard",
         "repro.experiments",
         "repro.viz",
     ),
     # The serving layer is the top of the library: it composes the
     # engine, planner, store and obs but may not reach into the compute
-    # layers directly (kernels/index/shard are planner implementation
+    # layers directly (kernels/index are planner implementation
     # details) nor into the presentation layers.
     "repro/serve": (
         "repro.kernels",
         "repro.index",
-        "repro.shard",
         "repro.experiments",
         "repro.viz",
     ),
@@ -55,7 +52,6 @@ RULES = {
         "repro.plan",
         "repro.kernels",
         "repro.index",
-        "repro.shard",
         "repro.skyline",
         "repro.geometry",
         "repro.prune",
