@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import WhyNotConfig
-from repro.core.safe_region import staircase_boxes
+from repro.core.safe_region import staircase_arrays
 from repro.obs.stats import CounterBackedStats
 from repro.geometry.box import Box
 from repro.geometry.region import BoxRegion
@@ -198,13 +198,13 @@ class DSLCache:
             self._region_hit_counter.inc()
             return cached
         self._region_miss_counter.inc()
-        boxes = staircase_boxes(
+        lo, hi = staircase_arrays(
             self.customers[position],
             self.thresholds(position),
             bounds,
             self.config.sort_dim,
         )
-        region = BoxRegion(boxes, dim=self.index.dim).simplify()
+        region = BoxRegion.from_arrays(lo, hi, dim=self.index.dim).simplify()
         self._regions[key] = region
         return region
 

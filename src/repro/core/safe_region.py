@@ -48,6 +48,7 @@ __all__ = [
     "SafeRegionStats",
     "anti_dominance_region",
     "staircase_boxes",
+    "staircase_arrays",
     "compute_safe_region",
     "compute_safe_region_oracle",
 ]
@@ -133,6 +134,36 @@ def staircase_boxes(
     return boxes
 
 
+def staircase_arrays(
+    origin: np.ndarray,
+    thresholds: np.ndarray,
+    bounds: Box,
+    sort_dim: int,
+    dims: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`staircase_boxes` as ``(lo, hi)`` corner arrays, bit for bit,
+    built in a few array operations with no :class:`Box` per entry."""
+    m, dim = thresholds.shape
+    if m == 0:
+        return bounds.lo[None, :].copy(), bounds.hi[None, :].copy()
+    full_reach = _reach(origin, bounds)
+    sel = np.arange(dim) if dims is None else np.asarray(dims, dtype=np.int64)
+    sub_t, reach = thresholds[:, sel], full_reach[sel]
+    if sel.size == 2:
+        sd = int(sel[1] == sort_dim)
+        t = sub_t[np.argsort(sub_t[:, sd], kind="stable")]
+        entries = np.vstack([t[:1], np.maximum(t[:-1], t[1:]), t[-1:]])
+        entries[0, 1 - sd] = reach[1 - sd]
+        entries[-1, sd] = reach[sd]
+    else:
+        slabs = np.tile(reach, (sel.size, 1))
+        np.fill_diagonal(slabs, sub_t.min(axis=0))
+        entries = np.vstack([sub_t, slabs])
+    extent = np.tile(full_reach, (entries.shape[0], 1))
+    extent[:, sel] = entries
+    return _ra.clip_arrays(origin - extent, origin + extent, bounds.lo, bounds.hi)
+
+
 def anti_dominance_region(
     index: SpatialIndex,
     origin: Sequence[float],
@@ -161,8 +192,8 @@ def anti_dominance_region(
         if dsl_positions.size
         else np.empty((0, index.dim))
     )
-    boxes = staircase_boxes(o, thresholds, bounds, sort_dim, dims=dims)
-    return BoxRegion(boxes, dim=index.dim).simplify()
+    lo, hi = staircase_arrays(o, thresholds, bounds, sort_dim, dims=dims)
+    return BoxRegion.from_arrays(lo, hi, dim=index.dim).simplify()
 
 
 class SafeRegionStats(CounterBackedStats):

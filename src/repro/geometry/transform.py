@@ -29,7 +29,13 @@ def to_query_space(points: np.ndarray, origin: Sequence[float]) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
         return np.abs(as_point(arr, dim=o.size) - o)
-    return np.abs(as_points(arr, dim=o.size) - o)
+    arr = as_points(arr, dim=o.size)
+    # Column by column: NumPy runs ``(n, d) - (d,)`` as n inner loops of
+    # length d, several times slower than d column passes for small d.
+    out = np.empty_like(arr)
+    for j in range(o.size):
+        np.subtract(arr[:, j], o[j], out=out[:, j])
+    return np.abs(out, out=out)
 
 
 def orthant_of(point: Sequence[float], origin: Sequence[float]) -> int:

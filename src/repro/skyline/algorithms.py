@@ -3,7 +3,8 @@
 Two complementary algorithms behind one entry point:
 
 * a 2-D sort-and-scan pass (O(n log n)), the workhorse for the paper's
-  two-attribute evaluation;
+  two-attribute evaluation; from :data:`PREFILTER_MIN_ROWS` rows on an
+  exact O(n) pivot-dominance filter first shrinks the input it sorts;
 * a sort-filter block-nested-loop for any dimensionality (Börzsönyi et al.'s
   BNL with the SFS presorting refinement: after sorting by coordinate sum,
   no later point can dominate an earlier one, so a single filtered pass
@@ -24,6 +25,11 @@ from repro.prefs.model import support_dims
 __all__ = ["skyline_indices", "skyline_points"]
 
 _BLOCK = 256  # Vectorised dominance checks are batched in blocks.
+
+#: From this many rows on, the 2-D skyline first drops the rows three
+#: pivots dominate (:func:`_pivot_survivors`); below ~200 uniform rows,
+#: such as the batched answer path's stage skylines, that does not pay.
+PREFILTER_MIN_ROWS = 256
 
 
 def skyline_indices(
@@ -59,6 +65,27 @@ def skyline_points(
 
 
 def _skyline_2d(arr: np.ndarray) -> np.ndarray:
+    """2-D skyline: pivot prefilter on large inputs, then sort-and-scan."""
+    if arr.shape[0] < PREFILTER_MIN_ROWS:
+        return _sort_scan_2d(arr)
+    survivors = _pivot_survivors(arr)
+    return survivors[_sort_scan_2d(arr[survivors])]
+
+
+def _pivot_survivors(arr: np.ndarray) -> np.ndarray:
+    """Ascending positions of the rows that none of ``argmin x``,
+    ``argmin y`` and ``argmin (x + y)`` dominates (duplicates of a pivot
+    stay).  Exact: only dominated rows go, and by transitivity each
+    dominated survivor is still dominated by a surviving skyline row."""
+    xs, ys = np.ascontiguousarray(arr.T)  # contiguous columns: ~2x faster
+    a, b, p = np.argmin(xs), np.argmin(ys), np.argmin(xs + ys)
+    px, py = xs[p], ys[p]
+    keep = (xs <= xs[b]) & (ys <= ys[a])
+    keep &= (xs < px) | (ys < py) | ((xs == px) & (ys == py))
+    return np.flatnonzero(keep)
+
+
+def _sort_scan_2d(arr: np.ndarray) -> np.ndarray:
     """Sort by (x asc, y asc) and keep points beating the running y-minimum.
 
     A scanned point is dominated iff some earlier point (in sort order) has

@@ -39,15 +39,11 @@ def dynamic_skyline_indices(
     """
     arr = as_points(points)
     o = as_point(origin, dim=arr.shape[1] if arr.size else None)
-    mask = np.ones(arr.shape[0], dtype=bool)
     exclude_arr = np.asarray(list(exclude), dtype=np.int64)
-    if exclude_arr.size:
-        mask[exclude_arr] = False
-    positions = np.flatnonzero(mask)
-    if positions.size == 0:
-        return np.empty(0, dtype=np.int64)
-    transformed = to_query_space(arr[positions], o)
-    local = skyline_indices(transformed, weights)
+    if exclude_arr.size == 0:
+        return skyline_indices(to_query_space(arr, o), weights)
+    positions = np.delete(np.arange(arr.shape[0]), exclude_arr)
+    local = skyline_indices(to_query_space(arr[positions], o), weights)
     return positions[local]
 
 

@@ -7,15 +7,19 @@ verbatim pre-refactor implementation — on every operation the safe-region
 pipeline uses: pairwise intersection, containment pruning (simplify),
 exact measure, point containment, nearest point, corners and sampling.
 Random unions in d = 2..4 include degenerate (zero-extent) boxes such as
-the ``{q}`` fallback of Algorithm 3.
+the ``{q}`` fallback of Algorithm 3.  The array staircase
+(``staircase_arrays``) is checked against the per-box construction
+(``staircase_boxes``) the same way.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.safe_region import staircase_arrays, staircase_boxes
 from repro.geometry.box import Box
 from repro.geometry.region import BoxRegion
+from repro.geometry.region_array import boxes_to_arrays
 from repro.geometry.region_oracle import OracleBoxRegion
 
 
@@ -154,3 +158,52 @@ def test_degenerate_query_fallback_shape(case):
     assert_same_boxes(fallback_arr, fallback_orc)
     assert fallback_arr.contains_point(q)
     assert fallback_arr.measure() == fallback_orc.measure()
+
+
+@st.composite
+def staircase_cases(draw):
+    """Staircase inputs on a 1/8 grid: dimension 1-3, full or partial
+    support (so widths 1, 2 and 3), 0-6 threshold rows with ties, and an
+    origin inside, on the edge of or just outside the bounds."""
+    dim = draw(st.integers(1, 3))
+    dims = draw(
+        st.sampled_from(
+            [None]
+            + [
+                np.flatnonzero(mask)
+                for mask in np.ndindex(*(2,) * dim)
+                if 0 < sum(mask) < dim
+            ]
+        )
+    )
+    grid = st.integers(0, 8).map(lambda k: k / 8)
+    lo = np.array([draw(grid) for _ in range(dim)])
+    hi = lo + np.array([draw(grid) for _ in range(dim)])
+    origin = np.array(
+        [
+            draw(st.sampled_from([lo[d], hi[d], lo[d] - 0.125, hi[d] + 0.125]))
+            if draw(st.booleans())
+            else lo[d] + draw(grid) * (hi[d] - lo[d])
+            for d in range(dim)
+        ]
+    )
+    m = draw(st.integers(0, 6))
+    thresholds = np.array(
+        [[draw(grid) for _ in range(dim)] for _ in range(m)]
+    ).reshape(m, dim)
+    sort_dim = draw(st.integers(0, dim - 1))
+    return origin, thresholds, Box(lo, hi), sort_dim, dims
+
+
+@settings(max_examples=200, deadline=None)
+@given(staircase_cases())
+def test_staircase_arrays_bit_identical(case):
+    origin, thresholds, bounds, sort_dim, dims = case
+    lo, hi = staircase_arrays(origin, thresholds, bounds, sort_dim, dims)
+    ref_lo, ref_hi = boxes_to_arrays(
+        staircase_boxes(origin, thresholds, bounds, sort_dim, dims),
+        origin.size,
+    )
+    assert lo.shape == ref_lo.shape
+    assert lo.tobytes() == ref_lo.tobytes()
+    assert hi.tobytes() == ref_hi.tobytes()

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from repro.config import DominancePolicy
 from repro.index.scan import ScanIndex
-from repro.skyline.algorithms import skyline_indices
+from repro.prefs.oracle import oracle_dynamic_skyline
+from repro.skyline.algorithms import (
+    PREFILTER_MIN_ROWS,
+    _pivot_survivors,
+    _sort_scan_2d,
+    skyline_indices,
+)
 from repro.skyline.dominance import dominates
 from repro.skyline.dynamic import dynamic_skyline_indices
 from repro.skyline.reverse import reverse_skyline_bbrs, reverse_skyline_naive
@@ -28,6 +34,26 @@ def point_matrices(min_rows=1, max_rows=30, dim=2, grid=8):
             max_size=n * dim,
         ).map(build)
     )
+
+
+@st.composite
+def large_point_matrices(draw, dim=2):
+    """65-600 rows on a dyadic grid, on both sides of the 2-D prefilter's
+    row gate.  Coarse grids force ties and duplicates; a constant column
+    and extra copies of the three pivot rows (argmin of each column and
+    of the coordinate sum) are drawn as flags."""
+    n = draw(st.integers(65, 600))
+    grid = draw(st.sampled_from([2, 4, 16, 1024]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(0, grid + 1, size=(n, dim)) / grid
+    constant = draw(st.sampled_from([None, *range(dim)]))
+    if constant is not None:
+        arr[:, constant] = rng.integers(0, grid + 1) / grid
+    copies = draw(st.integers(0, 3))
+    for pivot in (arr[:, 0].argmin(), arr[:, 1].argmin(), arr.sum(1).argmin()):
+        arr[rng.integers(0, n, size=copies)] = arr[pivot]
+    return arr
 
 
 def points(dim=2, grid=8):
@@ -110,3 +136,60 @@ def test_bbrs_equals_naive_3d(pts, q):
         reverse_skyline_naive(idx, pts, q, self_exclude=True),
         reverse_skyline_bbrs(idx, pts, q, self_exclude=True),
     )
+
+
+ORIGIN_2D = np.zeros(2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_point_matrices())
+def test_large_skyline_equals_oracle(pts):
+    """``pts >= 0``, so the dynamic skyline at the origin is the skyline."""
+    assert np.array_equal(
+        skyline_indices(pts), oracle_dynamic_skyline(pts, ORIGIN_2D)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_point_matrices())
+def test_pivot_filter_keeps_every_skyline_row(pts):
+    """The filter is exact below the row gate too: it drops only
+    dominated rows, and the survivors' skyline is the full skyline."""
+    survivors = _pivot_survivors(pts)
+    sky = _sort_scan_2d(pts)
+    assert np.all(np.isin(sky, survivors))
+    assert np.array_equal(survivors[_sort_scan_2d(pts[survivors])], sky)
+    if pts.shape[0] >= PREFILTER_MIN_ROWS:
+        assert np.array_equal(skyline_indices(pts), sky)
+
+
+@settings(max_examples=30, deadline=None)
+@given(large_point_matrices(), points(grid=16), st.integers(0, 2**32 - 1))
+def test_large_dynamic_skyline_equals_oracle(pts, origin, seed):
+    rng = np.random.default_rng(seed)
+    exclude = rng.choice(pts.shape[0], size=int(rng.integers(1, 4)), replace=False)
+    for ex in ((), exclude.tolist()):
+        assert np.array_equal(
+            dynamic_skyline_indices(pts, origin, ex),
+            oracle_dynamic_skyline(pts, origin, exclude=ex),
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    large_point_matrices(dim=3),
+    points(dim=3, grid=16),
+    st.sampled_from([(1.0, 2.0, 0.0), (0.0, 0.5, 1.0), (3.0, 0.0, 1.0)]),
+)
+def test_large_partial_support_skyline_equals_oracle(pts, origin, weights):
+    """Two support columns of three: the 2-D path runs on the slice."""
+    w = np.asarray(weights)
+    assert np.array_equal(
+        skyline_indices(pts, w),
+        oracle_dynamic_skyline(pts, np.zeros(3), weights=w),
+    )
+    for ex in ((), (0, pts.shape[0] - 1)):
+        assert np.array_equal(
+            dynamic_skyline_indices(pts, origin, ex, weights=w),
+            oracle_dynamic_skyline(pts, origin, weights=w, exclude=ex),
+        )
