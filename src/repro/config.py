@@ -116,15 +116,11 @@ class WhyNotConfig:
         Per-request ``weights=`` arguments override this default
         without touching it.  A zero weight drops that dimension from
         every dominance comparison (projection semantics); positive
-        magnitudes only price movement costs.  Non-unit defaults with a
-        dropped dimension force full cache invalidation on mutation
-        (the scoped pass's window locality only holds over the full
-        dimension set).  Full-support defaults keep a
-        :class:`repro.core.dsl_cache.DSLCache` (each customer's dynamic
-        skyline and staircase region computed once and shared by every
-        surface) and scope mutations: only the cache entries a mutation
-        can reach under the paper's window locality are evicted or
-        repaired (property-tested against a freshly built engine).
+        magnitudes only price movement costs.  Full-support defaults
+        keep a :class:`repro.core.dsl_cache.DSLCache` (each customer's
+        dynamic skyline and staircase region computed once and shared
+        by every surface); defaults with a dropped dimension keep none.
+        Under either, every mutation flushes the derived caches.
     """
 
     policy: DominancePolicy = DominancePolicy.STRICT

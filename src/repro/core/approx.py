@@ -166,36 +166,6 @@ class ApproximateDSLStore:
     def __len__(self) -> int:
         return len(self._cache)
 
-    # ------------------------------------------------------------------
-    # Scoped maintenance (driven by the engine's mutation path)
-    # ------------------------------------------------------------------
-    def evict(self, positions: Sequence[int]) -> int:
-        """Drop the sampled DSLs of ``positions``; returns the count."""
-        evicted = 0
-        for position in {int(p) for p in positions}:
-            if self._cache.pop(position, None) is not None:
-                evicted += 1
-        return evicted
-
-    def remap(self, mapping: np.ndarray) -> int:
-        """Renumber entries after a compacting delete; returns how many
-        were dropped because their customer row was deleted."""
-        mapping = np.asarray(mapping, dtype=np.int64)
-        dropped = 0
-        cache: dict[int, _StoredDSL] = {}
-        for position, stored in self._cache.items():
-            new_position = int(mapping[position]) if position < mapping.size else -1
-            if new_position >= 0:
-                cache[new_position] = stored
-            else:
-                dropped += 1
-        self._cache = cache
-        return dropped
-
-    def rebind(self, customers: np.ndarray) -> None:
-        """Point the store at the post-mutation customer matrix."""
-        self.customers = np.asarray(customers, dtype=np.float64)
-
     def precompute(
         self,
         positions: Sequence[int] | None = None,

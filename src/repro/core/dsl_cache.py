@@ -18,8 +18,10 @@ Entries are reused across ``safe_region``, ``modify_both``,
 ``answer_why_not_batch``, the approximate-DSL store and the leave-one-out
 relaxation analysis.  The cache is *read-through*: results are identical
 with or without it.  It must be invalidated (or simply not shared) when
-the product set changes — ``WhyNotEngine.without_products`` builds the
-reduced engine with a fresh cache for exactly this reason.
+the product set changes: every engine mutation flushes it, and
+``WhyNotEngine.without_products`` builds the reduced engine with a fresh
+cache.  Customer rows are read through a store, so a flushed cache
+always recomputes from the live customer matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.geometry.transform import to_query_space
 from repro.index.base import SpatialIndex
 from repro.kernels.parallel import parallel_map_chunks
 from repro.skyline.dynamic import dynamic_skyline_indices
+from repro.store.base import CustomerStore, VersionedStore
 
 __all__ = ["DSLCache", "DSLCacheStats"]
 
@@ -44,12 +47,9 @@ __all__ = ["DSLCache", "DSLCacheStats"]
 class DSLCacheStats(CounterBackedStats):
     """Hit/miss counters of one :class:`DSLCache`.
 
-    Reset contract: hit/miss counters describe the *current generation*
-    of cached content — a full :meth:`DSLCache.invalidate` rolls them
-    back to zero (the old numbers describe entries that no longer
-    exist), while ``invalidations`` is lifetime-monotonic and counts
-    every invalidation call, full or partial.  Partial invalidations do
-    not roll the counters: the surviving entries' history stays valid.
+    Every counter is lifetime-monotonic, like every other obs counter:
+    :meth:`DSLCache.invalidate` drops entries but never resets a count,
+    and ``invalidations`` counts the flushes.
     """
 
     _INT_FIELDS = (
@@ -84,22 +84,6 @@ class DSLCacheStats(CounterBackedStats):
             c["threshold_misses"].value + c["region_misses"].value,
         )
 
-    def roll(self) -> dict:
-        """Snapshot, then zero the hit/miss counters (generation change).
-
-        ``invalidations`` is deliberately preserved — it counts lifetime
-        events, not current-generation content.
-        """
-        snap = self.snapshot()
-        for name in (
-            "threshold_hits",
-            "threshold_misses",
-            "region_hits",
-            "region_misses",
-        ):
-            self._counters[name].value = 0
-        return snap
-
 
 class DSLCache:
     """Per-customer dynamic-skyline threshold and staircase-region cache.
@@ -110,7 +94,9 @@ class DSLCache:
         Spatial index over the products ``P`` (the cache is only valid
         for this exact product set).
     customers:
-        ``(m, d)`` customer matrix the positions refer to.
+        The customer store whose live matrix the positions refer to
+        (the engine passes its own, so a flushed cache recomputes from
+        the post-mutation rows), or a fixed ``(m, d)`` matrix.
     config:
         Supplies ``sort_dim`` (staircase sort dimension) and the default
         ``n_jobs`` of :meth:`precompute`.
@@ -123,12 +109,16 @@ class DSLCache:
     def __init__(
         self,
         index: SpatialIndex,
-        customers: np.ndarray,
+        customers: VersionedStore | np.ndarray,
         config: WhyNotConfig | None = None,
         self_exclude: bool = False,
     ) -> None:
         self.index = index
-        self.customers = np.asarray(customers, dtype=np.float64)
+        self._customer_store = (
+            customers
+            if isinstance(customers, VersionedStore)
+            else CustomerStore(customers)
+        )
         self.config = config or WhyNotConfig()
         self.self_exclude = self_exclude
         self.stats = DSLCacheStats()
@@ -137,8 +127,8 @@ class DSLCache:
         # Direct counter references for the per-lookup increments: a
         # bound ``Counter.inc`` is measurably cheaper than the property
         # round-trip, and the lookups sit on the safe-region hot path.
-        # ``roll()``/``reset()`` mutate the counters in place, so the
-        # references stay valid for the cache's lifetime.
+        # ``reset()`` mutates the counters in place, so the references
+        # stay valid for the cache's lifetime.
         counters = self.stats.counters()
         self._threshold_hit_counter = counters["threshold_hits"]
         self._threshold_miss_counter = counters["threshold_misses"]
@@ -152,19 +142,10 @@ class DSLCache:
         """Total cached entries across both layers (thresholds + regions)."""
         return len(self._thresholds) + len(self._regions)
 
-    def cached_positions(self) -> list[int]:
-        """Positions with a cached threshold matrix (no stats traffic).
-
-        The scoped-invalidation pass iterates exactly these: uncached
-        customers have nothing to evict, and every region entry's
-        position also has a threshold entry by the read-through layering.
-        """
-        return list(self._thresholds)
-
-    def cached_thresholds(self, position: int) -> np.ndarray | None:
-        """The cached threshold matrix, or ``None`` — never computes and
-        never counts a hit/miss (for invalidation-side inspection only)."""
-        return self._thresholds.get(int(position))
+    @property
+    def customers(self) -> np.ndarray:
+        """The live ``(m, d)`` customer matrix."""
+        return self._customer_store.matrix
 
     def __repr__(self) -> str:
         return (
@@ -237,86 +218,17 @@ class DSLCache:
             self._thresholds[position] = thresholds
         self.stats.threshold_misses += len(targets)
 
-    def invalidate(self, positions: Sequence[int] | None = None) -> None:
-        """Drop cached entries — all of them, or those of ``positions``.
+    def invalidate(self) -> None:
+        """Drop every cached entry.
 
         Required whenever the product set changes (every customer's DSL
-        may shift); engines built by ``without_products`` get a fresh
-        cache instead of sharing the parent's.
-
-        Stats contract: a *full* invalidation starts a new content
-        generation, so the hit/miss counters roll back to zero
-        (``DSLCacheStats.roll``) — they would otherwise accumulate
-        across unrelated product sets and misreport hit rates.  Partial
-        invalidations keep the counters: surviving entries' history is
-        still meaningful.  ``stats.invalidations`` always increments.
+        may shift): every engine mutation calls it.  The hit/miss
+        counters keep counting across it; ``stats.invalidations``
+        increments.
         """
-        if positions is None:
-            self._thresholds.clear()
-            self._regions.clear()
-            self.stats.roll()
-        else:
-            self._evict_entries(positions)
+        self._thresholds.clear()
+        self._regions.clear()
         self.stats.invalidations += 1
-
-    def evict(self, positions: Sequence[int]) -> int:
-        """Scoped eviction: drop the entries of ``positions`` and return
-        how many entries (threshold matrices + regions) were removed.
-
-        Behaviour equals partial :meth:`invalidate` — surviving entries
-        keep their hit/miss history — but the count feeds the engine's
-        ``cache.evicted_scoped`` accounting.
-        """
-        evicted = self._evict_entries(positions)
-        self.stats.invalidations += 1
-        return evicted
-
-    def remap(self, mapping: np.ndarray) -> int:
-        """Renumber entries after a compacting delete; returns how many
-        entries were dropped because their customer row was deleted.
-
-        ``mapping`` is the old-to-new position array of the store delete
-        contract.  Values are untouched: a surviving customer's threshold
-        matrix and staircase regions do not depend on its row number.
-        """
-        mapping = np.asarray(mapping, dtype=np.int64)
-        dropped = 0
-        thresholds: dict[int, np.ndarray] = {}
-        for position, matrix in self._thresholds.items():
-            new_position = int(mapping[position]) if position < mapping.size else -1
-            if new_position >= 0:
-                thresholds[new_position] = matrix
-            else:
-                dropped += 1
-        regions: dict[tuple[int, bytes, bytes], BoxRegion] = {}
-        for (position, lo, hi), region in self._regions.items():
-            new_position = int(mapping[position]) if position < mapping.size else -1
-            if new_position >= 0:
-                regions[(new_position, lo, hi)] = region
-            else:
-                dropped += 1
-        self._thresholds = thresholds
-        self._regions = regions
-        return dropped
-
-    def rebind(self, customers: np.ndarray) -> None:
-        """Point the cache at a new customer matrix (post-mutation).
-
-        The caller is responsible for having evicted/remapped entries
-        whose customers moved; rebinding itself validates nothing.
-        """
-        self.customers = np.asarray(customers, dtype=np.float64)
-
-    def _evict_entries(self, positions: Sequence[int]) -> int:
-        drop = {int(p) for p in positions}
-        evicted = 0
-        for position in drop:
-            if self._thresholds.pop(position, None) is not None:
-                evicted += 1
-        for key in [k for k in self._regions if k[0] in drop]:
-            del self._regions[key]
-            evicted += 1
-        return evicted
 
     # ------------------------------------------------------------------
     # Internals

@@ -157,7 +157,7 @@ class WhyNotEngine(EngineMutationMixin):
         self.dsl_cache: DSLCache | None = (
             DSLCache(
                 self.index,
-                self.customers,
+                self._customer_store,
                 config=self.config,
                 self_exclude=self.monochromatic,
             )
@@ -632,8 +632,8 @@ class WhyNotEngine(EngineMutationMixin):
         return ensure_approx_store(self, k)
 
     # Mutations: insert/delete/update for both stores, invalidate_caches
-    # and without_products live in :class:`EngineMutationMixin`; their
-    # post-commit maintenance lives in :mod:`repro.core.invalidation`.
+    # and without_products live in :class:`EngineMutationMixin`, with
+    # their post-commit maintenance (:mod:`repro.core.mutators`).
 
     # ------------------------------------------------------------------
     # Lost customers + the experiment cost model (Section VI.A)

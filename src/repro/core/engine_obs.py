@@ -2,11 +2,11 @@
 
 Split out of the engine facade: everything here is registration — the
 tracer/metrics bundle, the attached stats views, and the named counters
-the rest of the codebase (operators, scoped invalidation, exporters,
-the CI smoke) reads back off the engine by attribute.  The attribute
-names are load-bearing: :mod:`repro.core.invalidation` and the plan
-operators access ``engine._membership_tests``, ``engine._kernel_counters``
-and friends directly.
+the rest of the codebase (operators, mutators, exporters, the audit)
+reads back off the engine by attribute.  The attribute names are
+load-bearing: :mod:`repro.core.mutators` and the plan operators access
+``engine._mutations``, ``engine._membership_tests``,
+``engine._kernel_counters`` and friends directly.
 """
 
 from __future__ import annotations
@@ -72,28 +72,10 @@ def install_observability(engine: "WhyNotEngine") -> None:
         "engine.membership_tests",
         "membership predicates evaluated (path-independent)",
     )
-    # Mutation accounting: every committed store mutation, plus the
-    # per-entry balance of the scoped invalidation pass
-    # (scoped_considered == evicted_scoped + retained_scoped, the
-    # invariant the CI smoke job asserts).
+    # Mutation accounting: every committed store mutation, and the
+    # cache entries each one's flush dropped.
     engine._mutations = engine.obs.counter(
         "engine.mutations", "committed dataset mutations"
-    )
-    engine._scoped_considered = engine.obs.counter(
-        "cache.scoped_considered",
-        "cache entries inspected by scoped invalidation",
-    )
-    engine._scoped_evicted = engine.obs.counter(
-        "cache.evicted_scoped",
-        "cache entries evicted because the mutation could reach them",
-    )
-    engine._scoped_retained = engine.obs.counter(
-        "cache.retained_scoped",
-        "cache entries kept warm across a mutation",
-    )
-    engine._scoped_repaired = engine.obs.counter(
-        "cache.repaired_scoped",
-        "retained entries whose content was rewritten in place",
     )
     engine._evicted_full = engine.obs.counter(
         "cache.evicted_full",

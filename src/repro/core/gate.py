@@ -15,9 +15,8 @@ writer) and re-entrant per thread in both directions:
 * a reader surface that executes nested plans (``mqp_total_cost`` runs
   ``safe_region`` and ``reverse_skyline`` internally) re-enters the
   read side without deadlocking;
-* the writer's post-commit maintenance may run read paths (scoped
-  invalidation re-answers repaired entries), so a thread holding the
-  write side passes straight through ``read()``.
+* a thread holding the write side passes straight through ``read()``,
+  so code running under a mutation may call read surfaces.
 
 The gate is deliberately engine-internal plumbing: the serve layer's
 request-granular coordination (a whole multi-plan request excluding the

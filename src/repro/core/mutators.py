@@ -1,30 +1,85 @@
 """The engine's write surface, split from the read facade.
 
-:class:`EngineMutationMixin` carries the six store mutators, the
-full-invalidation fallback and the ``without_products`` what-if
-constructor.  Post-commit maintenance (index upkeep, scoped cache
-invalidation, obs accounting) lives in :func:`repro.core.invalidation.
-apply_mutation`; the mixin only sequences store commit -> maintenance.
+:class:`EngineMutationMixin` carries the six store mutators, the cache
+flush and the ``without_products`` what-if constructor.  Post-commit
+maintenance is :func:`apply_mutation`: index upkeep, then a full flush
+of every derived result cache (:func:`invalidate_all`), then obs
+accounting.
+
+The flush is the only post-mutation path.  The paper's window locality
+(Lemma 2) says which cached entries a product change can reach, but
+once a cold safe region is cheap, repairing just those entries no
+longer pays for its code (EXPERIMENTS.md, "Update churn").
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.invalidation import apply_mutation, invalidate_all
 from repro.exceptions import EmptyDatasetError, InvalidParameterError
 from repro.store.base import ProductStore
 
-__all__ = ["EngineMutationMixin"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.engine import WhyNotEngine
+    from repro.store.base import Mutation
+
+__all__ = ["EngineMutationMixin", "apply_mutation", "invalidate_all"]
+
+
+def apply_mutation(
+    engine: "WhyNotEngine", mutation: "Mutation", product: bool, out: np.ndarray
+) -> np.ndarray:
+    """Post-commit maintenance of one store mutation: index upkeep, the
+    cache flush, obs accounting.
+
+    Called by every engine mutator; the plan cache is cleared separately
+    through the store's post-commit subscribers, so it is already empty
+    by the time this runs.
+    """
+    if mutation.is_noop:
+        return out
+    store = "product" if product else "customer"
+    with engine.obs.span("engine.mutation", kind=mutation.kind, store=store):
+        if product:
+            if mutation.kind == "insert":
+                engine.index.insert(mutation.new_points)
+            elif mutation.kind == "delete":
+                engine.index.remove(mutation.positions)
+            else:
+                engine.index.update(mutation.positions, mutation.new_points)
+        invalidate_all(engine)
+    engine._mutations.inc()
+    engine._epoch_gauge.set(engine.dataset_epoch)
+    return out
+
+
+def invalidate_all(engine: "WhyNotEngine") -> None:
+    """Drop every derived result cache (RSL, safe regions, approx
+    stores, DSL cache), counted under ``cache.evicted_full``."""
+    total = (
+        len(engine._rsl_cache)
+        + len(engine._sr_cache)
+        + len(engine._approx_sr_cache)
+        + sum(len(store) for store in engine._approx_stores.values())
+    )
+    if engine.dsl_cache is not None:
+        total += engine.dsl_cache.entry_count()
+        engine.dsl_cache.invalidate()
+    engine._rsl_cache.clear()
+    engine._sr_cache.clear()
+    engine._approx_sr_cache.clear()
+    engine._approx_stores.clear()
+    engine.last_safe_region_stats = None
+    engine._evicted_full.inc(total)
 
 
 class EngineMutationMixin:
     """Mutation methods of :class:`~repro.core.engine.WhyNotEngine`.
 
     Every mutator runs under the engine's write gate: the store commit
-    and the post-commit maintenance (index upkeep, cache scoping, obs
+    and the post-commit maintenance (index upkeep, cache flush, obs
     accounting) are one atomic step with respect to concurrent plan
     executions — a reader either sees the pre-mutation engine entirely
     or the post-maintenance one, never a half-applied state.
@@ -105,8 +160,8 @@ class EngineMutationMixin:
 
     def invalidate_caches(self) -> None:
         """Drop every derived result cache (RSL, safe regions, approx
-        stores, DSL cache) — the unscoped fallback after a mutation,
-        counted under ``cache.evicted_full``."""
+        stores, DSL cache), as every mutation does; counted under
+        ``cache.evicted_full``."""
         with self.gate.write():
             invalidate_all(self)
 

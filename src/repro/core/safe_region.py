@@ -293,22 +293,6 @@ class SafeRegion:
         the query point itself) and MWQ degenerates to MWP."""
         return self.area() == 0.0
 
-    def remap_positions(self, mapping: np.ndarray) -> bool:
-        """Renumber :attr:`rsl_positions` after a compacting delete.
-
-        Returns False — leaving the object untouched — when a member row
-        was deleted: the region was built from that member's
-        anti-dominance region, so it is stale and must be rebuilt, not
-        renumbered.  The geometry itself never changes here (it depends
-        on customer coordinates and the product set, not on row ids).
-        """
-        mapping = np.asarray(mapping, dtype=np.int64)
-        remapped = mapping[self.rsl_positions]
-        if np.any(remapped < 0):
-            return False
-        self.rsl_positions = remapped
-        return True
-
     def restricted(self, limits: Box) -> "SafeRegion":
         """The safe region truncated to feature ``limits`` (Section V.B).
 

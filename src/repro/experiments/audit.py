@@ -339,15 +339,9 @@ def _invariants(case: _Case, engines: dict[str, WhyNotEngine], ops: int,
     """The counter invariants of every layer the case crossed; returns
     the journaled arm's obs export."""
     for arm, engine in engines.items():
-        considered, evicted, retained, mutations = (
-            int(c.value) for c in (engine._scoped_considered,
-                                   engine._scoped_evicted,
-                                   engine._scoped_retained, engine._mutations)
-        )
-        check(f"{arm} scoped_considered == evicted_scoped + retained_scoped "
-              f"({considered} == {evicted} + {retained}), {mutations} "
-              "mutations counted",
-              considered == evicted + retained and mutations == ops)
+        mutations = int(engine._mutations.value)
+        check(f"{arm} engine.mutations == program ops ({mutations} == {ops})",
+              mutations == ops)
         if case.weighted:
             check(f"{arm} counted weighted requests",
                   engine.obs.counter("prefs.weighted_requests").value > 0)

@@ -18,8 +18,7 @@ an instance per node:
   used by ``planner="auto"``; a pinned planner picks by ``variant``.
 * :meth:`Operator.run` — the execution, emitting the surface's span
   attributes, counters and result-cache traffic (the caches stay on the
-  engine, where scoped invalidation in :mod:`repro.core.invalidation`
-  reads them; it computes its masks through :func:`row_mask` too).
+  engine, which flushes them on every mutation).
 
 Answers are bit-identical across variants (property-tested against the
 brute-force oracle), so a planner choice changes the runtime, never the
@@ -62,7 +61,7 @@ __all__ = [
 def ensure_approx_store(engine, k: int) -> ApproximateDSLStore:
     """The engine's (cached) sampled-DSL store for parameter ``k``,
     keyed by ``(k, dataset_epoch)`` so a stale-epoch store is never
-    served (scoped invalidation repairs and re-keys them in place)."""
+    served (every mutation also flushes them)."""
     key = (k, engine.dataset_epoch)
     store = engine._approx_stores.get(key)
     if store is None:

@@ -42,9 +42,16 @@ def skyline_indices(
     historical path.
     """
     arr = as_points(points)
-    n = arr.shape[0]
-    if n == 0:
+    if arr.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
+    return _skyline(arr, weights)
+
+
+def _skyline(arr: np.ndarray, weights: "np.ndarray | None") -> np.ndarray:
+    """:func:`skyline_indices` of a non-empty ``(n, d)`` float64 matrix,
+    without validation, so rows may hold ``+inf``: such a row dominates
+    no finite row, and every finite row strictly dominates an all-``inf``
+    one."""
     dims = support_dims(
         None if weights is None else np.asarray(weights, dtype=np.float64),
         arr.shape[1],

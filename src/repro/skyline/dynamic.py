@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.geometry.point import as_point, as_points
 from repro.geometry.transform import to_query_space
-from repro.skyline.algorithms import skyline_indices
+from repro.skyline.algorithms import _skyline, skyline_indices
 
 __all__ = [
     "dynamic_skyline_indices",
@@ -42,9 +42,15 @@ def dynamic_skyline_indices(
     exclude_arr = np.asarray(list(exclude), dtype=np.int64)
     if exclude_arr.size == 0:
         return skyline_indices(to_query_space(arr, o), weights)
-    positions = np.delete(np.arange(arr.shape[0]), exclude_arr)
-    local = skyline_indices(to_query_space(arr[positions], o), weights)
-    return positions[local]
+    # An excluded row moves to +inf in query space instead of being
+    # copied out: it then dominates nothing, and any kept row strictly
+    # dominates it, so the skyline of the kept rows is unchanged.  An
+    # excluded row reaches the result only when every row is excluded,
+    # hence the filter.
+    transformed = to_query_space(arr, o)
+    transformed[exclude_arr] = np.inf
+    found = _skyline(transformed, weights)
+    return found[~np.isin(found, exclude_arr)]
 
 
 def dynamic_skyline_points(

@@ -1,5 +1,5 @@
 """Engine mutation surface: versioned stores, incremental index upkeep
-and locality-scoped cache invalidation."""
+and the cache flush every mutation takes."""
 
 import numpy as np
 import pytest
@@ -176,33 +176,28 @@ class TestCacheCoherence:
         engine.delete_products([3])
         _assert_fresh_equivalent(engine)
 
-    def test_scoped_and_full_agree(self):
-        """The scoped pass and the full flush (partial-support default)
-        both leave every surface equal to a freshly built engine."""
-        scoped, full = _mono(), _mono(prefs_weights=PARTIAL)
-        assert full.dsl_cache is None
-        for engine in (scoped, full):
-            _warm(engine)
-            engine.insert_products([[0.3, 0.7]])
-            engine.delete_products([2])
-            engine.update_products([5], [[0.55, 0.45]])
-            _assert_fresh_equivalent(engine)
-        assert scoped._scoped_considered.value > 0
-        assert full._scoped_considered.value == 0
-        assert full._evicted_full.value > 0
-
-    def test_counters_balance(self):
+    def test_member_update_after_warm_safe_region(self):
+        """Moving a member of a warm ``SR(q)`` must rebuild its dynamic
+        skyline from the moved row, not from the pre-mutation customer
+        matrix; every mutation's flush is counted."""
         engine = _mono()
-        _warm(engine)
-        engine.insert_products([[0.4, 0.6]])
-        engine.delete_products([1])
-        considered = engine._scoped_considered.value
-        evicted = engine._scoped_evicted.value
-        retained = engine._scoped_retained.value
-        assert considered == evicted + retained
-        assert engine._scoped_repaired.value <= retained
-        assert engine._mutations.value == 2
-        assert engine._epoch_gauge.value == engine.dataset_epoch == 2
+        moves = ([0.5625, 0.4375], [0.4375, 0.5], [0.5, 0.5625])
+        for epoch, point in enumerate(moves, start=1):
+            members = engine.safe_region(Q).rsl_positions
+            assert members.size
+            evicted = engine._evicted_full.value
+            engine.update_products([int(members[0])], [point])
+            assert engine._evicted_full.value > evicted
+            assert engine._mutations.value == epoch
+            assert engine._epoch_gauge.value == engine.dataset_epoch == epoch
+            fresh = WhyNotEngine(
+                engine.products, backend="scan", bounds=BOUNDS
+            )
+            assert np.array_equal(
+                engine.reverse_skyline(Q), fresh.reverse_skyline(Q)
+            )
+            a, b = engine.safe_region(Q).region, fresh.safe_region(Q).region
+            assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
 
     def test_full_path_counts_evictions(self):
         engine = _mono(prefs_weights=PARTIAL)
@@ -221,14 +216,6 @@ class TestApproxStoreEpochKeying:
         store1 = engine.approx_store(5)
         assert store1 is not store0
         assert (5, engine.dataset_epoch) in engine._approx_stores
-
-    def test_scoped_path_rekeys_repaired_store(self):
-        engine = _mono()
-        engine.safe_region(Q, approximate=True, k=5)
-        engine.insert_products([[0.45, 0.55]])
-        assert all(
-            epoch == engine.dataset_epoch for (_, epoch) in engine._approx_stores
-        )
 
 
 class TestWithoutProducts:

@@ -246,7 +246,7 @@ class TestAudit:
         assert code == 0
         assert "[FAIL]" not in out
         assert "all checks passed" in out
-        assert "scoped_considered == evicted_scoped + retained_scoped" in out
+        assert "engine.mutations == program ops" in out
 
     def test_audit_covers_both_conventions(self, audit_run):
         _, out, _, _ = audit_run

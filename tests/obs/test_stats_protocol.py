@@ -1,6 +1,7 @@
 """The shared stats protocol: every stats class is a counter-backed view
 with uniform ``snapshot()``/``reset()``/``counters()``, and the DSL-cache
-roll contract holds through engine-level invalidation."""
+hit/miss counters stay lifetime-monotonic through engine-level
+invalidation."""
 
 import numpy as np
 import pytest
@@ -78,41 +79,40 @@ class TestUniformProtocol:
 
 
 class TestDSLCacheRollContract:
+    """The counters never roll back: invalidation drops entries, not
+    counts."""
+
     def _cache(self, n=40):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(n, 2))
         return DSLCache(ScanIndex(pts), pts, self_exclude=True)
 
-    def test_full_invalidate_rolls_hit_miss_keeps_invalidations(self):
+    def test_invalidate_keeps_hit_miss_counts(self):
         cache = self._cache()
         cache.thresholds(0)
         cache.thresholds(0)
-        assert cache.stats.threshold_misses == 1
-        assert cache.stats.threshold_hits == 1
+        cache.thresholds(1)
+        assert cache.stats.hit_miss() == (1, 2)
         cache.invalidate()
-        assert cache.stats.hit_miss() == (0, 0)
+        assert len(cache) == 0
+        assert cache.stats.hit_miss() == (1, 2)
         assert cache.stats.invalidations == 1
-        # New generation counts from zero.
+        # The dropped entry is recomputed and counted on top.
         cache.thresholds(0)
-        assert cache.stats.threshold_misses == 1
+        assert cache.stats.hit_miss() == (1, 3)
 
-    def test_partial_invalidate_preserves_counters(self):
+    def test_repeated_invalidate_preserves_counters(self):
         cache = self._cache()
         cache.thresholds(0)
         cache.thresholds(1)
-        cache.invalidate(positions=[0])
+        cache.invalidate()
+        cache.invalidate()
         assert cache.stats.threshold_misses == 2
-        assert cache.stats.invalidations == 1
-        cache.thresholds(1)  # survivor still cached
-        assert cache.stats.threshold_hits == 1
-
-    def test_roll_returns_pre_roll_snapshot(self):
-        stats = DSLCacheStats(threshold_hits=2, region_misses=3, invalidations=1)
-        snap = stats.roll()
-        assert snap["threshold_hits"] == 2
-        assert snap["region_misses"] == 3
-        assert stats.hit_miss() == (0, 0)
-        assert stats.invalidations == 1
+        assert cache.stats.invalidations == 2
+        # No entry survives a flush, so position 1 misses again.
+        cache.thresholds(1)
+        assert cache.stats.threshold_hits == 0
+        assert cache.stats.threshold_misses == 3
 
     def test_hit_miss_matches_properties(self):
         stats = DSLCacheStats(
@@ -121,10 +121,11 @@ class TestDSLCacheRollContract:
         assert stats.hit_miss() == (stats.hits, stats.misses)
         assert stats.hit_rate == pytest.approx(5 / 17)
 
-    def test_counter_refs_survive_roll(self):
+    def test_counter_refs_survive_reset(self):
         cache = self._cache()
         cache.thresholds(0)
-        cache.invalidate()  # rolls counters in place
+        cache.invalidate()
+        cache.stats.reset()  # zeroes the counters in place
         cache.thresholds(0)
         cache.thresholds(0)
         # The cache's internal counter refs must still feed the stats view.
@@ -140,14 +141,17 @@ class TestEngineInvalidation:
         pts = rng.uniform(0, 1, size=(n, 2))
         return WhyNotEngine(pts, config=WhyNotConfig(trace=trace))
 
-    def test_invalidate_caches_rolls_dsl_stats(self):
+    def test_invalidate_caches_keeps_dsl_stats_monotonic(self):
         engine = self._engine()
         q = np.array([0.5, 0.5])
         engine.safe_region(q)
-        assert engine.dsl_cache.stats.misses > 0
+        hits, misses = engine.dsl_cache.stats.hit_miss()
+        assert misses > 0
         engine.invalidate_caches()
-        assert engine.dsl_cache.stats.hit_miss() == (0, 0)
+        assert engine.dsl_cache.stats.hit_miss() == (hits, misses)
         assert engine.dsl_cache.stats.invalidations == 1
+        engine.safe_region(q)
+        assert engine.dsl_cache.stats.misses > misses
 
     def test_without_products_gets_fresh_stats(self):
         engine = self._engine()
@@ -157,14 +161,18 @@ class TestEngineInvalidation:
         assert reduced.dsl_cache.stats.hit_miss() == (0, 0)
         assert reduced.dsl_cache.stats.invalidations == 0
 
-    def test_traced_engine_exports_rolled_counters(self):
+    def test_traced_engine_exports_monotonic_counters(self):
         engine = self._engine(trace=True)
         q = np.array([0.5, 0.5])
+        names = [f"dsl_cache.{name}" for name in DSLCacheStats._INT_FIELDS]
         engine.safe_region(q)
         before = engine.obs.metrics.snapshot()
         assert before["dsl_cache.threshold_misses"] > 0
-        engine.invalidate_caches()
-        after = engine.obs.metrics.snapshot()
-        # The registry shares the same counters, so the roll is visible.
-        assert after["dsl_cache.threshold_misses"] == 0
-        assert after["dsl_cache.invalidations"] == 1
+        # Every mutation flushes the cache; no exported count goes back.
+        for _ in range(3):
+            engine.update_products([0], [engine.products[0] * 0.5])
+            engine.safe_region(q)
+            after = engine.obs.metrics.snapshot()
+            assert all(after[name] >= before[name] for name in names)
+            before = after
+        assert after["dsl_cache.invalidations"] == 3

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DominancePolicy
+from repro.geometry.transform import to_query_space
 from repro.index.scan import ScanIndex
 from repro.prefs.oracle import oracle_dynamic_skyline
 from repro.skyline.algorithms import (
@@ -166,9 +167,13 @@ def test_pivot_filter_keeps_every_skyline_row(pts):
 @settings(max_examples=30, deadline=None)
 @given(large_point_matrices(), points(grid=16), st.integers(0, 2**32 - 1))
 def test_large_dynamic_skyline_equals_oracle(pts, origin, seed):
+    """Excluded rows include a pivot of the transformed data, and every
+    row once."""
     rng = np.random.default_rng(seed)
-    exclude = rng.choice(pts.shape[0], size=int(rng.integers(1, 4)), replace=False)
-    for ex in ((), exclude.tolist()):
+    n = pts.shape[0]
+    exclude = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    pivot = int(np.abs(pts - origin).sum(axis=1).argmin())
+    for ex in ((), [*exclude.tolist(), pivot], list(range(n))):
         assert np.array_equal(
             dynamic_skyline_indices(pts, origin, ex),
             oracle_dynamic_skyline(pts, origin, exclude=ex),
@@ -193,3 +198,47 @@ def test_large_partial_support_skyline_equals_oracle(pts, origin, weights):
             dynamic_skyline_indices(pts, origin, ex, weights=w),
             oracle_dynamic_skyline(pts, origin, weights=w, exclude=ex),
         )
+
+
+def _copying_dynamic_skyline(pts, origin, exclude, weights=None):
+    """The reference ``exclude`` path: copy every kept row out, then take
+    the skyline of the copy."""
+    exclude_arr = np.asarray(list(exclude), dtype=np.int64)
+    positions = np.delete(np.arange(pts.shape[0]), exclude_arr)
+    local = skyline_indices(to_query_space(pts[positions], origin), weights)
+    return positions[local]
+
+
+@st.composite
+def excluded_rows(draw, min_rows=1, max_rows=30):
+    """``(points, origin, exclude, weights)`` over 2-D and 3-D dyadic
+    data with duplicate rows; ``exclude`` may repeat rows or cover all
+    of them, and the weights include unit, scaled and partial-support
+    vectors (one dropped dimension)."""
+    dim = draw(st.sampled_from([2, 3]))
+    pts = draw(point_matrices(min_rows, max_rows, dim=dim))
+    pts = np.vstack([pts, pts[: draw(st.integers(0, pts.shape[0]))]])
+    origin = draw(points(dim=dim))
+    n = pts.shape[0]
+    if draw(st.booleans()):
+        exclude = list(range(n))
+    else:
+        exclude = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    weights = draw(
+        st.sampled_from([None, np.ones(dim), np.arange(1.0, dim + 1)])
+        | st.integers(0, dim - 1).map(
+            lambda d: np.where(np.arange(dim) == d, 0.0, 1.0)
+        )
+    )
+    return pts, origin, exclude, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(excluded_rows())
+def test_exclude_without_copy_equals_copying_reference(case):
+    pts, origin, exclude, weights = case
+    assert np.array_equal(
+        dynamic_skyline_indices(pts, origin, exclude, weights),
+        _copying_dynamic_skyline(pts, origin, exclude, weights),
+    )
+
