@@ -58,10 +58,6 @@ class WhyNotConfig:
         (default) picks the width from the dimensionality and a
         working-set budget (:func:`repro.kernels.membership.
         auto_block_size`).  Any positive value yields the same results.
-    n_jobs:
-        Worker count for the parallel pre-computation paths (sampled-DSL
-        store, exact safe-region assembly).  ``1`` keeps the sequential
-        oracle path, ``-1`` uses one thread per CPU.
     sr_box_budget:
         Upper bound on the box count of the running safe-region
         intersection (``0`` = unlimited, the exact default).  When the
@@ -102,7 +98,7 @@ class WhyNotConfig:
         ``"pruned"`` runs the filter-refinement kernels of
         :mod:`repro.prune` where they apply.  Answers are identical
         under every mode — operators are property-tested equivalent —
-        only runtimes differ; ``n_jobs`` is the one parallelism knob.
+        only runtimes differ.
     prune_tile_size:
         Tile width of the pruning classifier (customer tiles and
         product chunks of the summaries).  ``None`` (default) follows
@@ -128,7 +124,6 @@ class WhyNotConfig:
     margin: float = 0.0
     verify: bool = True
     kernel_block_size: int | None = None
-    n_jobs: int = 1
     sr_box_budget: int = 0
     trace: bool = False
     journal: bool = False
@@ -146,8 +141,6 @@ class WhyNotConfig:
             raise ValueError(
                 "kernel_block_size must be a positive integer or None (auto)"
             )
-        if self.n_jobs != -1 and self.n_jobs < 1:
-            raise ValueError("n_jobs must be a positive integer or -1")
         if self.sr_box_budget < 0:
             raise ValueError("sr_box_budget must be non-negative (0 = unlimited)")
         if self.journal_capacity < 1:

@@ -27,7 +27,6 @@ from repro.geometry.point import as_point
 from repro.geometry.region import BoxRegion
 from repro.geometry.transform import to_query_space
 from repro.index.base import SpatialIndex
-from repro.kernels.parallel import parallel_map_chunks
 from repro.prefs.model import support_dims
 from repro.skyline.dynamic import dynamic_skyline_indices
 
@@ -166,19 +165,11 @@ class ApproximateDSLStore:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def precompute(
-        self,
-        positions: Sequence[int] | None = None,
-        n_jobs: int | None = None,
-    ) -> None:
+    def precompute(self, positions: Sequence[int] | None = None) -> None:
         """Materialise entries for ``positions`` (all customers when None).
 
-        This is the paper's offline pass, embarrassingly parallel over
-        customers.  ``n_jobs`` (``config.n_jobs`` when None, ``-1`` for
-        one thread per CPU) computes missing entries in parallel chunks;
-        workers build the sampled DSLs side-effect free and the cache is
-        populated afterwards, so concurrent readers never observe a
-        half-written entry.
+        This is the paper's offline pass; each entry is stored once it is
+        complete, so concurrent readers never observe a half-written one.
         """
         targets = [
             int(position)
@@ -187,11 +178,8 @@ class ApproximateDSLStore:
             )
             if int(position) not in self._cache
         ]
-        if n_jobs is None:
-            n_jobs = self.config.n_jobs
-        computed = parallel_map_chunks(self._compute, targets, n_jobs=n_jobs)
-        for position, stored in zip(targets, computed):
-            self._cache[position] = stored
+        for position in targets:
+            self._cache[position] = self._compute(position)
 
     def _compute(self, position: int) -> _StoredDSL:
         """Build the sampled DSL of customer ``position`` (no store I/O;

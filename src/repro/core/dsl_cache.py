@@ -37,7 +37,6 @@ from repro.geometry.box import Box
 from repro.geometry.region import BoxRegion
 from repro.geometry.transform import to_query_space
 from repro.index.base import SpatialIndex
-from repro.kernels.parallel import parallel_map_chunks
 from repro.skyline.dynamic import dynamic_skyline_indices
 from repro.store.base import CustomerStore, VersionedStore
 
@@ -98,8 +97,7 @@ class DSLCache:
         (the engine passes its own, so a flushed cache recomputes from
         the post-mutation rows), or a fixed ``(m, d)`` matrix.
     config:
-        Supplies ``sort_dim`` (staircase sort dimension) and the default
-        ``n_jobs`` of :meth:`precompute`.
+        Supplies ``sort_dim`` (staircase sort dimension).
     self_exclude:
         Monochromatic convention: customer ``j`` is excluded from its own
         dynamic-skyline computation.  Must match the engine's convention —
@@ -192,16 +190,11 @@ class DSLCache:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def precompute(
-        self,
-        positions: Sequence[int] | None = None,
-        n_jobs: int | None = None,
-    ) -> None:
+    def precompute(self, positions: Sequence[int] | None = None) -> None:
         """Materialise threshold entries for ``positions`` (all customers
-        when None) — the offline pass, embarrassingly parallel over
-        customers.  Workers compute side-effect free and the dict is
-        populated afterwards, so concurrent readers never observe a
-        half-written entry."""
+        when None) — the offline pass.  Each entry is stored once it is
+        complete, so concurrent readers never observe a half-written
+        one."""
         targets = [
             int(position)
             for position in (
@@ -209,13 +202,8 @@ class DSLCache:
             )
             if int(position) not in self._thresholds
         ]
-        if n_jobs is None:
-            n_jobs = self.config.n_jobs
-        computed = parallel_map_chunks(
-            self._compute_thresholds, targets, n_jobs=n_jobs
-        )
-        for position, thresholds in zip(targets, computed):
-            self._thresholds[position] = thresholds
+        for position in targets:
+            self._thresholds[position] = self._compute_thresholds(position)
         self.stats.threshold_misses += len(targets)
 
     def invalidate(self) -> None:

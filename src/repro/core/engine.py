@@ -128,10 +128,10 @@ class WhyNotEngine(EngineMutationMixin):
         self._weights = weights or CostWeights()
         self.alpha, self.beta = self._weights.resolved(prods.shape[1])
         self.index = make_index(backend, prods)
-        # Filter-refinement summaries (repro.prune): epoch-versioned
-        # per-tile AABBs kept coherent by store subscribers.  The
-        # classifier tiles and the cost model's selectivity probe both
-        # read them.
+        # Filter-refinement summaries (repro.prune): per-tile AABBs,
+        # recomputed from the stores on the first read after a commit.
+        # The classifier tiles and the cost model's selectivity probe
+        # both read them.
         self.prune_summaries = PruneSummaries(
             self._product_store,
             self._customer_store,
@@ -167,7 +167,7 @@ class WhyNotEngine(EngineMutationMixin):
         self.last_safe_region_stats: SafeRegionStats | None = None
         install_observability(self)
         # Planner/executor wiring: plans are cached per (shape, epoch,
-        # config fingerprint) and dropped whenever a store commits.
+        # config fingerprint) and dropped by every mutation.
         self._planner = Planner(self.config)
         self._plan_cache = PlanCache(obs=self.obs)
         self._config_fp = config_fingerprint(self.config)
@@ -177,9 +177,6 @@ class WhyNotEngine(EngineMutationMixin):
             repr(self._config_fp).encode()
         ).hexdigest()[:12]
         self.last_plan = None
-        self._product_store.subscribe(self._on_store_commit)
-        if self._customer_store is not self._product_store:
-            self._customer_store.subscribe(self._on_store_commit)
         # Single-writer / multi-reader contract: the gate serializes
         # each mutation against concurrent plan executions; the lease
         # registry extends the pin to whole multi-plan requests (the
@@ -376,12 +373,6 @@ class WhyNotEngine(EngineMutationMixin):
     def dataset_stats(self) -> DatasetStats:
         """The statistics snapshot the cost model plans against."""
         return DatasetStats.of(self)
-
-    def _on_store_commit(self, mutation) -> None:
-        # Plans were costed against the pre-mutation stats; drop them
-        # all (the cache key's epoch would miss anyway — this keeps the
-        # cache small and the eviction counter honest).
-        self._plan_cache.clear()
 
     def _request(
         self, surface: str, *args, **kwargs

@@ -1,12 +1,15 @@
 """The engine's write surface, split from the read facade.
 
 :class:`EngineMutationMixin` carries the six store mutators, the cache
-flush and the ``without_products`` what-if constructor.  Post-commit
-maintenance is :func:`apply_mutation`: index upkeep, then a full flush
-of every derived result cache (:func:`invalidate_all`), then obs
-accounting.
+flush and the ``without_products`` what-if constructor.
+:func:`apply_mutation` is the only code that runs after a store commit:
+it clears the plan cache, rebuilds the index over the store's committed
+product matrix, flushes every derived result cache
+(:func:`invalidate_all`) and does the obs accounting.  The store's
+matrix is the only copy of the data; nothing is kept in step with it
+incrementally.
 
-The flush is the only post-mutation path.  The paper's window locality
+The flush is the only invalidation.  The paper's window locality
 (Lemma 2) says which cached entries a product change can reach, but
 once a cold safe region is cheap, repairing just those entries no
 longer pays for its code (EXPERIMENTS.md, "Update churn").
@@ -31,24 +34,18 @@ __all__ = ["EngineMutationMixin", "apply_mutation", "invalidate_all"]
 def apply_mutation(
     engine: "WhyNotEngine", mutation: "Mutation", product: bool, out: np.ndarray
 ) -> np.ndarray:
-    """Post-commit maintenance of one store mutation: index upkeep, the
-    cache flush, obs accounting.
-
-    Called by every engine mutator; the plan cache is cleared separately
-    through the store's post-commit subscribers, so it is already empty
-    by the time this runs.
+    """Post-commit maintenance of one store mutation: clear the plan
+    cache, rebuild the index (product mutations), flush the derived
+    caches, count.  A no-op mutation committed nothing and gets none.
     """
     if mutation.is_noop:
         return out
     store = "product" if product else "customer"
     with engine.obs.span("engine.mutation", kind=mutation.kind, store=store):
+        # Plans were costed against the pre-mutation stats.
+        engine._plan_cache.clear()
         if product:
-            if mutation.kind == "insert":
-                engine.index.insert(mutation.new_points)
-            elif mutation.kind == "delete":
-                engine.index.remove(mutation.positions)
-            else:
-                engine.index.update(mutation.positions, mutation.new_points)
+            engine.index.rebuild(engine.products)
         invalidate_all(engine)
     engine._mutations.inc()
     engine._epoch_gauge.set(engine.dataset_epoch)
@@ -79,10 +76,11 @@ class EngineMutationMixin:
     """Mutation methods of :class:`~repro.core.engine.WhyNotEngine`.
 
     Every mutator runs under the engine's write gate: the store commit
-    and the post-commit maintenance (index upkeep, cache flush, obs
-    accounting) are one atomic step with respect to concurrent plan
-    executions — a reader either sees the pre-mutation engine entirely
-    or the post-maintenance one, never a half-applied state.
+    and the post-commit maintenance (plan cache, index rebuild, cache
+    flush, obs accounting) are one atomic step with respect to
+    concurrent plan executions — a reader either sees the pre-mutation
+    engine entirely or the post-maintenance one, never a half-applied
+    state.
     """
 
     def insert_products(self, points) -> np.ndarray:

@@ -35,7 +35,6 @@ from repro.geometry.region import BoxRegion
 from repro.geometry.region_oracle import OracleBoxRegion
 from repro.geometry.transform import to_query_space
 from repro.index.base import SpatialIndex
-from repro.kernels.parallel import parallel_map_chunks, resolve_n_jobs
 from repro.obs.stats import CounterBackedStats
 from repro.prefs.model import support_dims
 from repro.skyline.dynamic import dynamic_skyline_indices
@@ -318,9 +317,8 @@ class SafeRegion:
 
 
 #: Members of ``RSL(q)`` folded per chunk by the local and oracle
-#: safe-region folds.  The partition depends only on this
-#: constant (never on ``n_jobs``), so parallel and sequential runs fold
-#: members in the same order and produce identical regions.
+#: safe-region folds.  Each chunk is folded size-ascending, so the
+#: partition fixes the fold order the oracle reproduces.
 SR_CHUNK_SIZE = 16
 
 
@@ -341,7 +339,6 @@ def compute_safe_region(
     bounds: Box,
     config: WhyNotConfig | None = None,
     self_exclude: bool = False,
-    n_jobs: int | None = None,
     dsl_cache: "DSLCache | None" = None,
     stats: SafeRegionStats | None = None,
     weights: "np.ndarray | None" = None,
@@ -350,12 +347,12 @@ def compute_safe_region(
 
     The assembly runs on the array engine: members are processed in
     contiguous chunks of :data:`SR_CHUNK_SIZE`; each chunk's regions
-    are built (in parallel when ``n_jobs > 1``, from the DSL cache when
-    one is supplied), sorted size-ascending so small regions shrink the
-    running intersection before large ones multiply against it, and
-    folded in with one broadcasted pairwise clip + containment pruning
-    per member.  The empty-region early exit fires between members even
-    on the parallel path — only the current chunk is ever materialised.
+    are built (from the DSL cache when one is supplied), sorted
+    size-ascending so small regions shrink the running intersection
+    before large ones multiply against it, and folded in with one
+    broadcasted pairwise clip + containment pruning per member.  The
+    empty-region early exit fires between members — only the current
+    chunk is ever materialised.
 
     Parameters
     ----------
@@ -372,11 +369,6 @@ def compute_safe_region(
     self_exclude:
         Monochromatic convention: customer ``j`` is excluded from its own
         dynamic-skyline computation.
-    n_jobs:
-        Worker threads for the per-member anti-dominance-region
-        construction (``config.n_jobs`` when None).  The chunk partition
-        and fold order are independent of the worker count, so the result
-        is identical to the sequential run.
     dsl_cache:
         Optional :class:`repro.core.dsl_cache.DSLCache`; member threshold
         matrices and staircase regions are read through it instead of
@@ -403,8 +395,6 @@ def compute_safe_region(
     (Lemma 2 holds for any subset).
     """
     config = config or WhyNotConfig()
-    if n_jobs is None:
-        n_jobs = config.n_jobs
     stats = stats if stats is not None else SafeRegionStats()
     t_start = time.perf_counter()
     q = as_point(query, dim=index.dim)
@@ -434,7 +424,6 @@ def compute_safe_region(
             weights=w,
         )
 
-    workers = resolve_n_jobs(n_jobs)
     budget = config.sr_box_budget
     run_lo, run_hi = _ra.boxes_to_arrays(
         [Box(bounds.lo.copy(), bounds.hi.copy())], index.dim
@@ -449,10 +438,7 @@ def compute_safe_region(
     early_exit = False
     for chunk in _member_chunks(positions):
         t_members = time.perf_counter()
-        if workers > 1 and len(chunk) > 1:
-            regions = parallel_map_chunks(member_region, chunk, n_jobs=n_jobs)
-        else:
-            regions = [member_region(position) for position in chunk]
+        regions = [member_region(position) for position in chunk]
         member_secs += time.perf_counter() - t_members
         # Size-ascending fold: cheap members first keeps the pairwise
         # product small; ties keep position order for determinism.

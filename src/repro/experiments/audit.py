@@ -3,9 +3,8 @@
 ``repro-whynot audit`` answers every surface — ``RSL(q)``, membership,
 ``Λ``, the exact and approximate safe regions, MWP / MQP / MWQ — through
 every execution arm: the planner pins ``index`` / ``kernel`` /
-``pruned`` / ``auto``, ``auto`` on two ``n_jobs`` threads, an engine
-rebuilt each round and an in-process :class:`~repro.serve.WhyNotService`
-replayed over HTTP.  Across one
+``pruned`` / ``auto``, an engine rebuilt each round and an in-process
+:class:`~repro.serve.WhyNotService` replayed over HTTP.  Across one
 mutation program on monochromatic, bichromatic and clustered data and
 every weight shape, each arm must be bit-identical to the ``index/1``
 reference arm and the reference must match the brute-force oracles; the
@@ -197,11 +196,11 @@ def _program(case: _Case, rng) -> list[list[tuple[str, dict]]]:
 
 
 def _arm_configs(overrides: dict) -> dict[str, WhyNotConfig]:
-    arms = {f"{pin}/1": dict(planner=pin) for pin in PINS}
-    arms["auto/n_jobs-2"] = dict(n_jobs=2)
     return {
-        name: WhyNotConfig(**kwargs, **TRACED.get(name, {}), **overrides)
-        for name, kwargs in arms.items()
+        f"{pin}/1": WhyNotConfig(
+            planner=pin, **TRACED.get(f"{pin}/1", {}), **overrides
+        )
+        for pin in PINS
     }
 
 
@@ -300,7 +299,7 @@ def _audit_case(case: _Case, args: argparse.Namespace,
             for j, answer in enumerate(unit):
                 for w_pos, text in zip(case.why_nots, answer["answer"]):
                     expected[(ref.dataset_epoch, j, w_pos)] = text
-            tracked &= all(np.array_equal(e.index.points, e.products)
+            tracked &= all(e.index.points is e.products
                            for e in engines.values())
         for surface in ("rsl", "membership", "lambda", "safe_region"):
             misses = [where for where, bad in oracle.items() if surface in bad]
@@ -471,5 +470,5 @@ def run_audit(args: argparse.Namespace) -> tuple[str, str, dict]:
     failures = sum("[FAIL]" in line for line in lines)
     lines.append(f"{failures} FAILURES" if failures else "all checks passed")
     title = (f"Differential audit (size {size}, seed {args.seed}, backend "
-             f"{args.backend}): {len(PINS) + 3} arms vs {REFERENCE}")
+             f"{args.backend}): {len(PINS) + 2} arms vs {REFERENCE}")
     return title, "\n".join(lines), exports[0]

@@ -3,9 +3,10 @@
 The paper indexes every dataset with an R-tree with 1536-byte pages and
 never inserts into it.  This tree is built one way only: Sort-Tile-
 Recursive packing (:func:`repro.index.bulkload.str_bulk_load`) with the
-paper's page fanout.  Every insert, remove and update repacks the whole
-tree over the post-mutation matrix, so a mutated tree is node for node
-the tree a fresh build over the same points gives.
+paper's page fanout.  Every :meth:`~repro.index.base.SpatialIndex.rebuild`
+repacks the whole tree over the store's post-mutation matrix, so a
+mutated tree is node for node the tree a fresh build over the same
+points gives.
 
 Only points are indexed (the paper stores tuples); leaf entries are row
 positions into the point matrix, so the tree composes with the rest of the
@@ -170,11 +171,10 @@ class RTree(SpatialIndex):
         return np.array(result, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Mutation surface (SpatialIndex contract)
+    # Rebuild (SpatialIndex contract)
     # ------------------------------------------------------------------
-    # Every insert, remove and update repacks the tree over the
-    # post-mutation matrix (the base class's counted rebuild), so a
-    # mutated tree is the same tree as ``RTree(points, config)``.
+    # Every rebuild repacks the tree over the new matrix, so a rebuilt
+    # tree is the same tree as ``RTree(points, config)``.
     def _rebuild_structure(self) -> None:
         from repro.index.bulkload import str_bulk_load  # imports RTreeNode
 

@@ -22,28 +22,9 @@ __all__ = ["ScanIndex"]
 class ScanIndex(SpatialIndex):
     """Linear-scan implementation of :class:`SpatialIndex`.
 
-    The point matrix *is* the structure, so every mutation is trivially
-    incremental: the base class has already rewritten ``_points`` by the
-    time the hooks run, and there is nothing else to maintain.
+    The point matrix *is* the structure, so a rebuild only adopts the
+    new matrix.
     """
-
-    incremental_ops = frozenset({"insert", "remove", "update"})
-
-    def _apply_insert(self, start: int, points: np.ndarray) -> None:
-        pass
-
-    def _apply_remove(
-        self, dropped: np.ndarray, mapping: np.ndarray, old_points: np.ndarray
-    ) -> None:
-        pass
-
-    def _apply_update(
-        self,
-        positions: np.ndarray,
-        old_points: np.ndarray,
-        new_points: np.ndarray,
-    ) -> None:
-        pass
 
     def _rebuild_structure(self) -> None:
         pass

@@ -29,23 +29,15 @@ class IndexStats(CounterBackedStats):
         Individual point-in-box / distance evaluations.
     queries:
         Number of query operations issued.
-    incremental_inserts / incremental_removes / incremental_updates:
-        Mutations absorbed by updating the existing structure in place
-        (no rebuild).  One increment per ``insert``/``remove``/``update``
-        call, however many rows it carried.
     rebuilds:
-        Structure reconstructions from the full point matrix actually
-        performed (the documented fallback of backends without an
-        incremental path for that operation).
+        Calls of :meth:`~repro.index.base.SpatialIndex.rebuild`: one per
+        product mutation that changed the matrix.
     """
 
     _INT_FIELDS = (
         "node_accesses",
         "point_comparisons",
         "queries",
-        "incremental_inserts",
-        "incremental_removes",
-        "incremental_updates",
         "rebuilds",
     )
 

@@ -13,9 +13,8 @@ configurable block size so the intermediate arrays stay bounded.
 * :mod:`repro.kernels.pruned` — filter-refinement twins of the same
   kernels, classifying (tile, chunk) AABB pairs via :mod:`repro.prune`
   before touching the exact blocked path;
-* :mod:`repro.kernels.parallel` — ``concurrent.futures``-based chunked
-  parallel mapping for per-customer pre-computation (sampled DSLs,
-  anti-dominance regions).
+* :mod:`repro.kernels.parallel` — :func:`available_cpus`, the
+  affinity-aware CPU count the served benchmark records.
 """
 
 from repro.kernels.membership import (
@@ -28,11 +27,7 @@ from repro.kernels.membership import (
     batch_window_membership,
     resolve_block_size,
 )
-from repro.kernels.parallel import (
-    available_cpus,
-    parallel_map_chunks,
-    resolve_n_jobs,
-)
+from repro.kernels.parallel import available_cpus
 from repro.kernels.pruned import (
     batch_lambda_counts_pruned,
     batch_verify_membership_pruned,
@@ -51,7 +46,5 @@ __all__ = [
     "batch_window_membership_pruned",
     "batch_lambda_counts_pruned",
     "batch_verify_membership_pruned",
-    "parallel_map_chunks",
     "resolve_block_size",
-    "resolve_n_jobs",
 ]

@@ -3,8 +3,8 @@
 Logical plans are coordinate-free, so one planned tree serves every
 query point of the same shape; what *does* invalidate a plan is a
 dataset mutation (the stats it was costed with are stale — the key
-carries the epoch, and the engine's store subscribers clear the cache
-outright on commit) or a different config fingerprint.
+carries the epoch, and :func:`repro.core.mutators.apply_mutation`
+clears the cache outright) or a different config fingerprint.
 
 Counter contract (asserted by tests and the CI smoke):
 ``plan.cache_considered == plan.cache_hits + plan.cache_misses``; every

@@ -464,8 +464,7 @@ class MQPStaircase(_StaircaseOp):
 # ----------------------------------------------------------------------
 class _ExactSafeRegionOp(Operator):
     """Algorithm 3: fold the anti-dominance regions of ``RSL(q)`` in
-    this process, reusing the engine's DSL cache whenever one exists
-    (``WhyNotConfig.n_jobs`` threads build the member regions)."""
+    this process, reusing the engine's DSL cache whenever one exists."""
 
     name = "sr-cached-fold"
     span_name = "engine.safe_region"

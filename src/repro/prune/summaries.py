@@ -1,21 +1,17 @@
 """Epoch-versioned tile summaries over the versioned stores.
 
-A :class:`TileSummary` mirrors one :class:`~repro.store.base.
-VersionedStore` with per-tile AABBs of its matrix, kept coherent by a
-post-commit subscription: inserts recompute only the trailing partial
-tile plus the appended ones, updates only the tiles containing the
-touched rows, deletes from the tile containing the first removed row
-onward (rows below it never move — the store compacts downward).  The
-summary therefore always describes the *current* matrix at the store's
-current epoch, at incremental cost proportional to the mutation's
-locality rather than the matrix size.
+A :class:`TileSummary` holds the per-tile AABBs of one :class:`~repro.
+store.base.VersionedStore`'s matrix.  It remembers the store epoch it
+was computed at and recomputes every tile from the store's current
+matrix on the first read after a commit, so the summary always
+describes the current matrix without any post-commit hook.
 
 :class:`PruneSummaries` is the engine-facing bundle: the product-chunk
 summary feeds the pruned kernels directly (every sweep scans the same
 product matrix, so its AABBs are the shared, reusable side — customer
 tile bounds are recomputed inline per sweep because probe sets are
 arbitrary subsets), and both summaries feed the planner's selectivity
-probe (:meth:`PruneSummaries.predict`), memoized per epoch pair.
+probe (:meth:`PruneSummaries.predict`), memoized per store-epoch pair.
 """
 
 from __future__ import annotations
@@ -27,91 +23,54 @@ from repro.prune.classify import (
     PAIR_SKIP,
     classify_pairs,
     tile_bounds,
-    tile_count,
 )
-from repro.store.base import Mutation, VersionedStore
+from repro.store.base import VersionedStore
 
 __all__ = ["PruneSummaries", "TileSummary"]
 
 
 class TileSummary:
-    """Per-tile AABBs of one store's matrix, incrementally maintained.
-
-    Attributes
-    ----------
-    tiles_rebuilt:
-        Lifetime count of tile AABBs recomputed by incremental
-        maintenance — the observability hook the tests use to pin that
-        a local mutation does *not* trigger a full rebuild.
-    """
+    """Per-tile AABBs of one store's matrix, recomputed once per store
+    epoch."""
 
     def __init__(self, store: VersionedStore, tile_size: int) -> None:
         if tile_size < 1:
             raise ValueError("tile_size must be a positive integer")
         self.store = store
         self.tile_size = int(tile_size)
-        self._lo, self._hi = tile_bounds(store.matrix, self.tile_size)
-        self.epoch = store.epoch
-        self.tiles_rebuilt = 0
-        store.subscribe(self._on_commit)
+        self._state = (store.epoch, *tile_bounds(store.matrix, self.tile_size))
+
+    @property
+    def epoch(self) -> int:
+        """The store epoch the held bounds were computed at."""
+        return self._state[0]
 
     @property
     def tiles(self) -> int:
-        return self._lo.shape[0]
+        return self.bounds[0].shape[0]
 
     @property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)`` tile AABB matrices for the current matrix."""
-        if self.epoch != self.store.epoch:  # pragma: no cover - defensive
-            self._rebuild_all()
-        return self._lo, self._hi
-
-    def _rebuild_all(self) -> None:
-        self._lo, self._hi = tile_bounds(self.store.matrix, self.tile_size)
-        self.epoch = self.store.epoch
-        self.tiles_rebuilt += self._lo.shape[0]
-
-    def _rebuild_from(self, first_tile: int) -> None:
-        """Recompute tiles ``first_tile`` onward against the current
-        matrix (rows below ``first_tile * tile_size`` are unchanged and
-        unmoved, so their AABBs still hold)."""
-        matrix = self.store.matrix
-        t = self.tile_size
-        tail_lo, tail_hi = tile_bounds(matrix[first_tile * t :], t)
-        self._lo = np.concatenate([self._lo[:first_tile], tail_lo])
-        self._hi = np.concatenate([self._hi[:first_tile], tail_hi])
-        self.tiles_rebuilt += tail_lo.shape[0]
-
-    def _on_commit(self, mutation: Mutation) -> None:
-        if mutation.is_noop:
-            return
-        t = self.tile_size
-        matrix = self.store.matrix
-        if mutation.kind == "update":
-            # Rows keep their positions; only tiles containing them move.
-            for tile in np.unique(mutation.positions // t):
-                seg = matrix[tile * t : (tile + 1) * t]
-                self._lo[int(tile)] = seg.min(axis=0)
-                self._hi[int(tile)] = seg.max(axis=0)
-                self.tiles_rebuilt += 1
-        elif mutation.kind == "insert":
-            # Appended rows: the previous last (possibly partial) tile
-            # and everything after it are the only tiles that change.
-            old_rows = matrix.shape[0] - mutation.positions.size
-            self._rebuild_from(int(old_rows // t))
-        else:  # delete: survivors shift down from the first removed row.
-            self._rebuild_from(int(mutation.positions.min() // t))
-        self.epoch = mutation.epoch
-
-    def _on_update_writable(self) -> None:  # pragma: no cover - helper
-        pass
+        # Planning reads this outside the engine's read gate, so reads
+        # may race a commit or each other.  A commit replaces the matrix
+        # before it bumps the epoch, so the epoch is read first, and the
+        # (epoch, lo, hi) triple is swapped in as one object: a racing
+        # read can only leave a stamp older than its bounds, which the
+        # next read recomputes.
+        epoch = self.store.epoch
+        state = self._state
+        if state[0] != epoch:
+            state = (epoch, *tile_bounds(self.store.matrix, self.tile_size))
+            self._state = state
+        return state[1], state[2]
 
 
 class PruneSummaries:
     """The engine's summary bundle: product chunks + customer tiles.
 
     In the monochromatic convention both stores are one object and the
-    two summaries are one object too — one subscription, one rebuild.
+    two summaries are one object too — one recomputation per epoch.
     """
 
     def __init__(
@@ -137,12 +96,14 @@ class PruneSummaries:
         """Classify every (customer-tile, product-chunk) pair for
         ``query`` and return the label fractions — the planner's
         selectivity estimate.  Memoized per (epoch, query) because
-        ``DatasetStats`` is sampled on every plan-cache miss.
+        ``DatasetStats`` is sampled on every plan-cache miss.  The key
+        holds the stores' epochs: a summary's own epoch only moves when
+        its bounds are next read.
         """
         q = np.asarray(query, dtype=np.float64).reshape(-1)
         key = (
-            self.products.epoch,
-            self.customers.epoch,
+            self.products.store.epoch,
+            self.customers.store.epoch,
             q.tobytes(),
             float(rtol),
         )

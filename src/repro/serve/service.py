@@ -10,8 +10,8 @@
 * a **writer task** — the single consumer of the mutation queue.  Each
   batch drains outstanding leases (blocking new ones, so readers cannot
   starve the writer), applies the mutations under the engine's write
-  gate, publishes the new epoch and re-pins the service session (the
-  store's commit subscribers clear the engine's plan cache);
+  gate, publishes the new epoch and re-pins the service session (each
+  engine mutator clears the engine's plan cache);
 * the **serve.`*`** metrics, registered on the engine's own registry so
   the existing Prometheus exporter renders everything in one scrape.
 

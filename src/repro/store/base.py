@@ -15,7 +15,10 @@ monotonically increasing **epoch** counter.  Every mutation
 is never written, so :class:`Snapshot` objects taken earlier keep reading
 consistent data for free (copy-on-write without reference counting) —
 bumps the epoch, and returns a :class:`Mutation` record carrying the
-position mapping every derived structure needs to renumber itself.
+new positions and the old-to-new mapping.  The store notifies nobody:
+the engine's mutators run all post-commit upkeep themselves
+(:func:`repro.core.mutators.apply_mutation`), reading the committed
+matrix straight from the store.
 
 Deletion compacts positions: surviving rows shift down to fill the holes,
 and ``Mutation.mapping`` (old position -> new position, ``-1`` for deleted
@@ -26,7 +29,7 @@ rows) is the contract consumers use, identical to the mapping
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +56,7 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Mutation:
-    """One committed store mutation, with everything consumers need.
+    """One committed store mutation: what changed and where rows moved.
 
     Attributes
     ----------
@@ -68,20 +71,12 @@ class Mutation:
         Old position -> new position over the pre-mutation row count;
         ``-1`` marks deleted rows.  The identity for inserts and updates
         (existing rows never move).
-    old_points:
-        Coordinates removed from the matrix: the deleted rows, or the
-        updated rows' previous values.  Empty ``(0, d)`` for inserts.
-    new_points:
-        Coordinates added to the matrix: the inserted rows, or the
-        updated rows' new values.  Empty ``(0, d)`` for deletes.
     """
 
     kind: str
     epoch: int
     positions: np.ndarray
     mapping: np.ndarray
-    old_points: np.ndarray
-    new_points: np.ndarray
 
     @property
     def is_noop(self) -> bool:
@@ -119,10 +114,6 @@ class VersionedStore:
     points:
         Initial matrix; copied and frozen (the store's arrays are never
         writeable, so snapshots and the index can share them safely).
-
-    Subscribers registered through :meth:`subscribe` are notified with the
-    :class:`Mutation` record after each commit — the engine uses this to
-    keep its index and caches coherent.
     """
 
     #: Human-readable role used in error messages ("dataset" by default).
@@ -131,7 +122,6 @@ class VersionedStore:
     def __init__(self, points: np.ndarray) -> None:
         self._matrix = _frozen(as_points(points))
         self._epoch = 0
-        self._listeners: list[Callable[[Mutation], None]] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -164,13 +154,6 @@ class VersionedStore:
         """Pin the current generation (valid across later mutations)."""
         return Snapshot(matrix=self._matrix, epoch=self._epoch)
 
-    def subscribe(
-        self, listener: Callable[[Mutation], None]
-    ) -> Callable[[Mutation], None]:
-        """Register a post-commit callback; returns it for convenience."""
-        self._listeners.append(listener)
-        return listener
-
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
@@ -187,8 +170,6 @@ class VersionedStore:
             matrix,
             positions=positions,
             mapping=np.arange(old_n, dtype=np.int64),
-            old_points=np.empty((0, self.dim)),
-            new_points=pts.copy(),
         )
 
     def delete(self, positions: Sequence[int]) -> Mutation:
@@ -206,14 +187,8 @@ class VersionedStore:
         keep = np.flatnonzero(mask)
         mapping = np.full(old_n, -1, dtype=np.int64)
         mapping[keep] = np.arange(keep.size, dtype=np.int64)
-        old_points = np.array(self._matrix[drop])
         return self._commit(
-            "delete",
-            np.array(self._matrix[keep]),
-            positions=drop,
-            mapping=mapping,
-            old_points=old_points,
-            new_points=np.empty((0, self.dim)),
+            "delete", self._matrix[keep], positions=drop, mapping=mapping
         )
 
     def update(
@@ -240,7 +215,6 @@ class VersionedStore:
         order = np.argsort(target)
         target = target[order]
         pts = pts[order]
-        old_points = np.array(self._matrix[target])
         matrix = self._matrix.copy()
         matrix[target] = pts
         return self._commit(
@@ -248,8 +222,6 @@ class VersionedStore:
             matrix,
             positions=target,
             mapping=np.arange(self.size, dtype=np.int64),
-            old_points=old_points,
-            new_points=pts.copy(),
         )
 
     # ------------------------------------------------------------------
@@ -270,17 +242,15 @@ class VersionedStore:
             epoch=self._epoch,
             positions=np.empty(0, dtype=np.int64),
             mapping=np.arange(self.size, dtype=np.int64),
-            old_points=np.empty((0, self.dim)),
-            new_points=np.empty((0, self.dim)),
         )
 
     def _commit(self, kind: str, matrix: np.ndarray, **fields) -> Mutation:
-        self._matrix = _frozen(matrix)
+        # ``matrix`` is always a fresh float64 array built by the caller,
+        # so freezing it in place is enough.
+        matrix.flags.writeable = False
+        self._matrix = matrix
         self._epoch += 1
-        mutation = Mutation(kind=kind, epoch=self._epoch, **fields)
-        for listener in self._listeners:
-            listener(mutation)
-        return mutation
+        return Mutation(kind=kind, epoch=self._epoch, **fields)
 
 
 class ProductStore(VersionedStore):

@@ -112,7 +112,7 @@ class TestAccounting:
 
 class TestLifecycle:
     def test_precompute_fills_all(self, dataset, cache):
-        cache.precompute(n_jobs=2)
+        cache.precompute()
         assert len(cache) == dataset.shape[0]
         assert cache.stats.threshold_misses == dataset.shape[0]
         before_hits, before_misses = cache.stats.hits, cache.stats.misses

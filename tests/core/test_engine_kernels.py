@@ -1,9 +1,9 @@
 """Engine-level equivalence of the batch-kernel and per-customer paths.
 
 Every path wired through :mod:`repro.kernels` must produce results
-indistinguishable from the sequential oracle (``planner="index"``,
-``n_jobs=1``) — membership masks, lost-customer sets, MQP scores, safe
-regions and precomputed DSL stores alike.
+indistinguishable from the per-customer oracle (``planner="index"``) —
+membership masks, lost-customer sets, MQP scores, safe regions and
+precomputed DSL stores alike.
 """
 
 import numpy as np
@@ -12,10 +12,8 @@ import pytest
 from repro import WhyNotEngine
 from repro.config import WhyNotConfig
 from repro.core.approx import ApproximateDSLStore
-from repro.core.safe_region import compute_safe_region
 from repro.data.synthetic import generate_uniform
 from repro.index.scan import ScanIndex
-from repro.skyline.reverse import reverse_skyline_naive
 
 
 @pytest.fixture(scope="module")
@@ -83,32 +81,17 @@ class TestEngineEquivalence:
             )
 
 
-class TestParallelPrecompute:
-    def test_safe_region_parallel_matches_sequential(self, dataset):
-        idx = ScanIndex(dataset.points)
-        pts = dataset.points
-        q = np.clip(pts[7] * 1.01, dataset.bounds.lo, dataset.bounds.hi)
-        rsl = reverse_skyline_naive(idx, pts, q, self_exclude=True)
-        seq = compute_safe_region(
-            idx, pts, q, rsl, dataset.bounds, self_exclude=True, n_jobs=1
-        )
-        par = compute_safe_region(
-            idx, pts, q, rsl, dataset.bounds, self_exclude=True, n_jobs=2
-        )
-        assert seq.area() == par.area()
-        assert len(seq.region) == len(par.region)
-        assert np.array_equal(seq.rsl_positions, par.rsl_positions)
-
-    def test_store_precompute_parallel_matches_lazy(self, dataset):
+class TestPrecompute:
+    def test_store_precompute_matches_lazy(self, dataset):
         idx = ScanIndex(dataset.points)
         lazy = ApproximateDSLStore(idx, dataset.points, k=5, self_exclude=True)
-        par = ApproximateDSLStore(idx, dataset.points, k=5, self_exclude=True)
+        eager = ApproximateDSLStore(idx, dataset.points, k=5, self_exclude=True)
         positions = list(range(0, 60))
-        par.precompute(positions, n_jobs=3)
-        assert len(par) == len(positions)
+        eager.precompute(positions)
+        assert len(eager) == len(positions)
         for position in positions:
             a = lazy.entry(position)
-            b = par.entry(position)
+            b = eager.entry(position)
             assert np.array_equal(a.sampled, b.sampled)
             assert np.array_equal(a.minima, b.minima)
 
@@ -116,6 +99,6 @@ class TestParallelPrecompute:
         idx = ScanIndex(dataset.points)
         store = ApproximateDSLStore(idx, dataset.points, k=4, self_exclude=True)
         first = store.entry(0)
-        store.precompute(range(5), n_jobs=2)
+        store.precompute(range(5))
         assert store.entry(0) is first
         assert len(store) == 5

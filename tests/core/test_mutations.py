@@ -1,5 +1,5 @@
-"""Engine mutation surface: versioned stores, incremental index upkeep
-and the cache flush every mutation takes."""
+"""Engine mutation surface: versioned stores, the index rebuild and the
+cache flush every mutation takes."""
 
 import numpy as np
 import pytest
@@ -205,6 +205,58 @@ class TestCacheCoherence:
         before = engine._evicted_full.value
         engine.insert_products([[0.4, 0.6]])
         assert engine._evicted_full.value > before
+
+
+@pytest.mark.parametrize("backend", ["rtree", "scan"])
+def test_single_post_mutation_path(backend):
+    """``apply_mutation`` is the only post-commit code: per committed
+    mutation it drops every cached plan (counted in
+    ``plan.cache_evicted``) and, for product mutations only, rebuilds the
+    index once over the store's own matrix.  No-ops touch nothing."""
+    rng = np.random.default_rng(23)
+    engine = WhyNotEngine(
+        np.round(rng.uniform(0.0, 1.0, size=(20, 2)) * 16) / 16,
+        customers=np.round(rng.uniform(0.0, 1.0, size=(16, 2)) * 16) / 16,
+        backend=backend,
+        bounds=BOUNDS,
+    )
+    assert engine.index.points is engine.products
+    program = [
+        (True, lambda: engine.insert_products([[0.3, 0.7], [0.6, 0.2]])),
+        (True, lambda: engine.update_products([4], [[0.45, 0.55]])),
+        (True, lambda: engine.delete_products([0, 5])),
+        (False, lambda: engine.insert_customers([[0.4, 0.4]])),
+        (False, lambda: engine.update_customers([2], [[0.6, 0.6]])),
+        (False, lambda: engine.delete_customers([1])),
+        (None, lambda: engine.insert_products(np.empty((0, 2)))),
+        (None, lambda: engine.delete_products([])),
+        (None, lambda: engine.update_customers([], np.empty((0, 2)))),
+    ]
+    for product, mutate in program:
+        engine.reverse_skyline(Q)
+        engine.safe_region(Q)
+        plans = len(engine.plan_cache)
+        assert plans > 0
+        rebuilds = engine.index.stats.rebuilds
+        evicted = engine.plan_cache.evicted.value
+        epoch = engine.dataset_epoch
+        mutate()
+        if product is None:
+            assert engine.dataset_epoch == epoch
+            assert len(engine.plan_cache) == plans
+            assert engine.plan_cache.evicted.value == evicted
+            assert engine.index.stats.rebuilds == rebuilds
+            continue
+        assert engine.dataset_epoch == epoch + 1
+        assert len(engine.plan_cache) == 0
+        assert engine.plan_cache.evicted.value == evicted + plans
+        assert engine.index.stats.rebuilds == rebuilds + int(product)
+        assert engine.index.points is engine.products
+    fresh = WhyNotEngine(
+        engine.products, customers=engine.customers, backend=backend,
+        bounds=BOUNDS,
+    )
+    assert np.array_equal(engine.reverse_skyline(Q), fresh.reverse_skyline(Q))
 
 
 class TestApproxStoreEpochKeying:

@@ -226,25 +226,6 @@ class TestArrayEngineStats:
         assert stats.cache_hits == stats.cache_misses == 0  # no cache passed
         assert 0.0 <= stats.member_seconds <= stats.build_seconds
 
-    def test_parallel_identical_to_sequential(self):
-        """Customers clustered around ``q``, products spread out: every
-        customer's window is empty, so ``RSL(q)`` spans several fold
-        chunks and the chunk partition must not depend on ``n_jobs``."""
-        for seed in (1, 4):
-            rng = np.random.default_rng(seed)
-            products = rng.uniform(0, 1, size=(30, 2))
-            q = rng.uniform(0.3, 0.7, size=2)
-            customers = q + rng.uniform(-0.03, 0.03, size=(40, 2))
-            idx = ScanIndex(products)
-            rsl = reverse_skyline_naive(idx, customers, q)
-            assert rsl.size > SR_CHUNK_SIZE, seed
-            seq = compute_safe_region(idx, customers, q, rsl, UNIT, n_jobs=1)
-            par = compute_safe_region(idx, customers, q, rsl, UNIT, n_jobs=4)
-            assert seq.stats.intersections == rsl.size, seed
-            assert par.region.lo.tolist() == seq.region.lo.tolist(), seed
-            assert par.region.hi.tolist() == seq.region.hi.tolist(), seed
-            assert par.area() == seq.area(), seed
-
     def test_box_budget_is_safe_underapproximation(self):
         idx, pts, q, rsl = self.make_case(0, n=40)
         exact = compute_safe_region(idx, pts, q, rsl, UNIT, self_exclude=True)
@@ -263,8 +244,8 @@ class TestArrayEngineStats:
                 assert exact.contains(p)
 
     def test_chunked_early_exit_skips_later_members(self):
-        """The empty-intersection early exit must fire on the chunked
-        (parallel) path too — later chunks are never built."""
+        """The empty-intersection early exit fires between members —
+        later chunks are never built."""
         idx = ScanIndex(np.array([[0.5, 0.5]]))
         cache = _DisjointRegionCache()
         members = 3 * SR_CHUNK_SIZE
@@ -275,7 +256,6 @@ class TestArrayEngineStats:
             np.array([0.05, 0.05]),
             positions,
             UNIT,
-            n_jobs=4,
             dsl_cache=cache,
         )
         assert sr.stats.early_exit

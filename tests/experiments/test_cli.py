@@ -257,9 +257,9 @@ class TestAudit:
 
     def test_audit_closes_every_engine_and_pool(self, audit_run):
         _, _, opened, left = audit_run
-        # Per case 5 engine arms and a rebuilt engine in each of 4
+        # Per case 4 engine arms and a rebuilt engine in each of 4
         # rounds, plus the served engine; no child process outlives it.
-        assert len(opened) == 3 * (5 + 4) + 1
+        assert len(opened) == 3 * (4 + 4) + 1
         assert all(engine.closed for engine in opened)
         assert left == []
 

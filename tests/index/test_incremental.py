@@ -1,18 +1,21 @@
-"""Incremental mutation surface of every index backend.
+"""Every index backend after a store mutation.
 
-The contract (SpatialIndex docstring): after any insert/remove/update,
-the index answers range and kNN queries exactly as a freshly built index
-over the same matrix — whether the backend absorbed the operation in
-place (``stats.incremental_*``) or fell back to a counted rebuild
-(``stats.rebuilds``).
+The engine's only index write is ``index.rebuild(store.matrix)`` after a
+product mutation commits.  These cases drive a :class:`ProductStore`
+through inserts, deletes and updates and check that the rebuilt index
+adopts the committed matrix without a copy, counts exactly one rebuild,
+and answers range and kNN queries exactly as a freshly built index over
+the same matrix.
 """
 
 import numpy as np
 import pytest
 
+from repro.exceptions import InvalidParameterError
 from repro.geometry.box import Box
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
+from repro.store.base import ProductStore
 
 BACKENDS = {
     "scan": ScanIndex,
@@ -30,23 +33,33 @@ def _points(n: int = 40, d: int = 2, seed: int = 5) -> np.ndarray:
     return np.round(rng.uniform(0.0, 1.0, size=(n, d)) * 16) / 16
 
 
-def _assert_counted(index, op: str) -> None:
-    """One mutation must be accounted under exactly one regime: absorbed
-    in place or rebuilt."""
-    snap = index.stats.snapshot()
-    incremental = (
-        snap["incremental_inserts"]
-        + snap["incremental_removes"]
-        + snap["incremental_updates"]
-    )
-    if op in index.incremental_ops:
-        assert incremental == 1 and snap["rebuilds"] == 0
-    else:
-        assert incremental == 0 and snap["rebuilds"] == 1
+def _indexed_store(backend: str, points: np.ndarray):
+    store = ProductStore(points)
+    return store, BACKENDS[backend](store.matrix)
+
+
+def _rebuild(index, store) -> None:
+    """The engine's post-commit step, checked: the committed matrix is
+    adopted as is and counted once."""
+    before = index.stats.rebuilds
+    index.rebuild(store.matrix)
+    assert index.points is store.matrix
+    assert index.stats.rebuilds == before + 1
+
+
+def _assert_rejected_before_index(index, store, mutate) -> None:
+    """The store validates every mutation input, so a bad one never
+    reaches the index: no commit, no rebuild."""
+    points, epoch = index.points, store.epoch
+    with pytest.raises(InvalidParameterError):
+        mutate()
+    assert store.epoch == epoch
+    assert index.points is points is store.matrix
+    assert index.stats.rebuilds == 0
 
 
 def _assert_matches_fresh(index, backend: str) -> None:
-    """Mutated index ≡ fresh index over the same matrix, on both query
+    """Rebuilt index ≡ fresh index over the same matrix, on both query
     surfaces, over a deterministic probe battery."""
     fresh = BACKENDS[backend](index.points)
     rng = np.random.default_rng(9)
@@ -66,110 +79,103 @@ def _assert_matches_fresh(index, backend: str) -> None:
 
 class TestInsert:
     def test_positions_and_matrix(self, backend):
-        index = BACKENDS[backend](_points())
+        store, index = _indexed_store(backend, _points())
         rows = np.array([[0.05, 0.95], [0.5, 0.5]])
-        positions = index.insert(rows)
-        assert positions.tolist() == [40, 41]
-        assert np.array_equal(index.points[40:], rows)
+        mutation = store.insert(rows)
+        _rebuild(index, store)
+        assert mutation.positions.tolist() == [40, 41]
+        assert np.array_equal(index.points[mutation.positions], rows)
         _assert_matches_fresh(index, backend)
 
     def test_single_point_accepted(self, backend):
-        index = BACKENDS[backend](_points())
-        assert index.insert(np.array([0.2, 0.3])).tolist() == [40]
+        store, index = _indexed_store(backend, _points())
+        store.insert(np.array([0.2, 0.3]))
+        _rebuild(index, store)
+        assert index.knn_indices([0.2, 0.3], 1).tolist() == [40]
         _assert_matches_fresh(index, backend)
 
     def test_counted(self, backend):
-        index = BACKENDS[backend](_points())
-        index.insert([[0.3, 0.3]])
-        _assert_counted(index, "insert")
+        store, index = _indexed_store(backend, _points())
+        assert index.stats.rebuilds == 0
+        store.insert([[0.3, 0.3]])
+        _rebuild(index, store)
 
 
 class TestRemove:
     def test_mapping_and_compaction(self, backend):
+        """Survivors keep their order and the index answers at the
+        store's new positions."""
         pts = _points()
-        index = BACKENDS[backend](pts)
-        mapping = index.remove([0, 7, 39])
-        assert mapping.tolist()[0] == -1
-        assert mapping[7] == -1 and mapping[39] == -1
-        keep = np.flatnonzero(mapping >= 0)
+        store, index = _indexed_store(backend, pts)
+        mutation = store.delete([0, 7, 39])
+        _rebuild(index, store)
+        keep = np.flatnonzero(mutation.mapping >= 0)
         assert np.array_equal(index.points, pts[keep])
+        for old in keep:
+            hits = index.range_indices(Box(pts[old], pts[old]))
+            assert mutation.mapping[old] in hits.tolist()
         _assert_matches_fresh(index, backend)
 
     def test_counted(self, backend):
-        index = BACKENDS[backend](_points())
-        index.remove([3])
-        _assert_counted(index, "remove")
+        store, index = _indexed_store(backend, _points())
+        store.delete([3])
+        _rebuild(index, store)
 
     def test_out_of_range(self, backend):
-        index = BACKENDS[backend](_points())
-        with pytest.raises(ValueError, match="out of range"):
-            index.remove([40])
+        store, index = _indexed_store(backend, _points())
+        _assert_rejected_before_index(index, store, lambda: store.delete([40]))
 
 
 class TestUpdate:
     def test_rows_replaced_in_place(self, backend):
         pts = _points()
-        index = BACKENDS[backend](pts)
+        store, index = _indexed_store(backend, pts)
         rows = np.array([[0.01, 0.99], [0.99, 0.01]])
-        index.update([5, 2], rows)
+        store.update([5, 2], rows)
+        _rebuild(index, store)
         assert np.array_equal(index.points[2], rows[1])
         assert np.array_equal(index.points[5], rows[0])
         assert index.size == pts.shape[0]
         _assert_matches_fresh(index, backend)
 
     def test_counted(self, backend):
-        index = BACKENDS[backend](_points())
-        index.update([0], [[0.4, 0.4]])
-        _assert_counted(index, "update")
+        store, index = _indexed_store(backend, _points())
+        store.update([0], [[0.4, 0.4]])
+        _rebuild(index, store)
 
     def test_duplicate_positions_rejected(self, backend):
-        index = BACKENDS[backend](_points())
-        with pytest.raises(ValueError, match="distinct"):
-            index.update([1, 1], [[0.1, 0.1], [0.2, 0.2]])
+        store, index = _indexed_store(backend, _points())
+        _assert_rejected_before_index(
+            index,
+            store,
+            lambda: store.update([1, 1], [[0.1, 0.1], [0.2, 0.2]]),
+        )
 
 
 class TestMutationSequences:
     def test_random_interleaving_matches_fresh(self, backend):
         """A churn of mixed mutations never drifts from a cold build."""
         rng = np.random.default_rng(13)
-        index = BACKENDS[backend](_points(30))
-        shadow = index.points.copy()
+        store, index = _indexed_store(backend, _points(30))
         for step in range(15):
-            kind = ("insert", "remove", "update")[step % 3]
+            kind = ("insert", "delete", "update")[step % 3]
             if kind == "insert":
                 rows = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 3)), 2))
-                index.insert(rows)
-                shadow = np.vstack([shadow, rows])
-            elif kind == "remove":
-                pos = int(rng.integers(0, shadow.shape[0]))
-                index.remove([pos])
-                shadow = np.delete(shadow, pos, axis=0)
+                store.insert(rows)
+            elif kind == "delete":
+                store.delete([int(rng.integers(0, store.size))])
             else:
-                pos = int(rng.integers(0, shadow.shape[0]))
-                row = rng.uniform(0.0, 1.0, size=(1, 2))
-                index.update([pos], row)
-                shadow = shadow.copy()
-                shadow[pos] = row[0]
-            assert np.array_equal(index.points, shadow), (backend, step, kind)
+                pos = int(rng.integers(0, store.size))
+                store.update([pos], rng.uniform(0.0, 1.0, size=(1, 2)))
+            _rebuild(index, store)
+        assert index.stats.rebuilds == 15
         _assert_matches_fresh(index, backend)
 
     def test_out_of_bounds_inserts_stay_queryable(self, backend):
-        """Points outside the original extent (grid overflow path)."""
-        index = BACKENDS[backend](_points())
-        index.insert(np.array([[2.5, -1.0], [3.0, 3.0]]))
+        """Points outside the original extent."""
+        store, index = _indexed_store(backend, _points())
+        store.insert(np.array([[2.5, -1.0], [3.0, 3.0]]))
+        _rebuild(index, store)
         box = Box(np.array([2.0, -2.0]), np.array([4.0, 4.0]))
         assert np.array_equal(np.sort(index.range_indices(box)), [40, 41])
         _assert_matches_fresh(index, backend)
-
-    def test_advertised_ops_are_accurate(self, backend):
-        """incremental_ops must agree with the counters."""
-        for op in ("insert", "remove", "update"):
-            index = BACKENDS[backend](_points())
-            if op == "insert":
-                index.insert([[0.5, 0.5]])
-            elif op == "remove":
-                index.remove([0])
-            else:
-                index.update([0], [[0.5, 0.5]])
-            _assert_counted(index, op)
-

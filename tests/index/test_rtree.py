@@ -1,4 +1,4 @@
-"""Tests for the STR-packed R-tree: one bulk load or growth by inserts,
+"""Tests for the STR-packed R-tree: one bulk load or growth by rebuilds,
 queries vs the scan oracle, structural integrity."""
 
 import numpy as np
@@ -17,12 +17,13 @@ def random_points(seed, n, dim=2):
 
 def build(pts, config=None, bulk=True):
     """One STR build over ``pts``, or (``bulk=False``) a tree grown from
-    empty by one-row inserts, each of which repacks the tree."""
+    empty one row at a time, each step a rebuild over the longer prefix
+    (as after an engine insert)."""
     if bulk:
         return RTree(pts, config=config)
     tree = RTree(pts[:0], config=config)
-    for row in pts:
-        tree.insert(row)
+    for n in range(1, pts.shape[0] + 1):
+        tree.rebuild(pts[:n])
     return tree
 
 
@@ -68,7 +69,8 @@ class TestConstruction:
     def test_single_build_path(self):
         with pytest.raises(TypeError):
             RTree(random_points(3, 10), bulk=False)
-        assert not hasattr(RTree, "delete")
+        for method in ("delete", "insert", "remove", "update"):
+            assert not hasattr(RTree, method)
 
 
 class TestQueriesMatchOracle:

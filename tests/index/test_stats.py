@@ -10,9 +10,6 @@ class TestIndexStats:
             "node_accesses": 0,
             "point_comparisons": 0,
             "queries": 0,
-            "incremental_inserts": 0,
-            "incremental_removes": 0,
-            "incremental_updates": 0,
             "rebuilds": 0,
         }
 
@@ -32,12 +29,9 @@ class TestIndexStats:
         assert merged.queries == 33
 
     def test_merge_sums_mutation_counters(self):
-        a = IndexStats(incremental_inserts=1, rebuilds=2)
-        b = IndexStats(incremental_inserts=3, incremental_removes=4, rebuilds=5)
+        a = IndexStats(rebuilds=2)
+        b = IndexStats(rebuilds=5)
         merged = a.merge(b)
-        assert merged.incremental_inserts == 4
-        assert merged.incremental_removes == 4
-        assert merged.incremental_updates == 0
         assert merged.rebuilds == 7
 
     def test_merge_does_not_mutate(self):

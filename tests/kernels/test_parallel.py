@@ -1,40 +1,24 @@
-"""Unit tests for the chunked parallel mapping helper."""
+"""Unit tests for the affinity-aware CPU count."""
 
 import os
-import threading
 
-import pytest
-
-from repro.exceptions import InvalidParameterError
-from repro.kernels.parallel import (
-    available_cpus,
-    parallel_map_chunks,
-    resolve_n_jobs,
-)
+from repro.kernels.parallel import available_cpus
 
 
-class TestResolveNJobs:
-    def test_positive_passthrough(self):
-        assert resolve_n_jobs(1) == 1
-        assert resolve_n_jobs(7) == 7
-
-    def test_minus_one_means_cpu_count(self):
-        assert resolve_n_jobs(-1) >= 1
-
-    def test_minus_one_respects_affinity(self):
-        """-1 must track the scheduler mask (cgroup/affinity aware), not
-        the raw machine CPU count."""
+class TestAvailableCpus:
+    def test_respects_affinity(self):
+        """The count tracks the scheduler mask (cgroup/affinity aware),
+        not the raw machine CPU count."""
         if hasattr(os, "sched_getaffinity"):
-            assert resolve_n_jobs(-1) == len(os.sched_getaffinity(0))
+            assert available_cpus() == len(os.sched_getaffinity(0))
         else:  # pragma: no cover - non-Linux fallback
-            assert resolve_n_jobs(-1) == max(1, os.cpu_count() or 1)
+            assert available_cpus() == max(1, os.cpu_count() or 1)
 
     def test_available_cpus_bounded_by_machine(self):
         assert 1 <= available_cpus() <= max(1, os.cpu_count() or 1)
 
     def test_available_cpus_memoized(self, monkeypatch):
-        """The count is sampled once per process: DatasetStats.cpus
-        reads it on every plan-cache miss, so the syscall must not be
+        """The count is sampled once per process, so the syscall is not
         repeated.  refresh=True re-samples after an affinity change."""
         import repro.kernels.parallel as parallel
 
@@ -58,55 +42,3 @@ class TestResolveNJobs:
         assert parallel._CPU_CACHE == 3
         monkeypatch.undo()
         assert available_cpus(refresh=True) == truth
-
-    @pytest.mark.parametrize("bad", [0, -2, -100])
-    def test_rejects_non_positive(self, bad):
-        with pytest.raises(InvalidParameterError):
-            resolve_n_jobs(bad)
-
-
-class TestParallelMapChunks:
-    def test_sequential_path_preserves_order(self):
-        assert parallel_map_chunks(lambda x: x * x, range(10), n_jobs=1) == [
-            x * x for x in range(10)
-        ]
-
-    def test_parallel_path_preserves_order(self):
-        items = list(range(37))
-        assert parallel_map_chunks(lambda x: x + 1, items, n_jobs=4) == [
-            x + 1 for x in items
-        ]
-
-    def test_explicit_chunk_size(self):
-        items = list(range(10))
-        assert parallel_map_chunks(
-            lambda x: -x, items, n_jobs=3, chunk_size=4
-        ) == [-x for x in items]
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(InvalidParameterError):
-            parallel_map_chunks(lambda x: x, [1, 2], n_jobs=2, chunk_size=0)
-
-    def test_empty_and_singleton_inputs(self):
-        assert parallel_map_chunks(lambda x: x, [], n_jobs=4) == []
-        assert parallel_map_chunks(lambda x: x, [5], n_jobs=4) == [5]
-
-    def test_actually_uses_worker_threads(self):
-        seen: set[str] = set()
-        barrier = threading.Barrier(2, timeout=10)
-
-        def record(x):
-            seen.add(threading.current_thread().name)
-            if x < 2:
-                barrier.wait()
-            return x
-
-        parallel_map_chunks(record, range(8), n_jobs=2, chunk_size=1)
-        assert len(seen) >= 2
-
-    def test_worker_exception_propagates(self):
-        def boom(x):
-            raise ValueError("kernel worker failure")
-
-        with pytest.raises(ValueError, match="kernel worker failure"):
-            parallel_map_chunks(boom, range(4), n_jobs=2)

@@ -3,8 +3,8 @@
 The preference-model contract (repro.prefs):
 
 * every query surface under arbitrary non-negative weights matches the
-  nested-loop weighted oracle exactly — across index backends,
-  ``n_jobs`` thread counts and mutation programs;
+  nested-loop weighted oracle exactly — across index backends and
+  mutation programs;
 * unit weights (``None`` or explicit ones) are bit-identical to the
   historical unweighted paths;
 * the weighted safe region equals the pure-Python weighted oracle
@@ -83,17 +83,16 @@ def _apply_program(engine, program, rng):
     st.integers(0, 63),
     weight_vectors(),
     st.sampled_from(BACKENDS),
-    st.sampled_from([1, 2]),
     mutation_programs(),
     st.integers(0, 2**16),
 )
 def test_weighted_surfaces_match_oracle(
-    prods, custs, qseed, weights, backend, n_jobs, program, seed
+    prods, custs, qseed, weights, backend, program, seed
 ):
     if prods.shape[0] < 3 or custs.shape[0] < 2:
         return
     q = np.array([(qseed % 8) / 8.0, (qseed // 8) / 8.0])
-    cfg = WhyNotConfig(n_jobs=n_jobs)
+    cfg = WhyNotConfig()
     engine = WhyNotEngine(prods, custs, backend=backend, config=cfg)
     _apply_program(engine, program, np.random.default_rng(seed))
     P, C = engine.products, engine.customers
@@ -144,15 +143,14 @@ def test_unit_weights_bit_identical(prods, custs, qseed, backend):
     grids((3, 6)),
     st.integers(0, 63),
     weight_vectors(),
-    st.sampled_from([1, 2]),
 )
 def test_weighted_safe_region_matches_oracle_and_lemma2(
-    prods, custs, qseed, weights, n_jobs
+    prods, custs, qseed, weights
 ):
     if prods.shape[0] < 3 or custs.shape[0] < 2:
         return
     q = np.array([(qseed % 8) / 8.0, (qseed // 8) / 8.0])
-    cfg = WhyNotConfig(n_jobs=n_jobs)
+    cfg = WhyNotConfig()
     engine = WhyNotEngine(prods, custs, backend="scan", config=cfg)
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
 

@@ -1,6 +1,6 @@
 """Property-based tests: the R-tree is indistinguishable from the scan
-oracle and structurally sound under any input and any mutation program,
-and a mutated tree is the tree a fresh STR build gives."""
+oracle and structurally sound under any input and any sequence of
+rebuilds, and a rebuilt tree is the tree a fresh STR build gives."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -38,29 +38,18 @@ def query_boxes(dim=2):
     )
 
 
-# One mutation: ("insert", rows), ("remove", slot) or ("update", slot,
-# row); a slot is reduced modulo the tree size when the step runs.
-mutation_programs = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), st.integers(1, 3).flatmap(coords)),
-        st.tuples(st.just("remove"), st.integers(0, 1000)),
-        st.tuples(st.just("update"), st.integers(0, 1000), coords(1)),
-    ),
-    max_size=6,
+# Matrices a tree is rebuilt over in turn, as the engine does after each
+# product mutation; they may be empty and need not share rows.
+rebuild_programs = st.lists(
+    st.integers(0, 30).flatmap(coords), max_size=6
 )
 
 
-def mutated(pts, program):
+def rebuilt(pts, program):
     tree = RTree(pts, config=CONFIG)
-    for step in program:
-        if step[0] == "insert":
-            tree.insert(step[1])
-        elif tree.size:
-            slot = step[1] % tree.size
-            if step[0] == "remove":
-                tree.remove([slot])
-            else:
-                tree.update([slot], step[2])
+    for matrix in program:
+        tree.rebuild(matrix)
+    assert tree.stats.rebuilds == len(program)
     return tree
 
 
@@ -72,23 +61,23 @@ def shape(node):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(), mutation_programs)
+@given(matrices(), rebuild_programs)
 def test_integrity_any_input(pts, program):
-    mutated(pts, program).check_integrity()
+    rebuilt(pts, program).check_integrity()
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(), query_boxes(), mutation_programs)
+@given(matrices(), query_boxes(), rebuild_programs)
 def test_range_equals_scan(pts, box, program):
-    tree = mutated(pts, program)
+    tree = rebuilt(pts, program)
     scan = ScanIndex(tree.points)
     assert np.array_equal(tree.range_indices(box), scan.range_indices(box))
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(), mutation_programs, st.lists(query_boxes(), max_size=4))
+@given(matrices(), rebuild_programs, st.lists(query_boxes(), max_size=4))
 def test_mutated_tree_equals_fresh_build(pts, program, boxes):
-    tree = mutated(pts, program)
+    tree = rebuilt(pts, program)
     fresh = RTree(tree.points, config=CONFIG)
     assert tree.height == fresh.height
     assert shape(tree.root) == shape(fresh.root)

@@ -1,4 +1,5 @@
-"""Incremental maintenance of the epoch-versioned tile summaries."""
+"""The epoch-versioned tile summaries: recomputed from the store after
+every commit, and the planner's memoized selectivity probe."""
 
 import numpy as np
 import pytest
@@ -33,51 +34,6 @@ class TestTileSummary:
         with pytest.raises(ValueError):
             TileSummary(store, 0)
 
-    def test_insert_rebuilds_only_the_tail(self):
-        store = ProductStore(np.random.default_rng(1).random((64, 2)))
-        summary = TileSummary(store, 8)
-        before = summary.tiles_rebuilt
-        store.insert(np.random.default_rng(2).random((4, 2)))
-        # 64 rows / tile 8 → the append lands in a brand-new tile 8;
-        # exactly one tile is recomputed.
-        assert summary.tiles_rebuilt - before == 1
-        assert_matches_oracle(summary)
-
-    def test_insert_into_partial_tail_tile(self):
-        store = ProductStore(np.random.default_rng(3).random((60, 2)))
-        summary = TileSummary(store, 8)
-        before = summary.tiles_rebuilt
-        store.insert(np.random.default_rng(4).random((10, 2)))
-        # Rows 56..59 were a partial tile: it and the appended tiles
-        # (rows 60..69) are rebuilt, tiles 0..6 are not.
-        assert summary.tiles_rebuilt - before == 2
-        assert_matches_oracle(summary)
-
-    def test_update_rebuilds_only_touched_tiles(self):
-        store = ProductStore(np.random.default_rng(5).random((64, 2)))
-        summary = TileSummary(store, 8)
-        before = summary.tiles_rebuilt
-        store.update([3, 5], np.random.default_rng(6).random((2, 2)))
-        assert summary.tiles_rebuilt - before == 1  # both rows in tile 0
-        assert_matches_oracle(summary)
-
-    def test_update_across_tiles(self):
-        store = ProductStore(np.random.default_rng(7).random((64, 2)))
-        summary = TileSummary(store, 8)
-        before = summary.tiles_rebuilt
-        store.update([1, 60], np.random.default_rng(8).random((2, 2)))
-        assert summary.tiles_rebuilt - before == 2
-        assert_matches_oracle(summary)
-
-    def test_delete_rebuilds_from_first_removed_row(self):
-        store = ProductStore(np.random.default_rng(9).random((64, 2)))
-        summary = TileSummary(store, 8)
-        before = summary.tiles_rebuilt
-        store.delete([57, 60])
-        # First removed row 57 lives in tile 7; only the tail rebuilds.
-        assert summary.tiles_rebuilt - before == 1
-        assert_matches_oracle(summary)
-
     def test_delete_from_the_front_rebuilds_everything_after(self):
         store = ProductStore(np.random.default_rng(10).random((64, 2)))
         summary = TileSummary(store, 8)
@@ -101,6 +57,32 @@ class TestTileSummary:
                 positions = rng.choice(n, count, replace=False)
                 store.update(positions, rng.random((count, 3)))
             assert_matches_oracle(summary)
+
+    def test_commit_racing_a_read_never_leaves_stale_bounds(self):
+        """Planning reads the bounds outside the engine's read gate, so
+        a commit can land while a read recomputes them.  That read may
+        return the old bounds, but the next read must describe the
+        committed matrix."""
+
+        class CommitAfterMatrixRead(ProductStore):
+            racing = None
+
+            @property
+            def matrix(self):
+                matrix, commit = self._matrix, self.racing
+                self.racing = None
+                if commit is not None:
+                    commit()
+                return matrix
+
+        rng = np.random.default_rng(12)
+        store = CommitAfterMatrixRead(rng.random((64, 2)))
+        summary = TileSummary(store, 8)
+        store.racing = lambda: store.update([5], [[2.0, 2.0]])
+        store.update([60], [[-1.0, -1.0]])
+        summary.bounds  # recomputes; the update of row 5 lands meanwhile
+        assert store.epoch == 2
+        assert_matches_oracle(summary)
 
     def test_delete_to_empty(self):
         store = ProductStore(np.ones((3, 2)))
@@ -163,8 +145,7 @@ class TestPruneSummaries:
     def test_empty_pairs_defaults_to_refine(self):
         store = ProductStore(np.ones((2, 2)))
         bundle = PruneSummaries(store, store, tile_size=8)
-        bundle.products._lo = np.empty((0, 2))
-        bundle.products._hi = np.empty((0, 2))
+        store.delete([0, 1])
         result = bundle.predict(np.array([0.5, 0.5]))
         assert result == {
             "pairs": 0,

@@ -42,8 +42,6 @@ class TestInsert:
         assert mutation.epoch == 1
         assert mutation.positions.tolist() == [4, 5]
         assert np.array_equal(store.matrix[4:], rows)
-        assert np.array_equal(mutation.new_points, rows)
-        assert mutation.old_points.shape == (0, 2)
 
     def test_mapping_is_identity(self):
         store = _store(4)
@@ -72,8 +70,6 @@ class TestDelete:
         assert mutation.positions.tolist() == [1, 3]
         assert mutation.mapping.tolist() == [0, -1, 1, -1, 2]
         assert np.array_equal(store.matrix, before[[0, 2, 4]])
-        assert np.array_equal(mutation.old_points, before[[1, 3]])
-        assert mutation.new_points.shape == (0, 2)
 
     def test_duplicate_positions_deduplicated(self):
         store = _store(5)
@@ -102,8 +98,6 @@ class TestUpdate:
         mutation = store.update([3, 1], rows)
         # Positions are normalised ascending, points carried along.
         assert mutation.positions.tolist() == [1, 3]
-        assert np.array_equal(mutation.new_points, rows[[1, 0]])
-        assert np.array_equal(mutation.old_points, before[[1, 3]])
         assert np.array_equal(store.matrix[[1, 3]], rows[[1, 0]])
         assert np.array_equal(store.matrix[[0, 2, 4]], before[[0, 2, 4]])
 
@@ -149,15 +143,12 @@ class TestSnapshots:
         assert store.matrix is not before
         assert before[0, 0] != 0.7 or True  # old array is untouched
         assert not before.flags.writeable
+        for mutate in (
+            lambda: store.insert([[0.5, 0.5]]),
+            lambda: store.delete([0]),
+            lambda: store.update([0], [[0.1, 0.1]]),
+        ):
+            mutate()
+            assert not store.matrix.flags.writeable
+            assert store.matrix.flags.c_contiguous
 
-
-class TestSubscribers:
-    def test_listener_sees_committed_mutations_only(self):
-        store = _store(4)
-        seen = []
-        store.subscribe(seen.append)
-        store.insert(np.empty((0, 2)))  # no-op: no notification
-        store.delete([2])
-        store.update([0], [[0.2, 0.2]])
-        assert [m.kind for m in seen] == ["delete", "update"]
-        assert [m.epoch for m in seen] == [1, 2]

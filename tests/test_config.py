@@ -45,13 +45,12 @@ class TestWhyNotConfig:
             with pytest.raises(ValueError, match="planner"):
                 WhyNotConfig(planner=bogus)
 
-    def test_n_jobs_validated(self):
-        WhyNotConfig(n_jobs=1)
-        WhyNotConfig(n_jobs=-1)
-        with pytest.raises(ValueError):
-            WhyNotConfig(n_jobs=0)
-        with pytest.raises(ValueError):
-            WhyNotConfig(n_jobs=-2)
+    def test_n_jobs_is_gone(self):
+        """Per-customer pre-computation runs on one thread: there is no
+        worker-count field."""
+        assert not hasattr(WhyNotConfig(), "n_jobs")
+        with pytest.raises(TypeError):
+            WhyNotConfig(n_jobs=2)
 
     def test_kernel_block_size_validated(self):
         WhyNotConfig(kernel_block_size=1)
@@ -75,7 +74,7 @@ class TestWhyNotConfig:
         """The safe-region fold chunk is a module constant, and the DSL
         cache / scoped invalidation follow the default preferences'
         support: none of them is a field."""
-        assert len(dataclasses.fields(WhyNotConfig)) == 13
+        assert len(dataclasses.fields(WhyNotConfig)) == 12
         for field in (
             "shard_partition",
             "sr_chunk_size",
@@ -87,9 +86,8 @@ class TestWhyNotConfig:
                 WhyNotConfig(**{field: None})
 
     def test_shard_fields_are_gone(self):
-        """``n_jobs`` threads are the one parallel path: there is no
-        process-sharded layer to configure."""
-        assert len(dataclasses.fields(WhyNotConfig)) == 13
+        """There is no process-sharded layer to configure."""
+        assert len(dataclasses.fields(WhyNotConfig)) == 12
         with pytest.raises(TypeError):
             WhyNotConfig(shards=2)
         with pytest.raises(TypeError):
