@@ -5,8 +5,8 @@ interface:
 
 * :class:`ScanIndex` — vectorised brute force, the correctness oracle;
 * :class:`RTree` — an STR-packed R-tree with the paper's page fanout
-  (1536-byte pages), the access method the paper uses; every mutation
-  repacks it.
+  (1536-byte pages), the access method the paper uses, stored as
+  per-level MBR arrays; every mutation repacks it.
 
 All reverse-skyline and why-not machinery is written against the interface,
 so every experiment can run on any backend.

@@ -2,20 +2,32 @@
 
 STR (Leutenegger et al.) packs points into full leaves with one sort pass
 per dimension and then packs the leaves level by level.  :class:`RTree`
-calls it at construction and again after every mutation.  The resulting
-tree satisfies every invariant checked by ``RTree.check_integrity``.
+calls it at construction and again after every mutation.  The tree is
+per-level arrays, root first: row ``r`` of a :class:`Level` is a node with
+MBR ``lo[r]``/``hi[r]`` and children ``start[r] : start[r] + count[r]``,
+rows of the level below (or, for a leaf, of ``order``: point positions),
+laid out by their parent's STR groups, so they come in STR order.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.config import RTreeConfig
-from repro.index.rtree import RTreeNode
 
-__all__ = ["str_bulk_load"]
+__all__ = ["Level", "str_bulk_load"]
+
+
+class Level(NamedTuple):
+    """One tree level: ``k`` nodes as ``(k, d)`` MBRs and ``(k,)`` slices."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
 
 
 def _tile_positions(points: np.ndarray, positions: np.ndarray, capacity: int) -> list[np.ndarray]:
@@ -49,35 +61,36 @@ def _tile_positions(points: np.ndarray, positions: np.ndarray, capacity: int) ->
     return recurse(positions, 0)
 
 
-def str_bulk_load(points: np.ndarray, config: RTreeConfig) -> RTreeNode:
-    """Build and return the root node of an STR-packed tree over ``points``."""
+def _pack(lo: np.ndarray, hi: np.ndarray, groups: list[np.ndarray]):
+    """One parent per group of rows of ``lo``/``hi``: the row permutation
+    that makes each group contiguous, and the parents' level."""
+    perm = np.concatenate(groups)
+    count = np.array([g.size for g in groups], dtype=np.int64)
+    start = np.cumsum(count) - count
+    return perm, Level(
+        np.minimum.reduceat(lo[perm], start, axis=0),
+        np.maximum.reduceat(hi[perm], start, axis=0), start, count,
+    )
+
+
+def str_bulk_load(
+    points: np.ndarray, config: RTreeConfig
+) -> tuple[list[Level], np.ndarray]:
+    """STR-pack ``points``: the levels (root first) and the leaf ``order``."""
     n, dim = points.shape
-    if n == 0:
-        return RTreeNode(0, dim)
-    capacity = config.max_entries
-    all_positions = np.arange(n, dtype=np.int64)
-
-    groups = _tile_positions(points, all_positions, capacity)
-    leaves: list[RTreeNode] = []
-    for group in groups:
-        leaf = RTreeNode(0, dim)
-        leaf.entries = [int(i) for i in group]
-        leaf.recompute_mbr(points)
-        leaves.append(leaf)
-
-    level = 0
-    nodes = leaves
-    while len(nodes) > 1:
-        level += 1
-        centers = np.vstack([(node.lo + node.hi) / 2.0 for node in nodes])
-        parent_groups = _tile_positions(
-            centers, np.arange(len(nodes), dtype=np.int64), capacity
-        )
-        parents: list[RTreeNode] = []
-        for group in parent_groups:
-            parent = RTreeNode(level, dim)
-            parent.children = [nodes[int(i)] for i in group]
-            parent.recompute_mbr(points)
-            parents.append(parent)
-        nodes = parents
-    return nodes[0]
+    if n == 0:  # One empty root leaf whose MBR meets no box.
+        inf, zero = np.full((1, dim), np.inf), np.zeros(1, dtype=np.int64)
+        return [Level(inf, -inf, zero, zero.copy())], zero[:0]
+    order, level = _pack(points, points, _tile_positions(
+        points, np.arange(n, dtype=np.int64), config.max_entries
+    ))
+    levels = []
+    while level.count.size > 1:
+        centers = (level.lo + level.hi) / 2.0
+        perm, parent = _pack(level.lo, level.hi, _tile_positions(
+            centers, np.arange(len(centers), dtype=np.int64),
+            config.max_entries,
+        ))
+        levels.append(Level(*(a[perm] for a in level)))
+        level = parent
+    return [level, *reversed(levels)], order

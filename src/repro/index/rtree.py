@@ -5,8 +5,10 @@ never inserts into it.  This tree is built one way only: Sort-Tile-
 Recursive packing (:func:`repro.index.bulkload.str_bulk_load`) with the
 paper's page fanout.  Every :meth:`~repro.index.base.SpatialIndex.rebuild`
 repacks the whole tree over the store's post-mutation matrix, so a
-mutated tree is node for node the tree a fresh build over the same
-points gives.
+mutated tree is the tree a fresh build over the same points gives.  The
+tree is per-level arrays, not node objects: a window query filters a
+frontier of node rows one level at a time in NumPy; kNN and BBS put
+``(level, row)`` pairs on their heaps.
 
 Only points are indexed (the paper stores tuples); leaf entries are row
 positions into the point matrix, so the tree composes with the rest of the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,55 +28,27 @@ from repro.exceptions import IndexCorruptionError
 from repro.geometry.box import Box
 from repro.geometry.point import as_point
 from repro.index.base import SpatialIndex
+from repro.index.bulkload import str_bulk_load
 
-__all__ = ["RTree", "RTreeNode"]
+__all__ = ["RTree"]
 
 
-class RTreeNode:
-    """A single R-tree node.
-
-    Leaf nodes hold point positions in :attr:`entries`; internal nodes hold
-    child nodes in :attr:`children`.  The MBR is a pair of numpy arrays set
-    by :meth:`recompute_mbr` when the tree is packed.
-    """
-
-    __slots__ = ("level", "entries", "children", "lo", "hi")
-
-    def __init__(self, level: int, dim: int) -> None:
-        self.level = level  # 0 for leaves.
-        self.entries: list[int] = []
-        self.children: list[RTreeNode] = []
-        self.lo = np.full(dim, np.inf)
-        self.hi = np.full(dim, -np.inf)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.level == 0
-
-    @property
-    def count(self) -> int:
-        return len(self.entries) if self.is_leaf else len(self.children)
-
-    def recompute_mbr(self, points: np.ndarray) -> None:
-        if self.is_leaf:
-            block = points[self.entries]
-            self.lo = block.min(axis=0)
-            self.hi = block.max(axis=0)
-        else:
-            self.lo = np.min(np.vstack([c.lo for c in self.children]), axis=0)
-            self.hi = np.max(np.vstack([c.hi for c in self.children]), axis=0)
-
-    def intersects_box(self, box: Box) -> bool:
-        return bool(np.all(self.lo <= box.hi) and np.all(box.lo <= self.hi))
-
-    def min_sq_dist(self, point: np.ndarray) -> float:
-        """Squared MINDIST from a point to the node MBR (best-first kNN)."""
-        delta = np.maximum(0.0, np.maximum(self.lo - point, point - self.hi))
-        return float(np.dot(delta, delta))
+def _expand(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Concatenate the ranges ``start[i] : start[i] + count[i]``."""
+    if count.size == 1:  # The common single hit: a plain range.
+        return np.arange(start[0], start[0] + count[0])
+    ends = count.cumsum()
+    if ends.size == 0:
+        return ends
+    return (start - ends + count).repeat(count) + np.arange(ends[-1])
 
 
 class RTree(SpatialIndex):
     """STR-packed R-tree point index.
+
+    The tree is the packed layout :func:`~repro.index.bulkload.str_bulk_load`
+    returns: :attr:`levels`, root first, of per-node MBR and child-slice
+    arrays, and :attr:`order`, the point positions of the leaf entries.
 
     Parameters
     ----------
@@ -95,23 +69,11 @@ class RTree(SpatialIndex):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def root(self) -> RTreeNode:
-        return self._root
-
-    @property
     def height(self) -> int:
-        return self._root.level + 1
+        return len(self.levels)
 
     def node_count(self) -> int:
-        return sum(1 for _ in self._iter_nodes())
-
-    def _iter_nodes(self) -> Iterator[RTreeNode]:
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.extend(node.children)
+        return sum(level.count.size for level in self.levels)
 
     # ------------------------------------------------------------------
     # Queries
@@ -120,22 +82,24 @@ class RTree(SpatialIndex):
         if box.dim != self.dim:
             raise ValueError(f"box dim {box.dim} != index dim {self.dim}")
         self.stats.queries += 1
-        out: list[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.stats.node_accesses += 1
-            if not node.intersects_box(box):
-                continue
-            if node.is_leaf:
-                if node.entries:
-                    block = self._points[node.entries]
-                    self.stats.point_comparisons += len(node.entries)
-                    inside = np.all((block >= box.lo) & (block <= box.hi), axis=1)
-                    out.extend(np.asarray(node.entries)[inside].tolist())
-            else:
-                stack.extend(node.children)
-        return np.array(sorted(out), dtype=np.int64)
+        lo, hi = box.lo, box.hi
+        # One level at a time: test every frontier MBR at once, then
+        # expand the hits' child slices into the next frontier.
+        rows = np.zeros(1, dtype=np.int64)  # The root: row 0 of level 0.
+        accesses = 0
+        for level in self.levels:
+            accesses += rows.size
+            hit = rows[
+                ((level.lo[rows] <= hi) & (level.hi[rows] >= lo)).all(axis=1)
+            ]
+            rows = _expand(level.start[hit], level.count[hit])
+        self.stats.node_accesses += accesses
+        entries = self.order[rows]
+        self.stats.point_comparisons += entries.size
+        block = self._points[entries]
+        entries = entries[((block >= lo) & (block <= hi)).all(axis=1)]
+        entries.sort()
+        return entries
 
     def knn_indices(self, point: Sequence[float], k: int) -> np.ndarray:
         p = as_point(point, dim=self.dim)
@@ -143,31 +107,38 @@ class RTree(SpatialIndex):
             return np.empty(0, dtype=np.int64)
         self.stats.queries += 1
         k = min(k, self.size)
-        counter = itertools.count()
-        # Heap of (sq_dist, tiebreak, kind, payload); kind 0 = node, 1 = point.
-        heap: list[tuple[float, int, int, object]] = [
-            (self._root.min_sq_dist(p), next(counter), 0, self._root)
-        ]
+        counter = itertools.count(1)
+        # Heap of (sq_dist, tiebreak, kind, payload); kind 0 = node with
+        # payload (level, row), 1 = point with payload its position.  The
+        # root pops first whatever its key.
+        heap: list[tuple[float, int, int, object]] = [(0.0, 0, 0, (0, 0))]
         result: list[int] = []
         while heap and len(result) < k:
             dist, _tie, kind, payload = heapq.heappop(heap)
             if kind == 1:
                 result.append(payload)  # type: ignore[arg-type]
                 continue
-            node: RTreeNode = payload  # type: ignore[assignment]
+            depth, row = payload  # type: ignore[misc]
+            level = self.levels[depth]
             self.stats.node_accesses += 1
-            if node.is_leaf:
-                for pos in node.entries:
-                    delta = self._points[pos] - p
-                    self.stats.point_comparisons += 1
+            first = int(level.start[row])
+            children = range(first, first + int(level.count[row]))
+            if depth == self.height - 1:
+                entries = self.order[first:children.stop]
+                self.stats.point_comparisons += entries.size
+                for pos, delta in zip(entries.tolist(), self._points[entries] - p):
                     heapq.heappush(
                         heap, (float(np.dot(delta, delta)), pos, 1, pos)
                     )
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap, (child.min_sq_dist(p), next(counter), 0, child)
-                    )
+                continue
+            below = self.levels[depth + 1]
+            for child in children:  # Keyed by squared MINDIST to p.
+                delta = np.maximum(
+                    0.0, np.maximum(below.lo[child] - p, p - below.hi[child])
+                )
+                heapq.heappush(heap, (
+                    float(np.dot(delta, delta)), next(counter), 0, (depth + 1, child)
+                ))
         return np.array(result, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -176,9 +147,7 @@ class RTree(SpatialIndex):
     # Every rebuild repacks the tree over the new matrix, so a rebuilt
     # tree is the same tree as ``RTree(points, config)``.
     def _rebuild_structure(self) -> None:
-        from repro.index.bulkload import str_bulk_load  # imports RTreeNode
-
-        self._root = str_bulk_load(self._points, self.config)
+        self.levels, self.order = str_bulk_load(self._points, self.config)
 
     # ------------------------------------------------------------------
     # Integrity
@@ -186,34 +155,45 @@ class RTree(SpatialIndex):
     def check_integrity(self) -> None:
         """Validate structural invariants; raises IndexCorruptionError.
 
-        Checks: every point indexed exactly once; leaf levels uniform; child
-        MBRs contained in parents; no node above ``max_entries`` and no
-        empty node below the root.
+        Checks: one root; no node above ``max_entries`` and no empty node
+        below the root; each level's child slices partition the level
+        below; child MBRs (leaf points) inside their parent (leaf) MBR;
+        every point indexed exactly once.
         """
-        seen: list[int] = []
-        self._check_node(self._root, is_root=True, seen=seen)
-        if sorted(seen) != list(range(self.size)):
+        if self.levels[0].count.size != 1:
+            raise IndexCorruptionError("root level must hold one node")
+        for depth, level in enumerate(self.levels):
+            count = level.count
+            if count.max() > self.config.max_entries:
+                raise IndexCorruptionError(
+                    f"node fanout {count.max()} exceeds max "
+                    f"{self.config.max_entries}"
+                )
+            if (count < 1).any() and not (depth == 0 and self.size == 0):
+                raise IndexCorruptionError("empty non-root node")
+            leaf = depth == self.height - 1
+            below = None if leaf else self.levels[depth + 1]
+            slots = _expand(level.start, count)
+            rows = np.arange(self.order.size if leaf else below.count.size)
+            if not np.array_equal(np.sort(slots), rows):
+                raise IndexCorruptionError(
+                    f"level {depth} slices do not partition the level below"
+                )
+            if leaf:
+                child_lo = child_hi = self._points[self.order[slots]]
+            else:
+                child_lo, child_hi = below.lo[slots], below.hi[slots]
+            outside = (
+                (child_lo < np.repeat(level.lo, count, axis=0))
+                | (child_hi > np.repeat(level.hi, count, axis=0))
+            ).any(axis=1)
+            if outside.any():
+                raise IndexCorruptionError(
+                    f"point {self.order[slots][outside.argmax()]} outside "
+                    "leaf MBR" if leaf else "child MBR escapes parent MBR"
+                )
+        if not np.array_equal(np.sort(self.order), np.arange(self.size)):
             raise IndexCorruptionError(
-                f"index covers {len(seen)} entries, expected {self.size}"
+                f"leaf entries do not cover each of the {self.size} points "
+                "exactly once"
             )
-
-    def _check_node(self, node: RTreeNode, is_root: bool, seen: list[int]) -> None:
-        if node.count == 0 and not (is_root and self.size == 0):
-            raise IndexCorruptionError("empty non-root node")
-        if node.count > self.config.max_entries:
-            raise IndexCorruptionError(
-                f"node fanout {node.count} exceeds max {self.config.max_entries}"
-            )
-        if node.is_leaf:
-            for pos in node.entries:
-                point = self._points[pos]
-                if np.any(point < node.lo) or np.any(point > node.hi):
-                    raise IndexCorruptionError(f"point {pos} outside leaf MBR")
-                seen.append(pos)
-        else:
-            for child in node.children:
-                if child.level != node.level - 1:
-                    raise IndexCorruptionError("inconsistent node levels")
-                if np.any(child.lo < node.lo) or np.any(child.hi > node.hi):
-                    raise IndexCorruptionError("child MBR escapes parent MBR")
-                self._check_node(child, is_root=False, seen=seen)

@@ -23,19 +23,21 @@ import numpy as np
 from repro.config import DominancePolicy
 from repro.geometry.point import as_point
 from repro.geometry.transform import to_query_space
-from repro.index.rtree import RTree, RTreeNode
+from repro.index.rtree import RTree
 from repro.prefs.model import support_dims
 from repro.skyline.dominance import is_dominated_by_any
 
 __all__ = ["bbs_skyline", "bbs_dynamic_skyline"]
 
 
-def _node_min_corner(node: RTreeNode, origin: np.ndarray | None) -> np.ndarray:
-    """Component-wise lower bound of the node in the search space."""
+def _min_corner(
+    lo: np.ndarray, hi: np.ndarray, origin: np.ndarray | None
+) -> np.ndarray:
+    """Component-wise lower bound of an MBR in the search space."""
     if origin is None:
-        return node.lo.copy()
-    below = np.maximum(origin - node.hi, 0.0)
-    above = np.maximum(node.lo - origin, 0.0)
+        return lo
+    below = np.maximum(origin - hi, 0.0)
+    above = np.maximum(lo - origin, 0.0)
     return np.maximum(below, above)
 
 
@@ -45,9 +47,11 @@ def _bbs(
     exclude: frozenset[int],
     dims: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    counter = itertools.count()
-    root = tree.root
-    heap: list[tuple[float, int, int, object]] = []
+    counter = itertools.count(1)
+    # Heap of (key, tiebreak, kind, payload); kind 0 = node with payload
+    # (level, row), 1 = point with payload its position.  The root pops
+    # first whatever its key.
+    heap: list[tuple[float, int, int, object]] = [(0.0, 0, 0, (0, 0))]
     width = tree.dim if dims is None else int(dims.size)
 
     def search_value(full: np.ndarray) -> np.ndarray:
@@ -56,8 +60,6 @@ def _bbs(
         # min-corner bound holds per dimension, hence per subset).
         return full if dims is None else full[dims]
 
-    start = search_value(_node_min_corner(root, origin))
-    heapq.heappush(heap, (float(start.sum()), next(counter), 0, root))
     skyline_positions: list[int] = []
     skyline_coords = np.empty((0, width))
 
@@ -74,13 +76,16 @@ def _bbs(
             skyline_positions.append(pos)
             skyline_coords = np.vstack([skyline_coords, value])
             continue
-        node: RTreeNode = payload  # type: ignore[assignment]
+        depth, row = payload  # type: ignore[misc]
+        level = tree.levels[depth]
         tree.stats.node_accesses += 1
-        corner = search_value(_node_min_corner(node, origin))
+        corner = search_value(_min_corner(level.lo[row], level.hi[row], origin))
         if is_dominated_by_any(skyline_coords, corner, DominancePolicy.WEAK):
             continue
-        if node.is_leaf:
-            for pos in node.entries:
+        first = int(level.start[row])
+        children = range(first, first + int(level.count[row]))
+        if depth == tree.height - 1:
+            for pos in tree.order[first:children.stop].tolist():
                 if pos in exclude:
                     continue
                 coords = tree.points[pos]
@@ -93,13 +98,15 @@ def _bbs(
                 heapq.heappush(
                     heap, (float(value.sum()), next(counter), 1, pos)
                 )
-        else:
-            for child in node.children:
-                child_corner = search_value(_node_min_corner(child, origin))
-                heapq.heappush(
-                    heap,
-                    (float(child_corner.sum()), next(counter), 0, child),
-                )
+            continue
+        below = tree.levels[depth + 1]
+        for child in children:
+            child_corner = search_value(
+                _min_corner(below.lo[child], below.hi[child], origin)
+            )
+            heapq.heappush(heap, (
+                float(child_corner.sum()), next(counter), 0, (depth + 1, child)
+            ))
     return np.array(sorted(skyline_positions), dtype=np.int64)
 
 

@@ -12,9 +12,10 @@ from repro.index.scan import ScanIndex
 
 class TestStrBulkLoad:
     def test_empty(self):
-        root = str_bulk_load(np.empty((0, 2)), RTreeConfig())
-        assert root.count == 0
-        assert root.is_leaf
+        levels, order = str_bulk_load(np.empty((0, 2)), RTreeConfig())
+        (root,) = levels  # The root is the one (leaf) level.
+        assert root.count.tolist() == [0]
+        assert order.size == 0
 
     def test_all_points_covered_once(self):
         rng = np.random.default_rng(0)
@@ -26,28 +27,26 @@ class TestStrBulkLoad:
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 1, size=(333, 2))
         config = RTreeConfig(max_entries=7)
-        root = str_bulk_load(pts, config)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            assert node.count <= config.max_entries
-            if not node.is_leaf:
-                stack.extend(node.children)
+        levels, _order = str_bulk_load(pts, config)
+        for level in levels:
+            assert (level.count <= config.max_entries).all()
 
     def test_levels_uniform(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(0, 1, size=(500, 2))
-        root = str_bulk_load(pts, RTreeConfig(max_entries=5))
-        leaf_levels = set()
-        stack = [(root, root.level)]
-        while stack:
-            node, level = stack.pop()
-            assert node.level == level
-            if node.is_leaf:
-                leaf_levels.add(level)
-            else:
-                stack.extend((c, level - 1) for c in node.children)
-        assert leaf_levels == {0}
+        levels, order = str_bulk_load(pts, RTreeConfig(max_entries=5))
+        # Each level's child slices tile the rows of the level below (every
+        # node has exactly one parent one level up), and the leaves, all
+        # on the last level, tile the entries.
+        assert levels[0].count.size == 1
+        sizes = [level.count.size for level in levels[1:]] + [order.size]
+        for level, size in zip(levels, sizes):
+            slots = sorted(
+                i for s, c in zip(level.start, level.count)
+                for i in range(s, s + c)
+            )
+            assert slots == list(range(size))
+        assert order.size == 500
 
     @pytest.mark.parametrize("n", [1, 5, 38, 39, 77, 1444])
     def test_sizes_around_capacity_boundaries(self, n):
@@ -73,15 +72,8 @@ class TestStrBulkLoad:
         # (low MBR overlap is the whole point of STR).
         xs = np.arange(100.0)
         pts = np.column_stack([xs, np.zeros(100)])
-        root = str_bulk_load(pts, RTreeConfig(max_entries=10))
-        leaves = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves.append(node)
-            else:
-                stack.extend(node.children)
-        spans = sorted((leaf.lo[0], leaf.hi[0]) for leaf in leaves)
+        levels, _order = str_bulk_load(pts, RTreeConfig(max_entries=10))
+        leaves = levels[-1]
+        spans = sorted(zip(leaves.lo[:, 0], leaves.hi[:, 0]))
         for (_, hi_prev), (lo_next, _) in zip(spans[:-1], spans[1:]):
             assert lo_next > hi_prev  # Disjoint segments.

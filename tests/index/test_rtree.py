@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.config import RTreeConfig
+from repro.exceptions import IndexCorruptionError
 from repro.geometry.box import Box
+from repro.index.bulkload import str_bulk_load
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
 
@@ -129,6 +131,55 @@ class TestStats:
         tree.range_indices(Box([10, 10], [12, 12]))
         small = tree.stats.node_accesses
         assert small < full
+
+
+class TestIntegrityFailures:
+    """Each invariant ``check_integrity`` guards, broken on purpose in an
+    otherwise sound packed layout (height 4 at 200 points, fanout 5)."""
+
+    @pytest.fixture
+    def tree(self):
+        tree = RTree(random_points(11, 200), config=RTreeConfig(max_entries=5))
+        tree.check_integrity()
+        assert tree.height == 4
+        return tree
+
+    def test_duplicated_entry(self, tree):
+        tree.order[1] = tree.order[0]  # Same leaf: only coverage breaks.
+        with pytest.raises(IndexCorruptionError, match="exactly once"):
+            tree.check_integrity()
+
+    def test_missing_entry(self, tree):
+        leaves = tree.levels[-1]  # Drop leaf 0's last entry, keep slices.
+        slot = leaves.start[0] + leaves.count[0] - 1
+        leaves.count[0] -= 1
+        leaves.start[leaves.start > slot] -= 1
+        tree.order = np.delete(tree.order, slot)
+        with pytest.raises(IndexCorruptionError, match="exactly once"):
+            tree.check_integrity()
+
+    def test_child_mbr_escapes_parent(self, tree):
+        tree.levels[0].hi[0] -= 1.0
+        with pytest.raises(IndexCorruptionError, match="escapes parent"):
+            tree.check_integrity()
+
+    def test_overfull_node(self, tree):
+        tree.levels, tree.order = str_bulk_load(
+            tree.points, RTreeConfig(max_entries=8)
+        )
+        with pytest.raises(IndexCorruptionError, match="exceeds max"):
+            tree.check_integrity()
+
+    def test_empty_non_root_node(self, tree):
+        tree.levels[-1].count[3] = 0
+        with pytest.raises(IndexCorruptionError, match="empty non-root"):
+            tree.check_integrity()
+
+    def test_leaf_point_outside_leaf_mbr(self, tree):
+        leaves = tree.levels[-1]
+        leaves.hi[0] = leaves.lo[0]
+        with pytest.raises(IndexCorruptionError, match="outside leaf MBR"):
+            tree.check_integrity()
 
 
 class TestConfigValidation:

@@ -123,5 +123,9 @@ class TestDelete:
         tree.rebuild(pts[290:])
         tree.check_integrity()
         assert tree.height < initial_height
+        # Ten survivors at fanout 4: one root directly over the leaves.
+        root, leaves = tree.levels
+        assert root.count.tolist() == [leaves.count.size]
+        assert leaves.count.sum() == 10
         hits = tree.range_indices(Box([0, 0], [100, 100]))
         assert np.array_equal(tree.points[hits], pts[290:])

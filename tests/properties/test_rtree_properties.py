@@ -53,11 +53,14 @@ def rebuilt(pts, program):
     return tree
 
 
-def shape(node):
+def shape(tree, depth=0, row=0):
     """Nested leaf entry lists in traversal order."""
-    if node.is_leaf:
-        return list(node.entries)
-    return [shape(child) for child in node.children]
+    level = tree.levels[depth]
+    first = int(level.start[row])
+    children = range(first, first + int(level.count[row]))
+    if depth == tree.height - 1:
+        return tree.order[first:children.stop].tolist()
+    return [shape(tree, depth + 1, child) for child in children]
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,7 +83,7 @@ def test_mutated_tree_equals_fresh_build(pts, program, boxes):
     tree = rebuilt(pts, program)
     fresh = RTree(tree.points, config=CONFIG)
     assert tree.height == fresh.height
-    assert shape(tree.root) == shape(fresh.root)
+    assert shape(tree) == shape(fresh)
     for box in boxes:
         before = tree.stats.node_accesses, fresh.stats.node_accesses
         assert np.array_equal(
