@@ -1,14 +1,14 @@
 """Observability pricing: the per-query journal.
 
 The journal (``journal=True``) takes two counter snapshots and appends
-one ring record per executed plan; the drift sentinel aggregates those
-records after the fact.  Both must stay invisible on the serving path:
+one ring record per executed plan.  It must stay invisible on the
+serving path:
 
 * ``journal A/B`` — the same warm safe-region workload (every cache
   layer warmed before timing) on two traced engines, journal off vs
   journal on, interleaved best-of-3 with an off/off repeat pair whose
-  spread is the noise floor.  The documented bound: journal + one
-  drift aggregation add <2% to the warm workload.
+  spread is the noise floor.  The documented bound: the journal adds
+  <2% to the warm workload.
 
 Entry points::
 
@@ -68,12 +68,11 @@ def _warm_workload(
 
 
 def run_journal_ab(n: int, d: int, probe_count: int, rounds: int) -> dict:
-    """Warm-workload cost of journal recording + one drift aggregation.
+    """Warm-workload cost of journal recording.
 
     Both arms trace (the journal rides on the traced registry); the
-    only difference is ``journal=True`` and the final
-    ``engine.drift_report()`` the journaled arm pays.  Interleaved
-    best-of-3; the off/off spread is the noise floor.
+    only difference is ``journal=True``.  Interleaved best-of-3; the
+    off/off spread is the noise floor.
     """
     points = _dataset(n, d)
     warmers = _probes(d, probe_count)
@@ -87,13 +86,8 @@ def run_journal_ab(n: int, d: int, probe_count: int, rounds: int) -> dict:
             points,
             WhyNotConfig(trace=True, journal=True, journal_capacity=4096),
         )
-        t = _warm_workload(engine, warmers, probes)
-        t0 = time.perf_counter()
-        report = engine.drift_report()
-        t += time.perf_counter() - t0
-        assert len(report.operators) > 0, "drift sentinel saw no operators"
+        on.append(_warm_workload(engine, warmers, probes))
         journaled_records = len(engine.journal)
-        on.append(t)
         engine = _engine(points, WhyNotConfig(trace=True))
         off2.append(_warm_workload(engine, warmers, probes))
     disabled_s, disabled2_s, enabled_s = min(off), min(off2), min(on)
@@ -111,8 +105,7 @@ def run_journal_ab(n: int, d: int, probe_count: int, rounds: int) -> dict:
             100.0 * abs(disabled_s - disabled2_s) / base, 2
         ),
         "journal_overhead_pct": round(100.0 * (enabled_s - base) / base, 2),
-        "bound": "journal + drift aggregation must add <2% to the warm "
-        "safe-region workload",
+        "bound": "the journal must add <2% to the warm safe-region workload",
     }
 
 

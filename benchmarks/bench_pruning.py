@@ -17,7 +17,7 @@ pricing:
 * ``planner="auto"`` only prunes when it wins — the ``dense`` cell
   (everything interleaved uniform, refine rate ~1) makes classification
   pure overhead, and per cell the auto arm is compared against the best
-  pinned (fixed) arm and must stay within 1.05x.
+  pinned arm and must stay within 1.05x.
 
 Entry points::
 
@@ -96,29 +96,32 @@ def run_cell(kind: str, n: int, repeats: int) -> dict:
     products, customers, probes = make_workload(kind, n, BENCH_SEED)
     row: dict = {"workload": kind, "n": n, "m": n, "d": 2, "repeats": repeats}
     payloads: dict[str, list] = {}
-    for arm, kwargs in ARMS.items():
-        # Fresh engine per repeat: every repeat measures the cold
-        # (cache-less) pass; min-of-repeats is the noise-robust
-        # estimator single-shot timings on a busy machine are not.
-        cold_times = []
-        for _ in range(repeats):
-            engine = _engine(products, customers, **kwargs)
+    cold_times: dict[str, list] = {arm: [] for arm in ARMS}
+    engines: dict[str, WhyNotEngine] = {}
+    # Fresh engine per repeat: every repeat measures the cold
+    # (cache-less) pass; min-of-repeats is the noise-robust estimator
+    # single-shot timings on a busy machine are not.  The arms run
+    # round-robin within each repeat, so machine drift (frequency
+    # scaling, a noisy neighbour) lands on every arm alike.
+    for _ in range(repeats):
+        for arm, kwargs in ARMS.items():
+            engine = engines[arm] = _engine(products, customers, **kwargs)
             t0 = time.perf_counter()
             cold = _workload(engine, probes)
-            cold_times.append(time.perf_counter() - t0)
+            cold_times[arm].append(time.perf_counter() - t0)
             if arm not in payloads:
                 payloads[arm] = cold
             else:
                 assert cold == payloads[arm], f"{arm}: repeats diverged"
+    for arm, engine in engines.items():
         t0 = time.perf_counter()
         warm = _workload(engine, probes)
         warm_s = time.perf_counter() - t0
         assert warm == payloads[arm], f"{arm}: warm pass diverged"
-        row[f"{arm}_cold_s"] = round(min(cold_times), 6)
-        row[f"{arm}_cold_all_s"] = [round(t, 6) for t in cold_times]
+        row[f"{arm}_cold_s"] = round(min(cold_times[arm]), 6)
+        row[f"{arm}_cold_all_s"] = [round(t, 6) for t in cold_times[arm]]
         row[f"{arm}_warm_s"] = round(warm_s, 6)
-        if arm == "auto":
-            row["auto_picked_operator"] = engine.last_plan.operator.name
+    row["auto_picked_operator"] = engines["auto"].last_plan.operator.name
     baseline = payloads["unpruned"]
     for arm, payload in payloads.items():
         assert payload == baseline, f"arm {arm} diverged from unpruned"
@@ -199,8 +202,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"picked {row['auto_picked_operator']!r})"
             )
             if not args.smoke:
-                # Auto must track the best fixed arm: the selectivity
-                # probe makes it decline to prune on the dense cell and
+                # Auto must track the best pinned arm: the refine-rate
+                # rule makes it decline to prune on the dense cell and
                 # prune on the sparse one.
                 assert row["auto_vs_best_fixed"] <= 1.05, row
                 if kind == "sparse" and n >= 10_000:

@@ -2,15 +2,16 @@
 
 The preference-model refactor claims the weighted paths are not a
 bolt-on: every operator the planner can pick must answer weighted
-queries exactly, and the cost-based planner must keep tracking the
-best pinned strategy *per weight shape* — partial support shrinks the
-effective dimensionality, which shifts where the kernel/naive
-crossover sits, and the cost model sees that through
-``DatasetStats.effective_d``.
+queries exactly, and ``planner="auto"`` must keep tracking the best
+pinned strategy *per weight shape* — partial support shrinks the
+effective dimensionality, which shifts how much work each arm does.
+``auto`` resolves to the kernel pin here (the uniform cells refine
+every tile pair), so the sweep checks that the kernel arm stays the
+right default under every weight shape.
 
 This benchmark sweeps weight-skew scenarios (unit spelled two ways,
-mild and heavy magnitude skew, partial support) over the planner arms
-of ``bench_planner.py``:
+mild and heavy magnitude skew, partial support) over three planner
+arms — ``auto``, the ``kernel`` pin and the ``index`` pin:
 
 * every per-query answer (RSL positions, membership masks, safe-region
   boxes, culprit sets) is asserted bit-identical across the arms, so
@@ -217,8 +218,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"(auto/best-pinned {row['auto_vs_best_pinned']}x)"
             )
         # The acceptance bar, over the whole skew sweep of the cell:
-        # the cost model must keep ranking the operators correctly
-        # under every weight shape.  Aggregated across scenarios so a
+        # auto's operators must stay the right choice under every
+        # weight shape.  Aggregated across scenarios so a
         # single-row timing wobble (auto and always-kernel run the
         # same plan, so their gap is pure noise) cannot fail the run.
         auto_total = sum(r["auto_s"] for r in cell_rows)

@@ -75,8 +75,6 @@ from repro.obs import (
     validate_export,
 )
 from repro.plan import (
-    CostModel,
-    DatasetStats,
     PlanCache,
     PlanReport,
     PreparedPlan,
@@ -131,8 +129,6 @@ __all__ = [
     "batch_window_membership",
     "batch_lambda_counts",
     "batch_verify_membership",
-    "CostModel",
-    "DatasetStats",
     "PlanCache",
     "PlanReport",
     "PreparedPlan",

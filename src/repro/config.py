@@ -76,9 +76,9 @@ class WhyNotConfig:
         When true, the engine keeps a bounded per-query journal
         (:class:`repro.obs.journal.QueryJournal`): one provenance
         record per executed plan — surface, chosen operator, dataset
-        epoch, config fingerprint, estimated vs. actual seconds and
-        the per-request counter deltas — feeding ``engine.journal``,
-        ``engine.drift_report()`` and the ``repro.obs/2`` export.
+        epoch, config fingerprint, measured seconds and the per-request
+        counter deltas — feeding ``engine.journal`` and the
+        ``repro.obs/3`` export.
         Independent of ``trace`` (journaling without spans is the
         cheap serving-mode default posture); overhead is bounded by
         the <2% A/B of ``benchmarks/bench_obs.py``.
@@ -87,9 +87,11 @@ class WhyNotConfig:
         FIFO and counted in ``journal.dropped``.
     planner:
         Operator-selection mode of the :mod:`repro.plan` layer, and the
-        one way to force an execution arm.  ``"auto"`` (default) lets
-        the cost model pick the cheapest available physical operator per
-        surface from the dataset statistics.  A pin forces the arm of
+        one way to force an execution arm.  ``"auto"`` (default) resolves
+        to the ``"pruned"`` pin when the surface has a pruned operator
+        and the tile summaries predict a centroid refine rate of at most
+        :data:`repro.plan.planner.PRUNE_BELOW`, else to the ``"kernel"``
+        pin; it never picks the index loops.  A pin forces the arm of
         every row-mask surface (reverse skyline, membership, retained
         mask) and of batch answering: ``"index"`` runs one index window
         probe per customer (the oracle path) and batch questions one by

@@ -17,14 +17,15 @@ self-exclusion) or by raw coordinates.
 
 Since the planner/executor decomposition the engine is a *facade*: each
 surface method builds a coordinate-free logical plan, the
-:class:`~repro.plan.planner.Planner` selects physical operators (cost-
-based under ``config.planner="auto"``, one forced arm under the
-``"index"`` / ``"kernel"`` / ``"pruned"`` pins), and the executor runs
+:class:`~repro.plan.planner.Planner` selects physical operators (one
+forced arm under the ``"index"`` / ``"kernel"`` / ``"pruned"`` pins;
+under ``config.planner="auto"`` the pruned arm when the tile summaries
+predict a low refine rate, else the kernel arm), and the executor runs
 the tree.  All kernel / safe-region / staircase dispatch lives in
 :mod:`repro.plan.operators`, one operator per surface; the engine
 keeps only the state those operators share (stores, index, result
 caches, observability).  ``engine.explain_plan(surface, ...)`` returns
-the executed plan tree with estimated vs. actual costs.
+the executed plan tree with measured per-node costs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from repro.geometry.point import as_point, as_points
 from repro.geometry.region import BoxRegion
 from repro.index import make_index
 from repro.plan.cache import PlanCache, config_fingerprint
-from repro.plan.cost import DatasetStats
 from repro.plan.executor import ExecutionContext, execute_plan
 from repro.plan.logical import LogicalPlan, RetainedMaskQuery
 from repro.plan.operators import ensure_approx_store
@@ -130,7 +130,7 @@ class WhyNotEngine(EngineMutationMixin):
         self.index = make_index(backend, prods)
         # Filter-refinement summaries (repro.prune): per-tile AABBs,
         # recomputed from the stores on the first read after a commit.
-        # The classifier tiles and the cost model's selectivity probe
+        # The classifier tiles and the planner's refine-rate probe
         # both read them.
         self.prune_summaries = PruneSummaries(
             self._product_store,
@@ -370,10 +370,6 @@ class WhyNotEngine(EngineMutationMixin):
     def plan_cache(self) -> PlanCache:
         return self._plan_cache
 
-    def dataset_stats(self) -> DatasetStats:
-        """The statistics snapshot the cost model plans against."""
-        return DatasetStats.of(self)
-
     def _request(
         self, surface: str, *args, **kwargs
     ) -> tuple[LogicalPlan, dict]:
@@ -392,7 +388,9 @@ class WhyNotEngine(EngineMutationMixin):
         node = self._plan_cache.get(key)
         cached = node is not None
         if node is None:
-            node = self._planner.plan(logical, DatasetStats.of(self))
+            node = self._planner.plan(
+                logical, self.prune_summaries.centroid_refine_rate
+            )
             self._plan_cache.put(key, node)
         self.last_plan = node
         return PreparedPlan(self, logical, node, ctx_kwargs, plan_cached=cached)
@@ -438,7 +436,6 @@ class WhyNotEngine(EngineMutationMixin):
                 operator=node.operator.name,
                 epoch=self.dataset_epoch,
                 config_fingerprint=self._config_fp_digest,
-                estimated_seconds=node.estimate.seconds,
                 actual_seconds=node.actual_seconds or 0.0,
                 counters=journal.counter_delta(before),
             )
@@ -460,53 +457,19 @@ class WhyNotEngine(EngineMutationMixin):
     def explain_plan(self, surface: str, *args, **kwargs):
         """EXPLAIN ANALYZE for one surface call: execute it and return a
         :class:`~repro.plan.explain.PlanReport` holding the chosen plan
-        tree with estimated and actual costs plus the surface result."""
+        tree with measured costs plus the surface result."""
         prepared = self.prepare(surface, *args, **kwargs)
         result = prepared.execute()
         return prepared.report(result)
 
     # ------------------------------------------------------------------
-    # Query journal + cost-drift sentinel
+    # Query journal
     # ------------------------------------------------------------------
     @property
     def journal(self):
         """The per-query :class:`~repro.obs.journal.QueryJournal`
         (``None`` unless ``WhyNotConfig(journal=True)``)."""
         return self.obs.journal
-
-    def drift_report(
-        self,
-        *,
-        ewma_alpha: float = 0.3,
-        band: Sequence[float] | None = None,
-        min_samples: int = 3,
-        publish: bool = True,
-    ):
-        """Aggregate the journal into a per-operator
-        :class:`~repro.obs.drift.DriftReport` (EWMA of actual/estimated
-        seconds, flags outside ``band``, recalibration proposals).
-
-        ``publish=True`` also sets one ``plan.drift.<operator>`` gauge
-        per operator on the engine registry, so the sentinel's view is
-        scrapeable through ``to_prometheus``.
-        """
-        from repro.obs.drift import DEFAULT_DRIFT_BAND, aggregate_drift
-
-        journal = self.obs.journal
-        if journal is None:
-            raise InvalidParameterError(
-                "drift_report needs the query journal; build the engine "
-                "with WhyNotConfig(journal=True)"
-            )
-        report = aggregate_drift(
-            journal.records(),
-            ewma_alpha=ewma_alpha,
-            band=band if band is not None else DEFAULT_DRIFT_BAND,
-            min_samples=min_samples,
-        )
-        if publish:
-            report.publish(self.obs.metrics)
-        return report
 
     # ------------------------------------------------------------------
     # Reverse skyline

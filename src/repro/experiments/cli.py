@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         type=str,
         default=None,
-        help="write the observability export (repro.obs/2 JSON: span tree, "
+        help="write the observability export (repro.obs/3 JSON: span tree, "
         "counters, query journal, environment provenance) to this file",
     )
     return parser
@@ -248,7 +248,7 @@ def _trace(args: argparse.Namespace) -> str:
 
     Builds a uniform synthetic dataset (first ``--sizes`` entry, default
     1000 rows), answers a small why-not workload with ``trace=True``,
-    validates the exported payload against the ``repro.obs/2`` schema
+    validates the exported payload against the ``repro.obs/3`` schema
     (negative durations or unbalanced nesting raise), optionally writes
     it to ``--metrics-out``, and prints the span tree plus the counter
     snapshot.
@@ -301,9 +301,9 @@ def _explain(args: argparse.Namespace) -> str:
     1000 rows) with tracing on, draws one why-not question from the
     standard workload generator, then runs ``engine.explain_plan`` for
     each surface under the configured planner mode and prints the chosen
-    plan trees (operator per logical node, estimated vs. measured cost,
-    run counts) plus the plan-cache counters.  Every report is validated
-    — a node that executed without both costs fails the command.
+    plan trees (operator per logical node, measured cost, run counts)
+    plus the plan-cache counters.  Every report is validated — a node
+    that executed without a measured cost fails the command.
     """
     from repro.config import WhyNotConfig
     from repro.data.synthetic import SYNTHETIC_GENERATORS
@@ -362,7 +362,7 @@ def _run_archive(args: argparse.Namespace) -> str:
     from repro.data.io import save_results_json
     from repro.data.synthetic import SYNTHETIC_GENERATORS
     from repro.experiments.runner import make_engine, run_dataset
-    from repro.obs import environment_provenance
+    from repro.obs import SCHEMA, environment_provenance
 
     datasets = [generate_cardb(_sizes(args, True)[-1], seed=args.seed)]
     synth_size = _sizes(args, False)[0]
@@ -398,7 +398,7 @@ def _run_archive(args: argparse.Namespace) -> str:
         written = _write_metrics(
             args,
             {
-                "schema": "repro.obs/2",
+                "schema": SCHEMA,
                 "env": environment_provenance(),
                 "datasets": obs_payloads,
             },

@@ -7,13 +7,11 @@ One subsystem replaces the three disconnected ad-hoc stats dataclasses:
 * :class:`MetricsRegistry` — named counters/gauges/histograms; the
   legacy stats classes are thin views over its counters
   (:mod:`repro.obs.metrics`, :mod:`repro.obs.stats`).
-* Exporters — JSON payloads (``repro.obs/2`` schema; ``/1`` still
+* Exporters — JSON payloads (``repro.obs/3`` schema; ``/1`` still
   validates), Prometheus text, a human span-tree renderer, and a
   validator used by CI (:mod:`repro.obs.exporters`).
 * :class:`QueryJournal` — bounded ring of per-executed-plan
   :class:`JournalRecord` provenance rows (:mod:`repro.obs.journal`).
-* :func:`aggregate_drift` — the cost-drift sentinel over journal
-  records (:mod:`repro.obs.drift`).
 * :func:`environment_provenance` — machine/commit facts for benchmark
   artifacts (:mod:`repro.obs.provenance`).
 
@@ -25,12 +23,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.drift import (
-    DEFAULT_DRIFT_BAND,
-    DriftReport,
-    OperatorDrift,
-    aggregate_drift,
-)
 from repro.obs.exporters import (
     SCHEMA,
     SCHEMA_V1,
@@ -61,22 +53,18 @@ __all__ = [
     "SCHEMA",
     "SCHEMA_V1",
     "DEFAULT_BUCKETS",
-    "DEFAULT_DRIFT_BAND",
     "NULL_SPAN",
     "TRACKED_COUNTER_PREFIXES",
     "Counter",
     "CounterBackedStats",
-    "DriftReport",
     "Gauge",
     "Histogram",
     "JournalRecord",
     "MetricsRegistry",
     "Observability",
-    "OperatorDrift",
     "QueryJournal",
     "Span",
     "Tracer",
-    "aggregate_drift",
     "environment_provenance",
     "export_obs",
     "prom_name",
@@ -131,7 +119,7 @@ class Observability:
             self.metrics.attach(f"{prefix}.{field}", counter)
 
     def export(self, env: bool = False, extra=None) -> dict:
-        """JSON-serialisable payload (``repro.obs/2``) of this bundle,
+        """JSON-serialisable payload (``repro.obs/3``) of this bundle,
         including the query journal when one is installed."""
         return export_obs(
             tracer=self.tracer,

@@ -3,8 +3,8 @@
 Three consumers, three formats:
 
 * :func:`export_obs` — one JSON-serialisable dict holding the span
-  forest, the metrics snapshot, balance accounting and (new in schema
-  ``repro.obs/2``) the optional query-journal section, validated by
+  forest, the metrics snapshot, balance accounting and the optional
+  query-journal section (schema ``repro.obs/3``), validated by
   :func:`validate_export` (which still accepts ``repro.obs/1``
   payloads written before the journal existed).  The CLI's
   ``--metrics-out`` and the benchmark ``"obs"`` sections use this.
@@ -38,9 +38,10 @@ __all__ = [
 ]
 
 #: Current export schema.  ``/2`` added the optional ``journal``
-#: section and the ``spans_dropped`` counter; ``/1`` payloads (no
+#: section and the ``spans_dropped`` counter; ``/3`` dropped the
+#: journal records' ``estimated_seconds``.  ``/1`` payloads (no
 #: journal) remain valid input to :func:`validate_export`.
-SCHEMA = "repro.obs/2"
+SCHEMA = "repro.obs/3"
 SCHEMA_V1 = "repro.obs/1"
 SUPPORTED_SCHEMAS = (SCHEMA_V1, SCHEMA)
 
@@ -63,7 +64,7 @@ def export_obs(
 
     ``journal`` accepts a :class:`~repro.obs.journal.QueryJournal`
     (duck-typed on ``to_payload``); its retained records land under the
-    ``"journal"`` key of the ``repro.obs/2`` payload.
+    ``"journal"`` key of the ``repro.obs/3`` payload.
     """
     payload: dict = {"schema": SCHEMA}
     if tracer is not None:
@@ -89,7 +90,8 @@ def export_obs(
 def prom_name(name: str) -> str:
     """Registry name -> Prometheus metric name.
 
-    ``plan.drift.sr-cached-fold`` -> ``repro_plan_drift_sr_cached_fold``:
+    ``journal.op.sr-cached-fold.seconds`` ->
+    ``repro_journal_op_sr_cached_fold_seconds``:
     dots and hyphens (operator names contain ``-``) both become ``_``,
     so distinct registry names *can* sanitize to the same exposition
     name — :func:`to_prometheus` refuses such a registry rather than
@@ -227,7 +229,7 @@ def _validate_span_dict(span: dict, path: str) -> None:
 
 
 def _validate_journal_section(journal: dict) -> None:
-    """Light structural checks of the ``repro.obs/2`` journal section
+    """Light structural checks of the journal section
     (the deep record checks live in :func:`repro.obs.journal.
     validate_journal`, which operates on live journals)."""
     if not isinstance(journal, dict):
@@ -252,13 +254,12 @@ def _validate_journal_section(journal: dict) -> None:
                 raise ValueError(
                     f"journal records[{i}]: {key} must be a non-empty string"
                 )
-        for key in ("estimated_seconds", "actual_seconds"):
-            value = record.get(key)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"journal records[{i}]: {key} must be non-negative, "
-                    f"got {value!r}"
-                )
+        value = record.get("actual_seconds")
+        if not isinstance(value, (int, float)) or value < 0:
+            raise ValueError(
+                f"journal records[{i}]: actual_seconds must be "
+                f"non-negative, got {value!r}"
+            )
         seq = record.get("seq")
         if not isinstance(seq, int):
             raise ValueError(f"journal records[{i}]: seq must be an int")
@@ -272,10 +273,10 @@ def _validate_journal_section(journal: dict) -> None:
 def validate_export(payload: dict) -> None:
     """Raise ``ValueError`` when ``payload`` violates the obs contract.
 
-    Checks: a supported schema tag (``repro.obs/1`` or ``/2``),
+    Checks: a supported schema tag (``repro.obs/1`` or ``/3``),
     balanced nesting, every span closed with a non-negative duration,
     children timed inside their parents, a JSON-shaped metrics mapping,
-    and — when present (``/2``) — a consistent journal section.
+    and — when present (``/3``) — a consistent journal section.
     """
     if not isinstance(payload, dict):
         raise ValueError("payload must be a dict")

@@ -3,7 +3,7 @@
 The :class:`QueryJournal` is the engine's bounded flight recorder.  The
 executor layer feeds it one :class:`JournalRecord` per top-level plan
 execution — surface, chosen operator, dataset epoch, config
-fingerprint, estimated vs. actual seconds, and the per-request *counter
+fingerprint, measured seconds, and the per-request *counter
 deltas* of the tracked counter families (``kernels.*`` / ``prune.*`` /
 ``cache.*`` and friends).  Records live in a ring of
 fixed capacity, so a long-lived serving engine pays O(capacity) memory
@@ -76,8 +76,6 @@ class JournalRecord:
         Dataset epoch the plan executed against.
     config_fingerprint:
         Short stable digest of the engine config the plan was built for.
-    estimated_seconds:
-        The cost model's prediction for the root operator.
     actual_seconds:
         Measured wall-clock of the root execution.
     counters:
@@ -90,7 +88,6 @@ class JournalRecord:
     operator: str
     epoch: int
     config_fingerprint: str
-    estimated_seconds: float
     actual_seconds: float
     counters: dict = field(default_factory=dict)
 
@@ -102,7 +99,6 @@ class JournalRecord:
             "operator": self.operator,
             "epoch": self.epoch,
             "config_fingerprint": self.config_fingerprint,
-            "estimated_seconds": self.estimated_seconds,
             "actual_seconds": self.actual_seconds,
             "counters": dict(self.counters),
         }
@@ -115,7 +111,6 @@ class JournalRecord:
             operator=str(payload["operator"]),
             epoch=int(payload["epoch"]),
             config_fingerprint=str(payload["config_fingerprint"]),
-            estimated_seconds=float(payload["estimated_seconds"]),
             actual_seconds=float(payload["actual_seconds"]),
             counters=dict(payload.get("counters", {})),
         )
@@ -214,7 +209,6 @@ class QueryJournal:
         operator: str,
         epoch: int,
         config_fingerprint: str,
-        estimated_seconds: float,
         actual_seconds: float,
         counters: dict | None = None,
     ) -> JournalRecord:
@@ -225,7 +219,6 @@ class QueryJournal:
             operator=operator,
             epoch=epoch,
             config_fingerprint=config_fingerprint,
-            estimated_seconds=float(estimated_seconds),
             actual_seconds=float(actual_seconds),
             counters=counters if counters is not None else {},
         )
@@ -283,7 +276,7 @@ class QueryJournal:
         }
 
     def to_payload(self) -> dict:
-        """The ``journal`` section of a ``repro.obs/2`` export."""
+        """The ``journal`` section of a ``repro.obs/3`` export."""
         return {
             "capacity": self.capacity,
             "appended": self.appended,
@@ -352,10 +345,6 @@ def validate_journal(journal) -> None:
         last_seq = entry.seq
         if entry.epoch < 0:
             raise ValueError(f"{where}: negative epoch {entry.epoch}")
-        if entry.estimated_seconds < 0:
-            raise ValueError(
-                f"{where}: negative estimate {entry.estimated_seconds!r}"
-            )
         if entry.actual_seconds < 0:
             raise ValueError(
                 f"{where}: negative duration {entry.actual_seconds!r}"

@@ -1,4 +1,4 @@
-"""``repro.plan`` — logical plans, cost-based planning, and EXPLAIN.
+"""``repro.plan`` — logical plans, operator selection, and EXPLAIN.
 
 The planner/executor decomposition of the why-not engine:
 
@@ -6,15 +6,14 @@ The planner/executor decomposition of the why-not engine:
   paper surface (RSL, Λ, Algorithms 1-4, approx-MWQ, batch);
 * :mod:`repro.plan.operators` — one physical operator per surface,
   its execution paths (index / kernel / pruned) as variants;
-* :mod:`repro.plan.cost` — dataset statistics and the calibrated cost
-  model;
-* :mod:`repro.plan.planner` — ``auto`` (cost-based) operator selection
-  or an ``index`` / ``kernel`` / ``pruned`` pin;
+* :mod:`repro.plan.planner` — an ``index`` / ``kernel`` / ``pruned``
+  pin, or ``auto``: the pruned pin when the tile summaries predict a
+  low refine rate, the kernel pin otherwise;
 * :mod:`repro.plan.executor` — plan nodes and the span-instrumented
   tree executor;
 * :mod:`repro.plan.cache` — planned trees keyed by (shape, epoch,
   config fingerprint);
-* :mod:`repro.plan.explain` — EXPLAIN reports (estimated vs. actual);
+* :mod:`repro.plan.explain` — EXPLAIN reports (measured per node);
 * :mod:`repro.plan.prepared` — epoch-pinned plan-then-execute handles.
 
 Layering: this package sits between the algorithm layer
@@ -24,7 +23,6 @@ facade; it must never import ``repro.experiments`` or ``repro.viz``
 """
 
 from repro.plan.cache import PlanCache, config_fingerprint
-from repro.plan.cost import CostEstimate, CostModel, DatasetStats
 from repro.plan.executor import ExecutionContext, PlanNode, execute_plan
 from repro.plan.explain import (
     PlanReport,
@@ -49,9 +47,6 @@ from repro.plan.prepared import PreparedPlan
 
 __all__ = [
     "BatchWhyNotQuery",
-    "CostEstimate",
-    "CostModel",
-    "DatasetStats",
     "ExecutionContext",
     "LambdaQuery",
     "LogicalPlan",

@@ -1,9 +1,8 @@
 """Physical plan nodes and the tree-walking executor.
 
 A :class:`PlanNode` binds one logical plan to the physical operator the
-planner selected for it, the cost estimate that selection was based on,
-and — after execution — the *actual* cost, so EXPLAIN can show estimated
-vs. measured side by side.
+planner selected for it and — after execution — the measured *actual*
+cost, which EXPLAIN shows per node.
 
 Timing source: every node executes inside a ``repro.obs`` span named
 after the engine surface (``engine.safe_region``, ``engine.mwq``, ...),
@@ -28,7 +27,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import WhyNotEngine
-    from repro.plan.cost import CostEstimate, DatasetStats
     from repro.plan.logical import LogicalPlan
     from repro.plan.operators import Operator
     from repro.prefs.model import PreferenceModel
@@ -42,8 +40,6 @@ class PlanNode:
 
     logical: "LogicalPlan"
     operator: "Operator"
-    estimate: "CostEstimate"
-    stats: "DatasetStats"
     children: list["PlanNode"] = field(default_factory=list)
     # Filled by execute_plan; describe the most recent execution.
     actual_seconds: float | None = None

@@ -1,4 +1,4 @@
-"""EXPLAIN: plan trees rendered with estimated vs. actual costs.
+"""EXPLAIN: plan trees rendered with their measured costs.
 
 :func:`render_plan_tree` mirrors the indentation and duration
 formatting of :func:`repro.obs.exporters.render_span_tree`, so the
@@ -7,8 +7,8 @@ costs themselves come from the same spans (see
 :mod:`repro.plan.executor`).
 
 :func:`validate_plan_report` is the acceptance contract: every executed
-operator must carry both an estimate and a measured actual, and an
-executed report must have executed its root.
+operator must carry a measured actual, and an executed report must have
+executed its root.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ def _render_node(node: PlanNode, depth: int, lines: list[str]) -> None:
         if node.actual_seconds is not None
         else "not-run"
     )
-    detail = f"  [{node.estimate.detail}]" if node.estimate.detail else ""
     lines.append(
         f"{'  ' * depth}{node.logical.describe()} -> {node.operator.name}"
-        f"  est={_format_duration(node.estimate.seconds)}"
-        f"  actual={actual}  runs={node.executions}{detail}"
+        f"  actual={actual}  runs={node.executions}"
     )
     for child in node.children:
         _render_node(child, depth + 1, lines)
@@ -46,8 +44,8 @@ def render_plan_tree(root: PlanNode) -> str:
 
 
 def validate_plan_report(report: "PlanReport") -> None:
-    """Raise ``ValueError`` unless every executed node carries both an
-    estimated and an actual cost (and the root actually ran)."""
+    """Raise ``ValueError`` unless every executed node carries an
+    actual cost (and the root actually ran)."""
     if not report.root.executed:
         raise ValueError(
             f"plan for surface {report.surface!r} was never executed"
@@ -55,10 +53,6 @@ def validate_plan_report(report: "PlanReport") -> None:
     for node in report.root.walk():
         if not node.executed:
             continue  # e.g. a prefilter child skipped on an empty batch
-        if node.estimate is None or node.estimate.seconds < 0:
-            raise ValueError(
-                f"executed node {node.operator.name} has no cost estimate"
-            )
         if node.actual_seconds is None or node.actual_seconds < 0:
             raise ValueError(
                 f"executed node {node.operator.name} has no actual cost"
@@ -79,9 +73,8 @@ class PlanReport:
     def render(self) -> str:
         header = (
             f"surface={self.surface}  plan_cache="
-            f"{'hit' if self.plan_cached else 'miss'}  epoch="
-            f"{self.root.stats.epoch}  backend={self.root.stats.backend}"
-        )
+            f"{'hit' if self.plan_cached else 'miss'}"
+        ) + "".join(f"  {k}={v}" for k, v in self.attributes.items())
         return header + "\n" + render_plan_tree(self.root)
 
     def validate(self) -> "PlanReport":

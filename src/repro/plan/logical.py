@@ -10,9 +10,9 @@ Approx-MWQ (:class:`MWQQuery`), batch why-not answering
 (:class:`RetainedMaskQuery`) the MQP experiment cost rides on.
 
 A logical plan deliberately carries **no coordinates**: it describes the
-shape of the computation (surface, approximation parameters, batch
-cardinality), so one planned tree is reusable across every query point
-of the same shape — that is what makes the plan cache effective.  The
+shape of the computation (surface, approximation parameters), so one
+planned tree is reusable across every query point and batch size of
+the same shape — that is what makes the plan cache effective.  The
 runtime arguments (query point, why-not customer, ...) travel through
 the :class:`~repro.plan.executor.ExecutionContext` instead.
 
@@ -74,15 +74,9 @@ class RSLQuery(LogicalPlan):
 
 @dataclass(frozen=True)
 class MembershipMaskQuery(LogicalPlan):
-    """Membership of ``count`` customers in ``RSL(q)`` (one bool each)."""
+    """Membership of many customers in ``RSL(q)`` (one bool each)."""
 
     surface: ClassVar[str] = "membership"
-    count: int = 1
-
-    def _key_fields(self) -> tuple:
-        # Bucket the cardinality so plans are shared across similar batch
-        # sizes while the cost model still sees the order of magnitude.
-        return (max(1, self.count).bit_length(),)
 
 
 @dataclass(frozen=True)
@@ -150,19 +144,14 @@ class BatchWhyNotQuery(LogicalPlan):
     """Many why-not questions against one query point."""
 
     surface: ClassVar[str] = "batch"
-    count: int = 1
     approximate: bool = False
     k: int = 10
 
     def child_plans(self) -> tuple[LogicalPlan, ...]:
         return (
             SafeRegionQuery(approximate=self.approximate, k=self.k),
-            MembershipMaskQuery(count=self.count),
+            MembershipMaskQuery(),
         )
 
     def _key_fields(self) -> tuple:
-        return (
-            max(1, self.count).bit_length(),
-            self.approximate,
-            self.k if self.approximate else 0,
-        )
+        return (self.approximate, self.k if self.approximate else 0)

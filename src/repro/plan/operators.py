@@ -9,16 +9,13 @@ mask for all of them, with three strategies:
 * ``"kernel"`` — one blocked NumPy pass (:mod:`repro.kernels`);
 * ``"pruned"`` — the filter-refinement kernel over the tile summaries.
 
-:func:`mask_cost` prices every variant, so each surface is one operator
-class whose instances differ only in their ``variant`` and registry name
-(``rsl-kernel-verify``, ``membership-pruned``, ...).  The planner picks
-an instance per node:
-
-* :meth:`Operator.estimate` — predicted cost from dataset statistics,
-  used by ``planner="auto"``; a pinned planner picks by ``variant``.
-* :meth:`Operator.run` — the execution, emitting the surface's span
-  attributes, counters and result-cache traffic (the caches stay on the
-  engine, which flushes them on every mutation).
+Each such surface is one operator class whose instances differ only in
+their ``variant`` and registry name (``rsl-kernel-verify``,
+``membership-pruned``, ...).  The planner picks an instance per node by
+``variant`` (:mod:`repro.plan.planner`); :meth:`Operator.run` is the
+execution, emitting the surface's span attributes, counters and
+result-cache traffic (the caches stay on the engine, which flushes them
+on every mutation).
 
 Answers are bit-identical across variants (property-tested against the
 brute-force oracle), so a planner choice changes the runtime, never the
@@ -42,7 +39,6 @@ from repro.core.safe_region import compute_safe_region
 from repro.geometry import region_array as _ra
 from repro.kernels.membership import batch_window_membership
 from repro.kernels.pruned import batch_window_membership_pruned
-from repro.plan.cost import CostEstimate, CostModel, DatasetStats
 from repro.skyline.global_skyline import global_skyline_candidates
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,7 +49,6 @@ __all__ = [
     "Operator",
     "candidate_operators",
     "ensure_approx_store",
-    "mask_cost",
     "row_mask",
 ]
 
@@ -78,7 +73,7 @@ def ensure_approx_store(engine, k: int) -> ApproximateDSLStore:
 
 
 # ----------------------------------------------------------------------
-# The shared row mask and its cost
+# The shared row mask
 # ----------------------------------------------------------------------
 def row_mask(
     eng,
@@ -145,32 +140,6 @@ def row_mask(
         rtol=rtol,
         counters=eng._kernel_counters,
         dims=dims,
-    )
-
-
-def mask_cost(
-    variant: str, rows: float, stats: DatasetStats, model: CostModel,
-    unit: str = "rows",
-) -> CostEstimate:
-    """Predicted cost of one :func:`row_mask` over ``rows`` rows."""
-    if variant == "index":
-        return CostEstimate(
-            ops=rows * model.window_nodes(stats),
-            seconds=rows * model.window_seconds(stats) + model.DISPATCH_S,
-            detail=f"~{rows:.0f} window probes on {stats.backend}",
-        )
-    ops = rows * stats.n * stats.d
-    note = ""
-    if variant == "kernel":
-        seconds = model.kernel_seconds(rows, stats)
-    else:
-        ops *= stats.prune_refine_rate
-        seconds = model.pruned_kernel_seconds(rows, stats)
-        note = f" (refine~{stats.prune_refine_rate:.0%})"
-    return CostEstimate(
-        ops=ops,
-        seconds=seconds + model.DISPATCH_S,
-        detail=f"{variant} pass, ~{rows:.0f} {unit} x n={stats.n}{note}",
     )
 
 
@@ -258,11 +227,6 @@ class Operator:
         drops the membership-prefilter child)."""
         return logical.child_plans()
 
-    def estimate(
-        self, logical: "LogicalPlan", stats: DatasetStats, model: CostModel
-    ) -> CostEstimate:
-        raise NotImplementedError
-
     def run(self, ctx: "ExecutionContext", node: "PlanNode", span) -> Any:
         raise NotImplementedError
 
@@ -278,12 +242,6 @@ class ReverseSkylineOp(Operator):
     over the candidates."""
 
     span_name = "engine.reverse_skyline"
-
-    def estimate(self, logical, stats, model):
-        return mask_cost(
-            self.variant, stats.expected_candidates, stats, model,
-            "candidates",
-        )
 
     def run(self, ctx, node, span):
         eng = ctx.engine
@@ -325,10 +283,6 @@ class MembershipOp(Operator):
 
     span_name = "engine.membership_mask"
 
-    def estimate(self, logical, stats, model):
-        rows = max(1, getattr(logical, "count", 1))
-        return mask_cost(self.variant, rows, stats, model, "probes")
-
     def run(self, ctx, node, span):
         eng = ctx.engine
         prefs, _ = _ctx_prefs(ctx)
@@ -349,11 +303,6 @@ class RetainedOp(Operator):
     """Which RSL members survive a refined query (tolerance-aware)."""
 
     span_name = "engine.retained_mask"
-
-    def estimate(self, logical, stats, model):
-        return mask_cost(
-            self.variant, stats.expected_rsl, stats, model, "members"
-        )
 
     def run(self, ctx, node, span):
         eng = ctx.engine
@@ -387,13 +336,6 @@ class LambdaWindow(Operator):
     name = "lambda-window"
     span_name = "engine.explain"
 
-    def estimate(self, logical, stats, model):
-        return CostEstimate(
-            ops=model.window_nodes(stats),
-            seconds=model.window_seconds(stats) + model.DISPATCH_S,
-            detail=f"one window query on {stats.backend}",
-        )
-
     def run(self, ctx, node, span):
         eng = ctx.engine
         prefs, _ = _ctx_prefs(ctx)
@@ -407,23 +349,11 @@ class LambdaWindow(Operator):
 
 
 class _StaircaseOp(Operator):
-    """Algorithms 1 and 2: a window query plus a staircase scan, priced
-    alike; ``cost_weights`` names the engine's movement weights."""
+    """Algorithms 1 and 2: a window query plus a staircase scan;
+    ``cost_weights`` names the engine's movement weights."""
 
     cost_weights: ClassVar[str]
     algorithm: ClassVar[Any]
-
-    def estimate(self, logical, stats, model):
-        lam = stats.expected_rsl + 2.0
-        return CostEstimate(
-            ops=2.0 * model.window_nodes(stats) + lam * lam,
-            seconds=(
-                2.0 * model.window_seconds(stats)
-                + lam * lam * model.PY_OP_S * 0.1
-                + model.DISPATCH_S
-            ),
-            detail=f"window + staircase scan (~{lam:.0f} boundary points)",
-        )
 
     def run(self, ctx, node, span):
         eng = ctx.engine
@@ -468,22 +398,6 @@ class _ExactSafeRegionOp(Operator):
 
     name = "sr-cached-fold"
     span_name = "engine.safe_region"
-
-    def estimate(self, logical, stats, model):
-        members = stats.expected_rsl
-        cold = max(0.0, members - stats.dsl_warm)
-        return CostEstimate(
-            ops=cold * stats.n * stats.d + members,
-            seconds=(
-                cold * model.dsl_build_seconds(stats)
-                + model.region_fold_seconds(members, stats)
-                + model.DISPATCH_S
-            ),
-            detail=(
-                f"~{members:.0f} members, ~{cold:.0f} cold DSL builds "
-                f"({stats.dsl_warm} warm)"
-            ),
-        )
 
     def run(self, ctx, node, span):
         eng = ctx.engine
@@ -533,19 +447,6 @@ class SafeRegionApproxStore(Operator):
     name = "sr-approx-store"
     span_name = "engine.safe_region"
 
-    def estimate(self, logical, stats, model):
-        members = stats.expected_rsl
-        k = getattr(logical, "k", 10)
-        return CostEstimate(
-            ops=members * k * stats.d,
-            seconds=(
-                members * k * stats.d * model.VECTOR_OP_S * 50
-                + model.region_fold_seconds(members, stats)
-                + model.DISPATCH_S
-            ),
-            detail=f"~{members:.0f} members x k={k} sampled skylines",
-        )
-
     def run(self, ctx, node, span):
         eng = ctx.engine
         q = ctx.query
@@ -589,13 +490,6 @@ class MWQCombine(Operator):
 
     name = "mwq-combine"
     span_name = "engine.mwq"
-
-    def estimate(self, logical, stats, model):
-        return CostEstimate(
-            ops=6.0 * model.window_nodes(stats),
-            seconds=6.0 * model.window_seconds(stats) + model.DISPATCH_S,
-            detail="case analysis + candidate scoring over SR(q)",
-        )
 
     def run(self, ctx, node, span):
         eng = ctx.engine
@@ -645,41 +539,6 @@ class BatchOp(Operator):
             return logical.child_plans()[:1]
         return logical.child_plans()
 
-    #: Candidates verified per question (MWP, MQP and MWQ together).
-    VERIFY_ROWS = 20.0
-
-    def estimate(self, logical, stats, model):
-        count = max(1, getattr(logical, "count", 1))
-        window = model.window_seconds(stats)
-        verify = model.kernel_seconds(self.VERIFY_ROWS, stats)
-        if self.variant == "index":
-            # Four planned surfaces per question, each with its own Λ
-            # window; MWP, MQP and MWQ each make one verification pass.
-            question = 4.0 * (window + model.DISPATCH_S) + verify
-            return CostEstimate(
-                ops=count * 4.0 * model.window_nodes(stats),
-                seconds=count * question + model.DISPATCH_S,
-                detail=f"{count} full per-question pipelines",
-            )
-        # Price the prefilter with the cheapest membership mask the
-        # planner could give the child.
-        mask = min(
-            (mask_cost(v, count, stats, model) for v in ("kernel", "pruned")),
-            key=lambda estimate: estimate.seconds,
-        )
-        member_rate = min(0.5, stats.expected_rsl / max(1, stats.m))
-        asked = count * (1.0 - member_rate)
-        # One shared Λ window per non-member question; every candidate of
-        # the batch verifies in one kernel pass.
-        return CostEstimate(
-            ops=mask.ops + asked * model.window_nodes(stats),
-            seconds=mask.seconds + asked * (window + verify) + model.DISPATCH_S,
-            detail=(
-                f"prefilter + ~{asked:.0f} Λ windows + one verify pass; "
-                f"{mask.detail}"
-            ),
-        )
-
     def run(self, ctx, node, span):
         from repro.core.batch import answer_batch, answer_why_not
 
@@ -708,7 +567,7 @@ class BatchOp(Operator):
 
 
 # ----------------------------------------------------------------------
-# Registry (registry order breaks cost ties in planner="auto")
+# Registry
 # ----------------------------------------------------------------------
 _REGISTRY: dict[str, tuple[Operator, ...]] = {
     "safe_region": (_ExactSafeRegionOp(),),

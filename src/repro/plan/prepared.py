@@ -5,7 +5,7 @@ window for the dataset to mutate between planning and execution.  A
 :class:`PreparedPlan` pins the dataset epoch at planning time and
 refuses to execute against any other generation — raising the same
 :class:`~repro.exceptions.StaleSessionError` the PR-4 session facade
-uses — so a plan costed against one market never silently answers from
+uses — so a plan built against one market never silently answers from
 another.  :meth:`replan` re-plans the same request against the current
 epoch.
 """
@@ -94,6 +94,7 @@ class PreparedPlan:
             root=self.node,
             plan_cached=self.plan_cached,
             result=result,
+            attributes={"epoch": self._epoch, "backend": self._engine.backend},
         )
 
     def __repr__(self) -> str:

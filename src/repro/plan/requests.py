@@ -69,7 +69,7 @@ def build_request(
         why_nots, query = args
         why_nots = tuple(why_nots)
         return (
-            logical_cls(count=len(why_nots)),
+            logical_cls(),
             {
                 "query": as_point(query, dim=dim),
                 "why_nots": why_nots,
@@ -113,7 +113,7 @@ def build_request(
     why_nots, query = args
     why_nots = tuple(why_nots)
     return (
-        logical_cls(count=len(why_nots), approximate=approximate, k=k),
+        logical_cls(approximate=approximate, k=k),
         {
             "query": as_point(query, dim=dim),
             "why_nots": why_nots,

@@ -166,7 +166,7 @@ class PreferenceModel:
 
     def effective_dim(self, dim: int) -> int:
         """Number of dimensions dominance actually compares — the
-        support size (cost models key their ``d`` exponents on this)."""
+        support size."""
         support = self.support(dim)
         return dim if support is None else int(support.size)
 

@@ -96,7 +96,8 @@ class PruneSummaries:
         """Classify every (customer-tile, product-chunk) pair for
         ``query`` and return the label fractions — the planner's
         selectivity estimate.  Memoized per (epoch, query) because
-        ``DatasetStats`` is sampled on every plan-cache miss.  The key
+        ``planner="auto"`` reads the centroid rate on every plan-cache
+        miss of a prunable surface.  The key
         holds the stores' epochs: a summary's own epoch only moves when
         its bounds are next read.
         """
@@ -140,14 +141,14 @@ class PruneSummaries:
     def predicted_refine_rate(
         self, query: np.ndarray, rtol: float = 0.0
     ) -> float:
-        """Fraction of pairs the pruned kernels would refine exactly —
-        the number the cost model multiplies into the kernel term."""
+        """Fraction of pairs the pruned kernels would refine exactly."""
         return float(self.predict(query, rtol=rtol)["refine"])
 
     def centroid_refine_rate(self) -> float:
         """Refine rate at the dataset centroid — the representative
-        probe :meth:`repro.plan.cost.DatasetStats.of` samples when no
-        concrete query is in scope (plans are cached across queries).
+        probe ``planner="auto"`` compares with
+        :data:`repro.plan.planner.PRUNE_BELOW` when no concrete query is
+        in scope (plans are cached across queries).
         A centroid query has the least prunable geometry of any point
         inside the data, so this is a conservative (pessimistic)
         selectivity estimate."""

@@ -1,4 +1,4 @@
-"""Export schema ``repro.obs/2``: journal section validation, v1
+"""Export schema ``repro.obs/3``: journal section validation, v1
 backward compatibility, Prometheus name hygiene and collision refusal."""
 
 import pytest
@@ -27,7 +27,6 @@ def _journaled_payload() -> dict:
         operator="sr-cached-fold",
         epoch=0,
         config_fingerprint="fp",
-        estimated_seconds=0.001,
         actual_seconds=0.002,
         counters={"kernels.tiles": 3},
     )
@@ -35,9 +34,10 @@ def _journaled_payload() -> dict:
 
 
 class TestSchemaTags:
-    def test_current_export_is_v2(self):
+    def test_current_export_is_v3(self):
         payload = _journaled_payload()
-        assert payload["schema"] == SCHEMA == "repro.obs/2"
+        assert payload["schema"] == SCHEMA == "repro.obs/3"
+        assert "estimated_seconds" not in payload["journal"]["records"][0]
         validate_export(payload)
 
     def test_v1_payload_without_journal_still_validates(self):
@@ -54,7 +54,9 @@ class TestSchemaTags:
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):
-            validate_export({"schema": "repro.obs/3"})
+            validate_export({"schema": "repro.obs/2"})
+        with pytest.raises(ValueError, match="schema"):
+            validate_export({"schema": "repro.obs/4"})
         with pytest.raises(ValueError, match="schema"):
             validate_export({"schema": ""})
 
@@ -119,8 +121,8 @@ class TestJournalSection:
 
 class TestPromNameHygiene:
     def test_dots_and_hyphens_become_underscores(self):
-        assert prom_name("plan.drift.sr-cached-fold") == (
-            "repro_plan_drift_sr_cached_fold"
+        assert prom_name("journal.op.sr-cached-fold") == (
+            "repro_journal_op_sr_cached_fold"
         )
         assert prom_name("prune.pairs_refined") == (
             "repro_prune_pairs_refined"
@@ -139,10 +141,10 @@ class TestPromNameHygiene:
     def test_sanitized_names_round_trip_through_exposition(self):
         metrics = MetricsRegistry()
         metrics.counter("prune.pairs_refined").inc(2)
-        metrics.gauge("plan.drift.rsl-kernel-verify").set(1.5)
+        metrics.gauge("journal.op.rsl-kernel-verify").set(1.5)
         text = to_prometheus(metrics)
         assert "repro_prune_pairs_refined_total 2" in text
-        assert "repro_plan_drift_rsl_kernel_verify 1.5" in text
+        assert "repro_journal_op_rsl_kernel_verify 1.5" in text
         for line in text.splitlines():
             if line and not line.startswith("#"):
                 metric_name = line.split(None, 1)[0].split("{")[0]
@@ -151,7 +153,7 @@ class TestPromNameHygiene:
 
     def test_collision_after_sanitizing_refused(self):
         metrics = MetricsRegistry()
-        metrics.counter("plan.drift.sr-cached-fold").inc()
-        metrics.counter("plan.drift.sr_cached_fold").inc()
+        metrics.counter("journal.op.sr-cached-fold").inc()
+        metrics.counter("journal.op.sr_cached_fold").inc()
         with pytest.raises(ValueError, match="sanitize"):
             to_prometheus(metrics)

@@ -24,7 +24,6 @@ def _record(journal: QueryJournal, i: int, **overrides) -> JournalRecord:
         "operator": "sr-cached-fold",
         "epoch": 0,
         "config_fingerprint": "abc123",
-        "estimated_seconds": 0.001,
         "actual_seconds": 0.002 + i * 1e-4,
         "counters": {"kernels.tiles": i + 1},
     }
@@ -170,23 +169,23 @@ class TestValidateJournal:
         validate_journal(journal)
 
     def test_non_monotone_seq_rejected(self):
-        a = JournalRecord(2, "s", "op", 0, "fp", 0.0, 0.0, {})
-        b = JournalRecord(2, "s", "op", 0, "fp", 0.0, 0.0, {})
+        a = JournalRecord(2, "s", "op", 0, "fp", 0.0, {})
+        b = JournalRecord(2, "s", "op", 0, "fp", 0.0, {})
         with pytest.raises(ValueError, match="seq"):
             validate_journal([a, b])
 
     def test_negative_duration_rejected(self):
-        bad = JournalRecord(0, "s", "op", 0, "fp", 0.0, -1.0, {})
+        bad = JournalRecord(0, "s", "op", 0, "fp", -1.0, {})
         with pytest.raises(ValueError, match="negative duration"):
             validate_journal([bad])
 
     def test_empty_surface_rejected(self):
-        bad = JournalRecord(0, "", "op", 0, "fp", 0.0, 0.0, {})
+        bad = JournalRecord(0, "", "op", 0, "fp", 0.0, {})
         with pytest.raises(ValueError, match="surface"):
             validate_journal([bad])
 
     def test_malformed_counters_rejected(self):
-        bad = JournalRecord(0, "s", "op", 0, "fp", 0.0, 0.0, {"k": "oops"})
+        bad = JournalRecord(0, "s", "op", 0, "fp", 0.0, {"k": "oops"})
         with pytest.raises(ValueError, match="not numeric"):
             validate_journal([bad])
 

@@ -14,15 +14,11 @@ class TestAllAudit:
     def test_all_is_sorted_and_unique(self):
         assert len(obs.__all__) == len(set(obs.__all__))
 
-    def test_journal_and_drift_surface_is_public(self):
+    def test_journal_surface_is_public(self):
         for name in (
             "QueryJournal",
             "JournalRecord",
             "validate_journal",
-            "aggregate_drift",
-            "DriftReport",
-            "OperatorDrift",
-            "DEFAULT_DRIFT_BAND",
             "TRACKED_COUNTER_PREFIXES",
             "SCHEMA_V1",
             "prom_name",
@@ -30,14 +26,13 @@ class TestAllAudit:
             assert name in obs.__all__
 
     def test_submodule_alls_are_subsets_of_package_exports(self):
-        from repro.obs import drift, journal
+        from repro.obs import journal
 
-        for module in (journal, drift):
-            for name in module.__all__:
-                assert name in obs.__all__, (
-                    f"{module.__name__}.__all__ has {name!r} missing from "
-                    "repro.obs.__all__"
-                )
+        for name in journal.__all__:
+            assert name in obs.__all__, (
+                f"{journal.__name__}.__all__ has {name!r} missing from "
+                "repro.obs.__all__"
+            )
 
 
 class TestNoRecordNameCollision:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.config import WhyNotConfig
+from repro.core.batch import answer_why_not_batch
 from repro.core.engine import WhyNotEngine
 from repro.plan.cache import PlanCache, config_fingerprint
 
@@ -50,13 +51,21 @@ class TestPlanReuse:
         assert engine.plan_cache.misses.value == misses
         assert engine.plan_cache.hits.value >= 1
 
-    def test_membership_count_buckets_share_plans(self, engine):
+    def test_membership_counts_share_one_plan(self, engine):
         q = np.array([0.5, 0.5])
         engine.membership_mask([1, 2, 3], q)
         misses = engine.plan_cache.misses.value
-        # Same bit_length bucket (3 and 2 both have bit_length 2).
-        engine.membership_mask([4, 5], q)
+        plan = engine.last_plan
+        # The batch cardinality is not part of the plan shape: every
+        # count, across orders of magnitude, reuses the same plan.
+        for count in (1, 2, 7, 40, 50):
+            engine.membership_mask(list(range(count)), q)
+            assert engine.last_plan is plan
         assert engine.plan_cache.misses.value == misses
+        answer_why_not_batch(engine, [1], q)
+        batch_misses = engine.plan_cache.misses.value
+        answer_why_not_batch(engine, list(range(20)), q)
+        assert engine.plan_cache.misses.value == batch_misses
 
 
 class TestEviction:

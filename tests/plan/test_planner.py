@@ -1,5 +1,9 @@
-"""Planner operator selection: each pin forces its arm, auto mode
-picks the cheapest estimate, and an unknown surface is rejected."""
+"""Planner operator selection: each pin forces its arm, ``auto``
+resolves to the pruned or kernel pin by one refine-rate rule, and an
+unknown surface is rejected."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,29 +11,31 @@ import pytest
 from repro.config import WhyNotConfig
 from repro.core.engine import WhyNotEngine
 from repro.core.safe_region import compute_safe_region
-from repro.plan.cost import CostModel, DatasetStats
 from repro.plan.logical import (
     BatchWhyNotQuery,
+    LambdaQuery,
     MembershipMaskQuery,
+    MQPQuery,
+    MWPQuery,
+    MWQQuery,
     RetainedMaskQuery,
     RSLQuery,
     SafeRegionQuery,
 )
-from repro.plan.planner import Planner
+from repro.plan.operators import candidate_operators
+from repro.plan.planner import PRUNE_BELOW, Planner
 
 
-def make_stats(n=1_000, m=1_000, dsl_warm=0):
-    return DatasetStats(
-        n=n, m=m, d=2, backend="scan", epoch=0, dsl_warm=dsl_warm
-    )
+def no_rate() -> float:
+    raise AssertionError("a pinned planner never reads the refine rate")
 
 
 SURFACES = (
     RSLQuery(),
-    MembershipMaskQuery(count=5),
+    MembershipMaskQuery(),
     RetainedMaskQuery(),
     SafeRegionQuery(),
-    BatchWhyNotQuery(count=5),
+    BatchWhyNotQuery(),
 )
 
 #: pin -> operator per surface: RSL, membership, retained, exact safe
@@ -65,10 +71,9 @@ def test_pin_table(pin):
     executed: the batch prefilter's membership child follows the pin
     too."""
     planner = Planner(WhyNotConfig(planner=pin))
-    stats = make_stats()
-    chosen = tuple(planner.choose(q, stats).name for q in SURFACES)
+    chosen = tuple(planner.choose(q, no_rate).name for q in SURFACES)
     assert chosen == PIN_TABLE[pin]
-    batch = planner.plan(BatchWhyNotQuery(count=5), stats)
+    batch = planner.plan(BatchWhyNotQuery(), no_rate)
     assert [c.operator.name for c in batch.children] == list(
         PIN_TABLE[pin][3:4] + (PIN_TABLE[pin][1:2] if pin != "index" else ())
     )
@@ -86,32 +91,30 @@ class TestFixedMode:
 
     def test_kernel_config_picks_kernel_operators(self):
         planner = Planner(WhyNotConfig(planner="kernel"))
-        stats = make_stats()
-        assert planner.choose(RSLQuery(), stats).name == "rsl-kernel-verify"
+        assert planner.choose(RSLQuery(), no_rate).name == "rsl-kernel-verify"
         assert (
-            planner.choose(MembershipMaskQuery(count=5), stats).name
+            planner.choose(MembershipMaskQuery(), no_rate).name
             == "membership-kernel"
         )
-        assert planner.choose(RetainedMaskQuery(), stats).name == "retained-kernel"
+        assert planner.choose(RetainedMaskQuery(), no_rate).name == "retained-kernel"
         assert (
-            planner.choose(BatchWhyNotQuery(count=5), stats).name
+            planner.choose(BatchWhyNotQuery(), no_rate).name
             == "batch-prefilter"
         )
 
     def test_no_kernel_config_picks_index_operators(self):
         planner = Planner(WhyNotConfig(planner="index"))
-        stats = make_stats()
-        assert planner.choose(RSLQuery(), stats).name == "rsl-index-verify"
+        assert planner.choose(RSLQuery(), no_rate).name == "rsl-index-verify"
         assert (
-            planner.choose(MembershipMaskQuery(count=5), stats).name
+            planner.choose(MembershipMaskQuery(), no_rate).name
             == "membership-index-loop"
         )
         assert (
-            planner.choose(RetainedMaskQuery(), stats).name
+            planner.choose(RetainedMaskQuery(), no_rate).name
             == "retained-index-loop"
         )
         assert (
-            planner.choose(BatchWhyNotQuery(count=5), stats).name
+            planner.choose(BatchWhyNotQuery(), no_rate).name
             == "batch-sequential"
         )
 
@@ -119,11 +122,10 @@ class TestFixedMode:
         """One local fold either way: it reads the DSL cache whenever the
         engine keeps one (full-support defaults) and equals the uncached
         fold."""
-        stats = make_stats()
         for weights in (None, (0.0, 1.0)):
             config = WhyNotConfig(planner="index", prefs_weights=weights)
             planner = Planner(config)
-            chosen = planner.choose(SafeRegionQuery(), stats)
+            chosen = planner.choose(SafeRegionQuery(), no_rate)
             assert chosen.name == "sr-cached-fold"
         points = np.random.default_rng(8).random((30, 2))
         cached = WhyNotEngine(points)
@@ -144,29 +146,135 @@ class TestFixedMode:
         for pin in ("index", "kernel", "pruned"):
             planner = Planner(WhyNotConfig(planner=pin))
             chosen = planner.choose(
-                SafeRegionQuery(approximate=True, k=10), make_stats()
+                SafeRegionQuery(approximate=True, k=10), no_rate
             )
             assert chosen.name == "sr-approx-store"
 
 
+def _load_bench_pruning():
+    """``benchmarks/bench_pruning.py`` by path (benchmarks are scripts,
+    not a package)."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pruning.py"
+    spec = importlib.util.spec_from_file_location("bench_pruning", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: Every logical surface, approximate variants included.
+AUTO_SURFACES = (
+    RSLQuery(),
+    MembershipMaskQuery(),
+    RetainedMaskQuery(),
+    LambdaQuery(),
+    MWPQuery(),
+    MQPQuery(),
+    SafeRegionQuery(),
+    SafeRegionQuery(approximate=True, k=4),
+    MWQQuery(),
+    MWQQuery(approximate=True, k=4),
+    BatchWhyNotQuery(),
+)
+
+#: (surface, prunable data?) -> root operator ``auto`` must pick.
+AUTO_TABLE = {
+    "reverse_skyline": ("rsl-kernel-verify", "rsl-pruned-kernel"),
+    "membership": ("membership-kernel", "membership-pruned"),
+    "retained_mask": ("retained-kernel", "retained-kernel"),
+    "explain": ("lambda-window", "lambda-window"),
+    "mwp": ("mwp-staircase", "mwp-staircase"),
+    "mqp": ("mqp-staircase", "mqp-staircase"),
+    "safe_region": ("sr-cached-fold", "sr-cached-fold"),
+    "mwq": ("mwq-combine", "mwq-combine"),
+    "batch": ("batch-prefilter", "batch-prefilter"),
+}
+
+
+@pytest.fixture(scope="module")
+def rule_engines():
+    """One auto engine per (backend, layout): the ``dense`` layout of
+    the pruning benchmark refines every pair (rate 1.0); its ``sparse``
+    layout with small tiles refines few (rate below PRUNE_BELOW)."""
+    bench = _load_bench_pruning()
+    engines = {}
+    for backend in ("scan", "rtree"):
+        for kind in ("dense", "sparse"):
+            products, customers, _ = bench.make_workload(kind, 600, 7)
+            engines[backend, kind] = WhyNotEngine(
+                products,
+                customers,
+                backend=backend,
+                config=WhyNotConfig(prune_tile_size=64),
+            )
+    return engines
+
+
+class RateSpy:
+    """Counts reads of the engine's centroid refine rate."""
+
+    def __init__(self, engine):
+        self.rate = engine.prune_summaries.centroid_refine_rate
+        self.calls = 0
+
+    def __call__(self) -> float:
+        self.calls += 1
+        return self.rate()
+
+
 class TestAutoMode:
-    def test_picks_minimum_estimated_cost(self):
-        planner = Planner(WhyNotConfig(planner="auto"))
-        stats = make_stats()
-        logical = MembershipMaskQuery(count=8)
-        model = CostModel()
-        chosen = planner.choose(logical, stats)
-        best = min(
-            planner.candidates(logical, stats),
-            key=lambda op: op.estimate(logical, stats, model).seconds,
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("backend", ["scan", "rtree"])
+    @pytest.mark.parametrize(
+        "logical", AUTO_SURFACES, ids=lambda q: q.describe()
+    )
+    def test_decision_table(self, rule_engines, backend, kind, logical):
+        """``auto`` is the pruned pin on prunable data for surfaces with
+        a pruned operator and the kernel pin everywhere else; it never
+        reaches an index variant and reads the refine rate only for a
+        surface that registers a pruned operator."""
+        engine = rule_engines[backend, kind]
+        rate = engine.prune_summaries.centroid_refine_rate()
+        prunable = kind == "sparse"
+        assert (rate <= PRUNE_BELOW) == prunable, rate
+        spy = RateSpy(engine)
+        chosen = engine.planner.choose(logical, spy)
+        expected = AUTO_TABLE[logical.surface][prunable]
+        if logical.surface == "safe_region" and logical.approximate:
+            expected = "sr-approx-store"
+        assert chosen.name == expected
+        has_pruned = any(
+            op.variant == "pruned" for op in candidate_operators(logical)
         )
-        assert chosen.name == best.name
+        assert spy.calls == (1 if has_pruned else 0)
+        pinned = Planner(WhyNotConfig(planner="pruned" if prunable else "kernel"))
+        for node in engine.planner.plan(logical, spy).walk():
+            assert node.operator.variant != "index", node.operator.name
+            assert node.operator is pinned.choose(node.logical, no_rate)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_engine_plans_through_the_summaries_probe(
+        self, rule_engines, kind, monkeypatch
+    ):
+        """The engine hands the planner its summaries' centroid probe:
+        a membership plan reads it once, an explain plan never."""
+        engine = rule_engines["scan", kind]
+        engine.plan_cache.clear()
+        spy = RateSpy(engine)
+        monkeypatch.setattr(engine.prune_summaries, "centroid_refine_rate", spy)
+        q = np.array([0.5, 0.5])
+        engine.explain(0, q)
+        assert spy.calls == 0
+        engine.membership_mask([0, 1, 2], q)
+        assert spy.calls == 1
+        expected = "membership-pruned" if kind == "sparse" else "membership-kernel"
+        assert engine.last_plan.operator.name == expected
 
     def test_auto_is_deterministic(self):
         planner = Planner(WhyNotConfig(planner="auto"))
-        stats = make_stats()
-        names = {planner.choose(RSLQuery(), stats).name for _ in range(10)}
-        assert len(names) == 1
+        names = {
+            planner.choose(RSLQuery(), lambda: 1.0).name for _ in range(10)
+        }
+        assert names == {"rsl-kernel-verify"}
 
 
 class TestCapabilityGating:
@@ -176,27 +284,26 @@ class TestCapabilityGating:
 
         planner = Planner(WhyNotConfig())
         with pytest.raises(ValueError):
-            planner.candidates(Bogus(), make_stats())
+            planner.candidates(Bogus())
 
 
 class TestPlanTrees:
     def test_safe_region_plan_nests_rsl_child(self):
         planner = Planner(WhyNotConfig())
-        node = planner.plan(SafeRegionQuery(), make_stats())
+        node = planner.plan(SafeRegionQuery(), lambda: 1.0)
         assert node.logical.surface == "safe_region"
         assert [c.logical.surface for c in node.children] == ["reverse_skyline"]
-        assert node.estimate.seconds >= 0
 
     def test_batch_prefilter_plan_has_two_children(self):
         planner = Planner(WhyNotConfig(planner="kernel"))
-        node = planner.plan(BatchWhyNotQuery(count=7), make_stats())
+        node = planner.plan(BatchWhyNotQuery(), no_rate)
         assert node.operator.name == "batch-prefilter"
         surfaces = [c.logical.surface for c in node.children]
         assert surfaces == ["safe_region", "membership"]
 
     def test_batch_sequential_plan_drops_prefilter_child(self):
         planner = Planner(WhyNotConfig(planner="index"))
-        node = planner.plan(BatchWhyNotQuery(count=7), make_stats())
+        node = planner.plan(BatchWhyNotQuery(), no_rate)
         assert node.operator.name == "batch-sequential"
         surfaces = [c.logical.surface for c in node.children]
         assert surfaces == ["safe_region"]
@@ -218,11 +325,3 @@ class TestEngineWiring:
         assert engine.last_plan.logical.surface == "reverse_skyline"
         engine.safe_region(q)
         assert engine.last_plan.logical.surface == "safe_region"
-
-    def test_dataset_stats_snapshot(self):
-        points = np.random.default_rng(2).random((30, 2))
-        engine = WhyNotEngine(points, backend="scan")
-        stats = engine.dataset_stats()
-        assert stats.n == 30 and stats.m == 30 and stats.d == 2
-        assert stats.backend == "scan"
-        assert stats.epoch == engine.dataset_epoch
