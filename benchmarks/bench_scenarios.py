@@ -149,9 +149,13 @@ def run_cell(
         best = {arm: float("inf") for arm in ARMS}
         # Interleave the arms round-robin so machine drift (frequency
         # scaling, background load) hits every arm alike instead of
-        # whichever happened to run last.
-        for _ in range(repeats):
-            for arm, kwargs in ARMS.items():
+        # whichever happened to run last, and reverse the order on odd
+        # repeats: the arm timed right after the index pin reads slow,
+        # so no arm may follow it every time (a rotation keeps every
+        # arm's predecessor).
+        arms = list(ARMS.items())
+        for rep in range(repeats):
+            for arm, kwargs in arms[::-1] if rep % 2 else arms:
                 # A fresh engine per repeat: cold caches, so the timing
                 # prices the operators, not the result cache.
                 engine = _engine(points, customers, **kwargs)

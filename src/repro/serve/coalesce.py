@@ -6,9 +6,10 @@ blocked membership kernel across every why-not question that shares a
 query — exactly the shape a serving workload produces when many clients
 ask about the same query point.  The :class:`Coalescer` exploits that
 without any cross-request state: the first request for a batch key
-opens a micro-batch and waits ``window_s`` for companions; requests
-arriving inside the window join it; the batch dispatches once, and
-every member gets its own answer back.
+opens a micro-batch whose dispatch task runs a loop tick later, so
+every request submitted in the same tick joins it; a positive
+``window_s`` holds the batch open that much longer.  The batch
+dispatches once, and every member gets its own answer back.
 
 The key is opaque to the coalescer.  The service keys batches by
 ``(epoch, query bytes, approximate, k)`` so members are guaranteed to
@@ -49,7 +50,7 @@ class Coalescer:
         payload, in order.  An exception fails every member of the
         batch.
     window_s:
-        How long the batch opener waits for companions.
+        Extra wait for companions beyond the opener's loop tick.
     max_batch:
         Flush immediately once this many members joined.
     on_batch:
@@ -61,7 +62,7 @@ class Coalescer:
     def __init__(
         self,
         dispatch: Dispatch,
-        window_s: float = 0.002,
+        window_s: float = 0.0,
         max_batch: int = 32,
         on_batch: "Callable[[int], None] | None" = None,
     ) -> None:

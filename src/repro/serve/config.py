@@ -35,7 +35,8 @@ class ServeConfig:
         Fold concurrent why-not requests for the same (epoch, query,
         approximate, k) into one ``answer_why_not_batch`` call.
     coalesce_window_s:
-        How long the first request of a batch waits for companions.
+        How long the first request of a batch waits for companions
+        beyond its own event-loop tick (``0.0``: no wait).
     max_batch:
         Batch size that triggers an immediate flush before the window
         elapses.
@@ -58,7 +59,7 @@ class ServeConfig:
     max_queue: int = 64
     default_deadline_s: float = 10.0
     coalesce: bool = True
-    coalesce_window_s: float = 0.002
+    coalesce_window_s: float = 0.0
     max_batch: int = 32
     executor_threads: int = 2
     drain_timeout_s: float = 30.0

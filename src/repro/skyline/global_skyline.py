@@ -10,6 +10,13 @@ survivors — the per-orthant "global skyline" — are verified individually.
 
 The strict/non-zero form of the test makes the pruning conservative under
 both dominance policies, so BBRS output always equals the naive oracle.
+
+In a 2-D support subspace the test is a staircase lookup: with an
+orthant's minimal blockers sorted by x and a running minimum of y, a
+customer is pruned iff the last blocker of x below its own has y below
+its own, one ``searchsorted`` per orthant in O((n + m) log k).  Other
+dimensionalities broadcast every customer against every minimal
+blocker, O(m·k).
 """
 
 from __future__ import annotations
@@ -72,21 +79,21 @@ def global_skyline_candidates(
     t_prods = to_query_space(prods, q)
     t_custs = to_query_space(custs, q)
 
+    # Only products strictly off every axis hyperplane of q can prune
+    # under the strict window test.  Column by column: NumPy runs a
+    # short-axis ``all`` several times slower.
+    interior = t_prods[:, 0] > 0
+    for j in range(1, t_prods.shape[1]):
+        interior &= t_prods[:, j] > 0
+
     survivors: list[np.ndarray] = []
-    for orthant in np.unique(cust_orth):
+    for orthant in np.flatnonzero(np.bincount(cust_orth)):
         cust_pos = np.flatnonzero(cust_orth == orthant)
-        prod_pos = np.flatnonzero(prod_orth == orthant)
+        prod_pos = np.flatnonzero((prod_orth == orthant) & interior)
         if prod_pos.size == 0:
             survivors.append(cust_pos)
             continue
         blockers = t_prods[prod_pos]
-        # Only products strictly off every axis hyperplane of q can prune
-        # under the strict window test.
-        interior = np.all(blockers > 0, axis=1)
-        blockers = blockers[interior]
-        if blockers.shape[0] == 0:
-            survivors.append(cust_pos)
-            continue
         # Reduce the blockers to their weak-dominance minima first: a point
         # strictly dominated by any blocker is strictly dominated by some
         # minimal blocker too (m <= b < c implies m < c component-wise).
@@ -95,18 +102,35 @@ def global_skyline_candidates(
         # itself: its own transformed coordinates tie in every dimension and
         # the test below is strict, so ``self_exclude`` needs no extra
         # filtering here (it documents intended usage at call sites).
-        kept: list[np.ndarray] = []
-        chunk = 2048
-        for start in range(0, cust_pos.size, chunk):
-            block = cust_pos[start:start + chunk]
-            c_t = t_custs[block]  # (b, d)
-            pruned = np.any(
-                np.all(minimal[None, :, :] < c_t[:, None, :], axis=2), axis=1
-            )
-            kept.append(block[~pruned])
-        survivors.append(
-            np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
-        )
-    if not survivors:
-        return np.empty(0, dtype=np.int64)
+        dominated = (_staircase_dominated if minimal.shape[1] == 2
+                     else _broadcast_dominated)
+        survivors.append(cust_pos[~dominated(minimal, t_custs[cust_pos])])
     return np.sort(np.concatenate(survivors))
+
+
+def _staircase_dominated(
+    blockers: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """Mask of the 2-D ``points`` that some row of ``blockers`` strictly
+    dominates, in O((k + m) log k) for any blocker set: the least y among
+    the blockers of x strictly below a point's must be below its y."""
+    order = np.argsort(blockers[:, 0])
+    xs = blockers[order, 0]
+    min_ys = np.minimum.accumulate(blockers[order, 1])
+    below = np.searchsorted(xs, points[:, 0], side="left")
+    return (below > 0) & (min_ys[below - 1] < points[:, 1])
+
+
+def _broadcast_dominated(
+    blockers: np.ndarray, points: np.ndarray
+) -> np.ndarray:
+    """:func:`_staircase_dominated` for any dimensionality, one O(m·k)
+    broadcast per chunk of points; the staircase's test oracle."""
+    out = np.empty(points.shape[0], dtype=bool)
+    chunk = 2048
+    for start in range(0, points.shape[0], chunk):
+        block = points[start:start + chunk]
+        out[start:start + chunk] = np.any(
+            np.all(blockers[None, :, :] < block[:, None, :], axis=2), axis=1
+        )
+    return out

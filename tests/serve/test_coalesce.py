@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
+from repro import WhyNotEngine
+from repro.serve import ServeConfig, WhyNotService
 from repro.serve.coalesce import Coalescer
 
 
@@ -108,5 +111,55 @@ def test_sequential_submissions_open_fresh_batches():
         assert await co.submit("k", 1) == 1
         assert await co.submit("k", 2) == 2
         assert calls == [[1], [2]]
+
+    asyncio.run(scenario())
+
+
+def test_default_window_dispatches_a_lone_request_without_waiting(monkeypatch):
+    """Under ``ServeConfig()`` a lone request is dispatched on the next
+    loop ticks: no ``wait_for`` window is slept first."""
+    waits = []
+    real_wait_for = asyncio.wait_for
+
+    def spy(*args, **kwargs):
+        waits.append(args)
+        return real_wait_for(*args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "wait_for", spy)
+
+    async def scenario():
+        calls = []
+
+        async def dispatch(key, payloads):
+            calls.append(list(payloads))
+            return list(payloads)
+
+        co = Coalescer(dispatch, window_s=ServeConfig().coalesce_window_s)
+        request = asyncio.ensure_future(co.submit("k", 7))
+        for _ in range(3):  # submit, then the dispatch task
+            await asyncio.sleep(0)
+        assert calls == [[7]]
+        assert await request == 7
+
+    asyncio.run(scenario())
+    assert waits == []
+
+
+def test_default_window_still_coalesces_a_one_tick_burst():
+    """16 requests gathered in one tick form one batch with no window,
+    below ``max_batch`` so the flush cannot come from the size trigger."""
+    async def scenario():
+        rng = np.random.default_rng(3)
+        engine = WhyNotEngine(
+            rng.random((40, 2)), customers=rng.random((20, 2))
+        )
+        config = ServeConfig(max_inflight=16)
+        assert config.coalesce_window_s == 0.0 and config.max_batch > 16
+        async with WhyNotService(engine, config) as svc:
+            await asyncio.gather(
+                *(svc.why_not(i, [0.5, 0.5]) for i in range(16))
+            )
+            assert int(svc.m_batches.value) == 1
+            assert int(svc.m_coalesced.value) == 15
 
     asyncio.run(scenario())
