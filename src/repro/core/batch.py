@@ -12,11 +12,11 @@ Two conveniences the paper motivates but leaves to the reader:
   ``SR(q)`` per query).
 
 :func:`answer_batch` is the batched answer path behind the
-``batch-prefilter`` operator: one ``Λ(c_t, q)`` window query per
-question, shared by its explanation and the MWP, MQP and MWQ candidate
-stages, and one kernel verification pass over every candidate of every
-question (the batched filter–refinement of "Inverse Queries for
-Multidimensional Spaces").
+``batch-prefilter`` operator, the batched filter–refinement of "Inverse
+Queries for Multidimensional Spaces": two kernel passes resolve every
+``Λ`` of the batch, one segmented staircase builds every MWP, MQP and
+MWQ-corner candidate set, and one kernel pass verifies every candidate
+of every question.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core._verify import combine, verify_pending
+from repro.core._staircase import staircase_job, staircase_stages
+from repro.core._verify import Pending, combine, verify_pending
 from repro.core.answer import (
     Candidate,
     Explanation,
@@ -35,10 +36,9 @@ from repro.core.answer import (
     MWQResult,
 )
 from repro.core.explain import explanation_of
-from repro.core.mqp import mqp_stage
-from repro.core.mwp import mwp_stage
-from repro.core.mwq import mwq_stage
-from repro.skyline.window import lambda_set
+from repro.core.mwq import disjoint_stage, mwq_case
+from repro.kernels.membership import batch_lambda_sets
+from repro.prefs.model import support_dims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import WhyNotEngine
@@ -186,54 +186,91 @@ def answer_batch(
 
     ``members`` flags the questions already in ``RSL(q)`` (they get the
     member answer), ``region`` is the batch's shared ``SR(q)`` and
-    ``prefs`` the request's preference model.  Each other question pays
-    one ``Λ(c_t, q)`` window query, handed to its explanation and to the
-    MWP, MQP and MWQ candidate stages; the candidates of all questions
-    (MWP points, MQP refined queries, MWQ overlap points and the MWP
-    points of every MWQ corner) are verified together in one
+    ``prefs`` the request's preference model.  One
+    :func:`~repro.kernels.membership.batch_lambda_sets` pass yields
+    ``Λ(c_t, q)`` of every other question, handed to its explanation and
+    its MWP and MQP stages; a second yields ``Λ(c_t, corner)`` of every
+    MWQ case-C2 corner once the cases are known.  Every candidate set
+    comes from one segmented staircase, and all candidates (MWP points,
+    MQP refined queries, MWQ overlap points and the MWP points of every
+    corner) are verified together in one
     :func:`~repro.kernels.membership.batch_verify_membership` pass.
     """
     index, config, dim = engine.index, engine.config, engine.dim
     pw = prefs.weight_array(dim)
+    dims = support_dims(pw, dim)
     beta = prefs.cost_weights(engine.beta)
     alpha = prefs.cost_weights(engine.alpha)
     bounds = engine._geometry_bounds(q)
+
+    def lambda_sets(rows: list, queries: np.ndarray) -> list:
+        """``Λ(c_t, query)`` of every ``(i, c_t, exclude)`` row."""
+        if not rows:
+            return []
+        offsets, positions = batch_lambda_sets(
+            index.points,
+            np.array([c_t for _, c_t, _ in rows]),
+            queries,
+            config.policy,
+            np.array([ex[0] if ex else -1 for _, _, ex in rows], dtype=np.int64),
+            dims,
+            engine._kernel_counters,
+        )
+        return np.split(positions, offsets[1:-1])
+
     answers: list = [None] * len(why_nots)
-    slots, stages = [], []
+    asks = []
     for i, why_not in enumerate(why_nots):
         c_t, exclude = engine._resolve_customer(why_not)
-        lam = (
-            np.empty(0, dtype=np.int64)
-            if members[i]
-            else lambda_set(index, c_t, q, config.policy, exclude, weights=pw)
-        )
-        if lam.size == 0:
+        if members[i]:
             answers[i] = _member_answer(why_not, c_t, q, dim)
+        else:
+            asks.append((i, c_t, exclude))
+    questions, jobs, corner_rows, corners = [], [], [], []
+    for (i, c_t, exclude), lam in zip(asks, lambda_sets(asks, q)):
+        if lam.size == 0:
+            answers[i] = _member_answer(why_nots[i], c_t, q, dim)
             continue
+        ddr = engine._cached_ddr(why_nots[i], prefs, bounds)
+        case = mwq_case(index, c_t, q, region, bounds, config, exclude, ddr, pw)
+        if not isinstance(case, Pending):
+            corner_rows += [(i, c_t, exclude)] * case.shape[0]
+            corners.append(case)
+        jobs += [
+            staircase_job(index, "MWP", c_t, q, config, beta, exclude, pw, lam),
+            staircase_job(index, "MQP", c_t, q, config, alpha, exclude, pw, lam),
+        ]
+        questions.append((i, c_t, lam, case))
+    if corners:
+        corners = np.concatenate(corners)
+        for (i, c_t, exclude), corner, lam in zip(
+            corner_rows, corners, lambda_sets(corner_rows, corners)
+        ):
+            jobs.append(staircase_job(
+                index, "MWP", c_t, corner, config, beta, exclude, pw, lam
+            ))
+    pendings = staircase_stages(jobs, config.sort_dim, dims, engine.normalizer)
+    heads = iter(pendings[: 2 * len(questions)])
+    tails = iter(pendings[2 * len(questions) :])
+    stages = []
+    for i, c_t, lam, case in questions:
+        mwp, mqp = next(heads), next(heads)
+        if not isinstance(case, Pending):
+            case = disjoint_stage(c_t, q, case, [next(tails) for _ in case])
         explanation = explanation_of(index, c_t, q, lam)
-        norm = engine.normalizer
-        ddr = engine._cached_ddr(why_not, prefs, bounds)
         stages.append(
             combine(
-                [
-                    mwp_stage(index, c_t, q, config, beta, norm, exclude, pw, lam),
-                    mqp_stage(index, c_t, q, config, alpha, norm, exclude, pw, lam),
-                    mwq_stage(
-                        index, c_t, q, region, bounds, config, beta, norm,
-                        exclude, ddr, pw, lam,
-                    ),
-                ],
-                lambda results, why_not=why_not, explanation=explanation: (
+                [mwp, mqp, case],
+                lambda results, why_not=why_nots[i], explanation=explanation: (
                     WhyNotAnswer(why_not, q, explanation, *results)
                 ),
             )
         )
-        slots.append(i)
     finished = verify_pending(
         index, stages, config.policy, config.verify, pw,
         counters=engine._kernel_counters,
     )
-    for i, answer in zip(slots, finished):
+    for (i, *_), answer in zip(questions, finished):
         answers[i] = answer
     return answers
 

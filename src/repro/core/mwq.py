@@ -22,19 +22,24 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import WhyNotConfig
+from repro.core._staircase import staircase_job, staircase_stages
 from repro.core._verify import Pending, combine, flagged_candidates, verify_pending
 from repro.core.answer import Candidate, MWQCase, MWQResult
 from repro.core.cost import MinMaxNormalizer, cost_weight_vector
-from repro.core.mwp import mwp_stage
 from repro.core.safe_region import SafeRegion, anti_dominance_region
 from repro.geometry.box import Box
 from repro.geometry.point import as_point
 from repro.geometry.region import BoxRegion
 from repro.index.base import SpatialIndex
+from repro.prefs.model import support_dims
 from repro.skyline.algorithms import skyline_indices
 from repro.skyline.window import lambda_set
 
-__all__ = ["modify_query_and_why_not_point", "mwq_stage"]
+__all__ = [
+    "disjoint_stage",
+    "modify_query_and_why_not_point",
+    "mwq_case",
+]
 
 
 def modify_query_and_why_not_point(
@@ -80,62 +85,67 @@ def modify_query_and_why_not_point(
     c_t = as_point(why_not, dim=index.dim)
     q = as_point(query, dim=index.dim)
     pw = None if pref_weights is None else np.asarray(pref_weights, dtype=np.float64)
-    stage = mwq_stage(
-        index, c_t, q, safe_region, bounds, config,
-        cost_weight_vector(weights, index.dim), normalizer, exclude,
-        ddr_why_not, pw,
+    lam = lambda_set(index, c_t, q, config.policy, exclude, weights=pw)
+    if lam.size == 0:
+        return MWQResult(
+            case=MWQCase.ALREADY_MEMBER,
+            why_not=c_t,
+            query=q,
+            query_candidates=[Candidate(q, cost=0.0, verified=True)],
+        )
+    stage = mwq_case(
+        index, c_t, q, safe_region, bounds, config, exclude, ddr_why_not, pw
     )
+    if not isinstance(stage, Pending):
+        beta = cost_weight_vector(weights, index.dim)
+        jobs = [
+            staircase_job(index, "MWP", c_t, corner, config, beta, exclude, pw)
+            for corner in stage
+        ]
+        dims = support_dims(pw, index.dim)
+        stage = disjoint_stage(
+            c_t, q, stage,
+            staircase_stages(jobs, config.sort_dim, dims, normalizer),
+        )
     (result,) = verify_pending(index, [stage], config.policy, config.verify, pw)
     return result
 
 
-def mwq_stage(
+def mwq_case(
     index: SpatialIndex,
     c_t: np.ndarray,
     q: np.ndarray,
     safe_region: SafeRegion,
     bounds: Box,
     config: WhyNotConfig,
-    weights: np.ndarray,
-    normalizer: MinMaxNormalizer | None,
     exclude: Sequence[int] = (),
     ddr_why_not: BoxRegion | None = None,
     pref_weights: "np.ndarray | None" = None,
-    lam: "np.ndarray | None" = None,
-) -> Pending:
-    """Algorithm 4 up to verification, over validated float64 points.
-
-    Case C1 verifies each overlap point as a refined query of ``c_t``;
-    case C2 verifies the Algorithm-1 candidates of every corner.  ``lam``
-    is ``Λ(c_t, q)`` when the caller already holds it."""
-    if lam is None:
-        lam = lambda_set(
-            index, c_t, q, config.policy, exclude, weights=pref_weights
-        )
-    if lam.size == 0:
-        return Pending.done(
-            MWQResult(
-                case=MWQCase.ALREADY_MEMBER,
-                why_not=c_t,
-                query=q,
-                query_candidates=[Candidate(q, cost=0.0, verified=True)],
-            ),
-            index.dim,
-        )
-
+) -> "Pending | np.ndarray":
+    """Table I's case split for a non-member ``c_t``: the case-C1 stage
+    (overlap points awaiting verification) when ``c_t``'s anti-dominance
+    region overlaps ``SR(q)``, else the ``(k, d)`` case-C2 corners ``q``
+    may move to (each closed by Algorithm 1 in :func:`disjoint_stage`)."""
     if ddr_why_not is None:
         ddr_why_not = anti_dominance_region(
             index, c_t, bounds, sort_dim=config.sort_dim, exclude=exclude,
             weights=pref_weights,
         )
     overlap = safe_region.region.intersect(ddr_why_not)
-
     if not overlap.is_empty():
         return _case_overlap(c_t, q, overlap, exclude)
-    return _case_disjoint(
-        index, c_t, q, safe_region, config, weights, normalizer, exclude,
-        pref_weights,
+    # Case C2: move q to the safe-region corners nearest c_t (steps 7-20).
+    corners = safe_region.region.corner_points()
+    # The original query always belongs to its safe region; adding it to
+    # the candidate set guarantees MWQ never answers worse than MWP even
+    # when no box corner improves on q (e.g. a degenerate region).
+    corners = (
+        np.vstack([corners, q]) if corners.shape[0] else q.reshape(1, -1)
     )
+    # Keep only corners non-dominated in the space transformed to c_t:
+    # those are the extremal moves of q toward the why-not point.
+    transformed = np.abs(corners - c_t)
+    return corners[skyline_indices(transformed, weights=pref_weights)]
 
 
 def _case_overlap(
@@ -170,35 +180,19 @@ def _case_overlap(
     return Pending.rows(c_t, matrix, exclude, finish)
 
 
-def _case_disjoint(
-    index: SpatialIndex,
+def disjoint_stage(
     c_t: np.ndarray,
     q: np.ndarray,
-    safe_region: SafeRegion,
-    config: WhyNotConfig,
-    weights: np.ndarray,
-    normalizer: MinMaxNormalizer | None,
-    exclude: Sequence[int],
-    pref_weights: np.ndarray | None = None,
+    corners: np.ndarray,
+    mwps: Sequence[Pending],
 ) -> Pending:
-    """Case C2: move ``q`` to the safe-region corners nearest ``c_t`` and
-    close the gap with Algorithm 1 (steps 7-20 of Algorithm 4)."""
-    corners = safe_region.region.corner_points()
-    # The original query always belongs to its safe region; adding it to
-    # the candidate set guarantees MWQ never answers worse than MWP even
-    # when no box corner improves on q (e.g. a degenerate region).
-    corners = (
-        np.vstack([corners, q]) if corners.shape[0] else q.reshape(1, -1)
-    )
-    # Keep only corners non-dominated in the space transformed to c_t:
-    # those are the extremal moves of q toward the why-not point.
-    transformed = np.abs(corners - c_t)
-    minimal = skyline_indices(transformed, weights=pref_weights)
-    corners = corners[minimal]
+    """Case C2: pair each corner with its Algorithm-1 stage ``mwps[i]``
+    (``c_t`` moved against the corner) and rank the pairs by the Eqn.-11
+    cost of the why-not movement."""
 
-    def finish(mwps: list) -> MWQResult:
+    def finish(results: list) -> MWQResult:
         pairs: list[tuple[Candidate, Candidate]] = []
-        for corner, mwp in zip(corners, mwps):
+        for corner, mwp in zip(corners, results):
             query_candidate = Candidate(corner, cost=0.0, verified=None)
             for candidate in mwp.candidates:
                 pairs.append((query_candidate, candidate))
@@ -210,13 +204,4 @@ def _case_disjoint(
             pairs=pairs,
         )
 
-    return combine(
-        [
-            mwp_stage(
-                index, c_t, corner, config, weights, normalizer, exclude,
-                pref_weights,
-            )
-            for corner in corners
-        ],
-        finish,
-    )
+    return combine(list(mwps), finish)

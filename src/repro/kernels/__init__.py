@@ -23,6 +23,7 @@ from repro.kernels.membership import (
     KernelCounters,
     auto_block_size,
     batch_lambda_counts,
+    batch_lambda_sets,
     batch_verify_membership,
     batch_window_membership,
     resolve_block_size,
@@ -42,6 +43,7 @@ __all__ = [
     "available_cpus",
     "batch_window_membership",
     "batch_lambda_counts",
+    "batch_lambda_sets",
     "batch_verify_membership",
     "batch_window_membership_pruned",
     "batch_lambda_counts_pruned",

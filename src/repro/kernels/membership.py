@@ -43,6 +43,7 @@ __all__ = [
     "auto_block_size",
     "batch_window_membership",
     "batch_lambda_counts",
+    "batch_lambda_sets",
     "batch_verify_membership",
     "resolve_block_size",
 ]
@@ -220,27 +221,40 @@ def _blocking_matrix(
     lo: np.ndarray,
     hi: np.ndarray,
     policy: DominancePolicy,
+    box: bool = False,
 ) -> np.ndarray:
     """``(b, n)`` boolean matrix: does product ``i`` block customer ``j``?
 
-    The dimension axis is folded in a Python loop (``d`` is small) so the
-    live arrays stay two-dimensional.
+    The dimension axis is folded in a Python loop (``d`` is small) through
+    one distance and one comparison buffer (fresh temporaries per
+    dimension cost more in page faults than in arithmetic).  ``box``
+    (WEAK, exact bounds) also applies the closed window box ``c ± r`` the
+    index filters by, as :func:`repro.skyline.window.window_query_indices`
+    does: in floats it can drop a product whose distance ties ``r``.
+    STRICT needs no box: ``fl(|p - c|) < r`` puts ``p`` inside it.
     """
     b, dim = block.shape
     n = prods.shape[0]
+    dd = np.empty((b, n))
+    hit = np.empty((b, n), dtype=bool)
     if policy is DominancePolicy.STRICT:
         blocking = np.ones((b, n), dtype=bool)
         for d in range(dim):
-            dd = np.abs(block[:, d, None] - prods[None, :, d])
-            blocking &= dd < lo[:, d, None]
+            np.abs(np.subtract(block[:, d, None], prods[None, :, d], out=dd), out=dd)
+            blocking &= np.less(dd, lo[:, d, None], out=hit)
         return blocking
     all_le = np.ones((b, n), dtype=bool)
     any_lt = np.zeros((b, n), dtype=bool)
     for d in range(dim):
-        dd = np.abs(block[:, d, None] - prods[None, :, d])
-        all_le &= dd <= hi[:, d, None]
-        any_lt |= dd < lo[:, d, None]
-    return all_le & any_lt
+        col = prods[None, :, d]
+        np.abs(np.subtract(block[:, d, None], col, out=dd), out=dd)
+        all_le &= np.less_equal(dd, hi[:, d, None], out=hit)
+        any_lt |= np.less(dd, lo[:, d, None], out=hit)
+        if box:
+            all_le &= np.greater_equal(col, block[:, d, None] - hi[:, d, None], out=hit)
+            all_le &= np.less_equal(col, block[:, d, None] + hi[:, d, None], out=hit)
+    all_le &= any_lt
+    return all_le
 
 
 def _clear_self_entries(
@@ -266,6 +280,7 @@ def _membership_block(
     sp: np.ndarray | None,
     chunk: int,
     counters: KernelCounters | None = None,
+    box: bool = False,
 ) -> np.ndarray:
     """Membership vector for one customer tile, chunked over products with
     early-exit compaction.
@@ -285,7 +300,7 @@ def _membership_block(
     for start in range(0, n, chunk):
         pc = prods[start : start + chunk]
         blocking = _blocking_matrix(
-            pc, block[alive], lo[alive], hi[alive], policy
+            pc, block[alive], lo[alive], hi[alive], policy, box
         )
         _clear_self_entries(
             blocking, sp[alive] if sp is not None else None, start
@@ -369,7 +384,8 @@ def batch_window_membership(
         sp = positions[start : start + block.shape[0]] if positions is not None else None
         qb = q[start : start + block.shape[0]] if q.ndim == 2 else q
         members[start : start + block.shape[0]] = _membership_block(
-            prods, block, qb, policy, rtol, sp, chunk=block_size, counters=counters
+            prods, block, qb, policy, rtol, sp, chunk=block_size,
+            counters=counters, box=rtol == 0.0 and dims is None,
         )
     return members
 
@@ -407,7 +423,9 @@ def batch_lambda_counts(
         acc = np.zeros(block.shape[0], dtype=np.int64)
         for pstart in range(0, prods.shape[0], block_size):
             pc = prods[pstart : pstart + block_size]
-            blocking = _blocking_matrix(pc, block, lo, hi, policy)
+            blocking = _blocking_matrix(
+                pc, block, lo, hi, policy, box=dims is None
+            )
             _clear_self_entries(blocking, sp, pstart)
             acc += blocking.sum(axis=1)
             if counters is not None:
@@ -417,6 +435,66 @@ def batch_lambda_counts(
             counters.customers_evaluated.inc(block.shape[0])
         counts[start : start + block.shape[0]] = acc
     return counts
+
+
+def batch_lambda_sets(
+    products: np.ndarray,
+    centers: np.ndarray,
+    queries: np.ndarray,
+    policy: DominancePolicy = DominancePolicy.WEAK,
+    self_positions: np.ndarray | None = None,
+    dims: np.ndarray | None = None,
+    counters: KernelCounters | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``Λ`` of every ``(centers[j], queries[j])`` row in one pass, as
+    CSR ``(offsets, positions)``.
+
+    Row ``j``'s set is ``positions[offsets[j]:offsets[j + 1]]``,
+    ascending, and equals :func:`repro.skyline.window.
+    window_query_indices` over ``products`` with ``self_positions[j]``
+    (``-1``: none) excluded; ``queries`` is one ``(d,)`` point or one row
+    per center.  The (rows × products) chunks are sized from
+    :data:`AUTO_BLOCK_BYTES`, so a few rows scan even ten thousand
+    products in one blocking matrix.
+    """
+    prods, cents, q, positions = _prepare(
+        products, centers, queries, self_positions, 1, dims=dims,
+        row_queries=True,
+    )
+    m, n = cents.shape[0], prods.shape[0]
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    if m == 0 or n == 0:
+        return offsets, np.empty(0, dtype=np.int64)
+    dim = cents.shape[1]
+    tile = min(m, auto_block_size(dim))
+    chunk = max(tile, AUTO_BLOCK_BYTES // ((11 + 2 * max(0, dim - 2)) * tile))
+    rows, cols = [], []
+    for start in range(0, m, tile):
+        block = cents[start : start + tile]
+        stop = start + block.shape[0]
+        sp = positions[start:stop] if positions is not None else None
+        lo, hi = _window_bounds(block, q[start:stop] if q.ndim == 2 else q, 0.0)
+        for pstart in range(0, n, chunk):
+            blocking = _blocking_matrix(
+                prods[pstart : pstart + chunk], block, lo, hi, policy,
+                box=dims is None,
+            )
+            _clear_self_entries(blocking, sp, pstart)
+            r, c = np.nonzero(blocking)
+            rows.append(r + start)
+            cols.append(c + pstart)
+            if counters is not None:
+                counters.product_chunks.inc()
+        if counters is not None:
+            counters.tiles.inc()
+            counters.customers_evaluated.inc(block.shape[0])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    if n > chunk:
+        # Chunks arrive product-major: a stable sort by row keeps each
+        # row's positions ascending.
+        cols = cols[np.argsort(rows, kind="stable")]
+    np.cumsum(np.bincount(rows, minlength=m), out=offsets[1:])
+    return offsets, cols
 
 
 def batch_verify_membership(

@@ -123,6 +123,7 @@ def _membership_refine(
     chunk: int,
     chunk_indices: np.ndarray,
     counters: KernelCounters | None,
+    box: bool = False,
 ) -> np.ndarray:
     """Exact membership for one tile over a *subset* of product chunks —
     :func:`repro.kernels.membership._membership_block` with the scan
@@ -137,7 +138,7 @@ def _membership_refine(
         start = int(chunk_indices[k]) * chunk
         pc = prods[start : start + chunk]
         blocking = _blocking_matrix(
-            pc, block[alive], lo[alive], hi[alive], policy
+            pc, block[alive], lo[alive], hi[alive], policy, box
         )
         _clear_self_entries(
             blocking, sp[alive] if sp is not None else None, start
@@ -231,7 +232,8 @@ def batch_window_membership_pruned(
                 prune_counters.tiles_skipped.inc()
             continue
         members[start : start + b] = _membership_refine(
-            prods, block, q, policy, rtol, sp, tile, refine, counters
+            prods, block, q, policy, rtol, sp, tile, refine, counters,
+            box=rtol == 0.0 and dims is None,
         )
     return members
 
@@ -294,7 +296,9 @@ def batch_lambda_counts_pruned(
         for k in range(refine.size):
             pstart = int(refine[k]) * tile
             pc = prods[pstart : pstart + tile]
-            blocking = _blocking_matrix(pc, block, lo, hi, policy)
+            blocking = _blocking_matrix(
+                pc, block, lo, hi, policy, box=dims is None
+            )
             _clear_self_entries(blocking, sp, pstart)
             acc += blocking.sum(axis=1)
             if counters is not None:

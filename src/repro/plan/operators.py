@@ -524,9 +524,9 @@ class BatchOp(Operator):
     The ``"kernel"`` variant (``batch-prefilter``) resolves every
     question's membership through the planned membership child first
     (planned on its own, it may itself be pruned), then
-    answers the rest through :func:`repro.core.batch.answer_batch`: one
-    ``Λ`` window query per question and one kernel pass verifying every
-    candidate of the batch.  The ``"index"`` variant
+    answers the rest through :func:`repro.core.batch.answer_batch`: two
+    kernel passes for every ``Λ`` of the batch, one segmented staircase
+    and one kernel pass verifying every candidate.  The ``"index"`` variant
     (``batch-sequential``) runs the full per-question pipeline for every
     question — the reference the batched path equals byte for byte.
     Both fetch the shared safe region once."""

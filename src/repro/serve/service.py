@@ -294,18 +294,20 @@ class WhyNotService:
                 )
                 assert self.coalescer is not None
                 return await self.coalescer.submit(key, frozen)
-            answer = await self._in_executor(
-                partial(
-                    answer_why_not,
-                    self.engine,
-                    frozen,
-                    q,
-                    approximate=approximate,
-                    k=k,
-                    weights=frozen_w,
+
+            def work() -> dict:
+                return serialize_answer(
+                    answer_why_not(
+                        self.engine,
+                        frozen,
+                        q,
+                        approximate=approximate,
+                        k=k,
+                        weights=frozen_w,
+                    )
                 )
-            )
-            return serialize_answer(answer)
+
+            return await self._in_executor(work)
 
         return await self._serve("why_not", run, deadline_s)
 
@@ -438,12 +440,13 @@ class WhyNotService:
         return await self._loop.run_in_executor(self._executor, fn)
 
     async def _dispatch_batch(self, key: tuple, payloads: list) -> list:
-        """Coalescer dispatch: one batched kernel call for the group."""
+        """Coalescer dispatch: one batched call for the group, answered
+        and serialized in the executor (the loop thread only routes)."""
         epoch, query_bytes, approximate, k, _prefs_fp, frozen_w = key
         q = np.frombuffer(query_bytes, dtype=np.float64)
-        answers = await self._in_executor(
-            partial(
-                answer_why_not_batch,
+
+        def work() -> list:
+            answers = answer_why_not_batch(
                 self.engine,
                 list(payloads),
                 q,
@@ -451,8 +454,9 @@ class WhyNotService:
                 k=k,
                 weights=frozen_w,
             )
-        )
-        return [serialize_answer(answer) for answer in answers]
+            return [serialize_answer(answer) for answer in answers]
+
+        return await self._in_executor(work)
 
     # ------------------------------------------------------------------
     # Write path

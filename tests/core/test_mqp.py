@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import DominancePolicy, WhyNotConfig
-from repro.core.mqp import modify_query_point, mqp_candidate_points
+from repro.core.mqp import modify_query_point
 from repro.core._verify import verify_membership
 from repro.index.scan import ScanIndex
 
@@ -53,8 +53,9 @@ class TestCandidates:
         rng = np.random.default_rng(2)
         for _ in range(60):
             idx, c, q = random_case(rng)
-            points, lam, _ = mqp_candidate_points(idx, c, q, WhyNotConfig())
-            if lam.size == 0 or len(points) < 2:
+            result = modify_query_point(idx, c, q, WhyNotConfig())
+            points = np.array([cand.point for cand in result.candidates])
+            if result.lambda_positions.size == 0 or len(points) < 2:
                 continue
             moves = np.abs(points - q)
             for i in range(len(moves)):

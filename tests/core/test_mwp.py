@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import DominancePolicy, WhyNotConfig
-from repro.core.mwp import modify_why_not_point, mwp_candidate_points
+from repro.core.mwp import modify_why_not_point
 from repro.core._verify import verify_membership
 from repro.index.scan import ScanIndex
 
@@ -58,10 +58,9 @@ class TestCandidates:
         rng = np.random.default_rng(2)
         for _ in range(80):
             idx, c, q = random_case(rng)
-            points, lam, _front = mwp_candidate_points(
-                idx, c, q, WhyNotConfig()
-            )
-            if lam.size == 0 or len(points) < 2:
+            result = modify_why_not_point(idx, c, q, WhyNotConfig())
+            points = np.array([cand.point for cand in result.candidates])
+            if result.lambda_positions.size == 0 or len(points) < 2:
                 continue
             moves = np.abs(points - c)
             for i in range(len(moves)):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core._staircase import staircase_distance_candidates
+from repro.core._staircase import segmented_staircase, staircase_distance_candidates
 
 
 def covers(candidate, frontiers):
@@ -95,3 +97,96 @@ class TestMultipleFrontiers:
         cap = np.ones(2)
         out = staircase_distance_candidates(frontiers, cap, sort_dim=0)
         assert len(out) == len(np.unique(out, axis=0))
+
+
+def reference_staircase(frontier_vectors, cap, sort_dim, dims=None):
+    """The one-problem loop the segmented staircase replaced, kept as its
+    oracle: sort, clipped ends, adjacent maxima, the d > 2 fallback row,
+    the ``dims`` projection and ``np.unique`` row dedupe."""
+    vectors = np.asarray(frontier_vectors, dtype=np.float64)
+    cap = np.asarray(cap, dtype=np.float64)
+    if dims is not None:
+        sel = np.asarray(dims, dtype=np.int64)
+        where = np.flatnonzero(sel == sort_dim)
+        sub_sort = int(where[0]) if where.size else 0
+        sub = reference_staircase(vectors[:, sel], cap[sel], sub_sort)
+        out = np.broadcast_to(cap, (sub.shape[0], cap.size)).copy()
+        out[:, sel] = sub
+        return np.unique(out, axis=0)
+    dim = vectors.shape[1]
+    capped = np.minimum(vectors, cap)
+    order = np.argsort(-capped[:, sort_dim], kind="stable")
+    sorted_vecs = capped[order]
+    first = sorted_vecs[0].copy()
+    first[sort_dim] = cap[sort_dim]
+    candidates = [first]
+    for left, right in zip(sorted_vecs[:-1], sorted_vecs[1:]):
+        candidates.append(np.maximum(left, right))
+    last = cap.copy()
+    last[sort_dim] = sorted_vecs[-1][sort_dim]
+    candidates.append(last)
+    if dim > 2:
+        candidates.append(capped.min(axis=0))
+    return np.unique(np.minimum(np.vstack(candidates), cap), axis=0)
+
+
+@st.composite
+def staircase_batches(draw):
+    """Groups of threshold rows on a coarse grid (ties within and across
+    groups, one-row groups) with caps that clip some thresholds."""
+    dim = draw(st.integers(2, 4))
+    cells = st.integers(0, 6).map(lambda v: v / 4)
+    groups = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.integers(1, 5))
+        vectors = np.array(
+            draw(st.lists(cells, min_size=rows * dim, max_size=rows * dim))
+        ).reshape(rows, dim)
+        cap = np.array(draw(st.lists(cells, min_size=dim, max_size=dim)))
+        groups.append((vectors, cap))
+    dims = draw(
+        st.none()
+        | st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True)
+        .map(sorted)
+        .map(lambda d: np.array(d, dtype=np.int64))
+    )
+    return groups, draw(st.integers(0, dim - 1)), dims
+
+
+class TestSegmentedStaircase:
+    @settings(max_examples=300, deadline=None)
+    @given(staircase_batches())
+    def test_equals_reference_loop_per_group(self, case):
+        groups, sort_dim, dims = case
+        sizes = [v.shape[0] for v, _ in groups]
+        out, offsets = segmented_staircase(
+            np.concatenate([v for v, _ in groups]),
+            np.cumsum([0] + sizes),
+            np.array([c for _, c in groups]),
+            sort_dim,
+            dims,
+        )
+        assert offsets.shape == (len(groups) + 1,)
+        for g, (vectors, cap) in enumerate(groups):
+            expected = reference_staircase(vectors, cap, sort_dim, dims)
+            got = out[offsets[g] : offsets[g + 1]]
+            assert got.tobytes() == expected.tobytes(), (g, got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(staircase_batches())
+    def test_one_group_call_equals_reference(self, case):
+        groups, sort_dim, dims = case
+        for vectors, cap in groups:
+            got = staircase_distance_candidates(vectors, cap, sort_dim, dims)
+            expected = reference_staircase(vectors, cap, sort_dim, dims)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_identical_groups_dedupe_separately(self):
+        vectors = np.array([[0.5, 0.5], [0.5, 0.5]])
+        out, offsets = segmented_staircase(
+            np.vstack([vectors, vectors]), [0, 2, 4], np.ones((2, 2)), 0
+        )
+        # (cap_x, .5), the pair maximum (.5, .5) and (.5, cap_y), once
+        # per group.
+        assert offsets.tolist() == [0, 3, 6]
+        assert out[:3].tobytes() == out[3:].tobytes()

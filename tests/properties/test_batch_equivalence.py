@@ -1,13 +1,14 @@
 """Property test: the batched warm answer path equals the per-question
 pipeline byte for byte.
 
-``batch-prefilter`` (one ``Λ`` window query per question, one kernel
-verification pass over every candidate of the batch) must serialise to
+``batch-prefilter`` (two kernel passes for every ``Λ`` of the batch, one
+segmented staircase, one kernel verification pass over every candidate) must serialise to
 exactly the ``canonical_json`` of ``batch-sequential`` and of
 per-question ``answer_why_not`` — on mono- and bichromatic data, under
 both dominance policies, unit, skewed and partial-support preference
-weights, position- and raw-point why-nots with members mixed in, and on
-dyadic grids where many candidates land exactly on window boundaries.
+weights, position- and raw-point why-nots with members mixed in, on
+dyadic grids where many candidates land exactly on window boundaries,
+and on a non-dyadic grid where those boundaries round.
 """
 
 import numpy as np
@@ -35,24 +36,33 @@ def grid_points(draw, rows: int, dim: int) -> np.ndarray:
     return np.array(cells, dtype=np.float64).reshape(rows, dim) / 8
 
 
+def decimal_points(draw, rows: int, dim: int) -> np.ndarray:
+    """``rows`` points on a non-dyadic grid (``k * 0.1 + 0.7``): faces
+    that tie in exact arithmetic but round differently in floats."""
+    cells = draw(
+        st.lists(st.integers(0, 8), min_size=rows * dim, max_size=rows * dim)
+    )
+    return np.array(cells, dtype=np.float64).reshape(rows, dim) * 0.1 + 0.7
+
+
 @st.composite
-def batches(draw):
+def batches(draw, points=grid_points):
     dim = draw(st.integers(2, 3))
-    products = grid_points(draw, draw(st.integers(3, 20)), dim)
+    products = points(draw, draw(st.integers(3, 20)), dim)
     mono = draw(st.booleans())
     customers = (
-        None if mono else grid_points(draw, draw(st.integers(2, 16)), dim)
+        None if mono else points(draw, draw(st.integers(2, 16)), dim)
     )
     m = products.shape[0] if mono else customers.shape[0]
     positions = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
-    raw = [p.tolist() for p in grid_points(draw, draw(st.integers(0, 2)), dim)]
+    raw = [p.tolist() for p in points(draw, draw(st.integers(0, 2)), dim)]
     why_nots = draw(st.permutations(positions + raw))
     shape = draw(st.sampled_from(sorted(WEIGHTS)))
     weights = None if WEIGHTS[shape] is None else WEIGHTS[shape][:dim]
     return {
         "products": products,
         "customers": customers,
-        "query": grid_points(draw, 1, dim)[0],
+        "query": points(draw, 1, dim)[0],
         "why_nots": why_nots,
         "weights": weights,
         "policy": draw(st.sampled_from(list(DominancePolicy))),
@@ -68,6 +78,16 @@ def _serialised(answers) -> list[str]:
 @settings(max_examples=120, deadline=None)
 @given(batches())
 def test_batched_path_equals_sequential_and_per_question(case):
+    _check_batched_path(case)
+
+
+@settings(max_examples=120, deadline=None)
+@given(batches(points=decimal_points))
+def test_batched_path_equals_sequential_on_non_dyadic_floats(case):
+    _check_batched_path(case)
+
+
+def _check_batched_path(case):
     def engine(pin: str) -> WhyNotEngine:
         return WhyNotEngine(
             case["products"],

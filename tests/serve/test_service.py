@@ -222,3 +222,35 @@ def test_health_and_metrics_surface():
             assert "serve_queue_depth" in text
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_serialize_answer_never_runs_on_the_loop_thread(coalesce, monkeypatch):
+    """Answers are serialized in the executor call that computes them:
+    the event loop only routes the finished dicts."""
+    import threading
+
+    from repro.serve import service as service_module
+
+    threads: list = []
+    original = service_module.serialize_answer
+
+    def recording(answer):
+        threads.append(threading.get_ident())
+        return original(answer)
+
+    monkeypatch.setattr(service_module, "serialize_answer", recording)
+
+    async def scenario():
+        loop_thread = threading.get_ident()
+        async with WhyNotService(_engine(), ServeConfig(coalesce=coalesce)) as svc:
+            outs = await asyncio.gather(
+                *[svc.why_not(i, QUERY) for i in range(6)]
+            )
+        for i, out in enumerate(outs):
+            assert canonical_json(out["result"]) == _direct(i)
+        return loop_thread
+
+    loop_thread = asyncio.run(scenario())
+    assert len(threads) == 6
+    assert loop_thread not in threads
